@@ -26,6 +26,35 @@ import (
 // report is still returned) or a nil app; every per-stage failure is
 // reported through Report.Degraded.
 func (c *Checker) CheckSafe(ctx context.Context, app *App) (*Report, error) {
+	return c.CheckMemo(ctx, app, nil)
+}
+
+// StageMemo supplies and keeps the pipeline's four cacheable units for
+// one app, so a caller that caches stage outputs (the longitudinal
+// engine) runs the very pipeline CheckSafe runs. A unit is named by a
+// core stage and covers these stages and report fields:
+//
+//   - StagePolicy: html-extract and policy-nlp (Policy)
+//   - StageDesc: description (Desc)
+//   - StageStatic: apg-static, taint and libdetect (Static, Libs);
+//     asked only when the app has an APK
+//   - StageDetect: detectors (the three finding slices); asked only
+//     when the other three units are complete
+//
+// Load fills the unit's fields on r and reports true on a hit; on a
+// miss the unit is computed. Store is called only after every stage of
+// a computed unit succeeded, and may replace the unit's fields on r
+// with an equivalent canonical copy, so a memo never sees a partial
+// output.
+type StageMemo interface {
+	Load(unit Stage, r *Report) bool
+	Store(unit Stage, r *Report)
+}
+
+// CheckMemo is CheckSafe with the cacheable units served from and
+// offered to memo (see StageMemo); a nil memo makes it CheckSafe. The
+// stages it does compute run, time and degrade exactly as in CheckSafe.
+func (c *Checker) CheckMemo(ctx context.Context, app *App, memo StageMemo) (*Report, error) {
 	if app == nil {
 		return nil, errors.New("core: nil app")
 	}
@@ -34,30 +63,26 @@ func (c *Checker) CheckSafe(ctx context.Context, app *App) (*Report, error) {
 	}
 	r := &Report{App: appName(app)}
 
-	// HTML extraction.
-	var policyText string
-	okExtract := c.stage(ctx, r, StageExtract, func() error {
-		if !utf8.ValidString(app.PolicyHTML) {
-			return errors.New("policy is not valid UTF-8")
-		}
-		policyText = htmltext.Extract(app.PolicyHTML)
-		if strings.TrimSpace(app.PolicyHTML) != "" && strings.TrimSpace(policyText) == "" {
-			return errors.New("no text extracted from non-empty policy HTML")
-		}
-		return nil
-	})
-
-	// Policy NLP.
-	policyOK := false
-	if okExtract {
-		policyOK = c.stage(ctx, r, StagePolicy, func() error {
+	// Policy unit: HTML extraction, then policy NLP.
+	policyOK := memoUnit(memo, StagePolicy, r, func() bool {
+		var policyText string
+		return c.stage(ctx, r, StageExtract, func() error {
+			if !utf8.ValidString(app.PolicyHTML) {
+				return errors.New("policy is not valid UTF-8")
+			}
+			policyText = htmltext.Extract(app.PolicyHTML)
+			if strings.TrimSpace(app.PolicyHTML) != "" && strings.TrimSpace(policyText) == "" {
+				return errors.New("no text extracted from non-empty policy HTML")
+			}
+			return nil
+		}) && c.stage(ctx, r, StagePolicy, func() error {
 			if err := nlp.GuardText(policyText); err != nil {
 				return err
 			}
 			r.Policy = c.policyAnalyzer.AnalyzeText(policyText)
 			return nil
 		})
-	}
+	})
 	if r.Policy == nil {
 		// The detectors dereference r.Policy; an empty analysis keeps
 		// them nil-safe without inventing statements.
@@ -66,31 +91,34 @@ func (c *Checker) CheckSafe(ctx context.Context, app *App) (*Report, error) {
 
 	// Description analysis. A nil Desc is already understood by the
 	// detectors as "no description evidence".
-	c.stage(ctx, r, StageDesc, func() error {
-		r.Desc = c.descAnalyzer.Analyze(app.Description)
-		return nil
+	descOK := memoUnit(memo, StageDesc, r, func() bool {
+		return c.stage(ctx, r, StageDesc, func() error {
+			r.Desc = c.DescStage(app.Description)
+			return nil
+		})
 	})
 
 	// Static analysis over the APK, when present: APG build + site scan
-	// first, then taint as a separately-degradable stage.
+	// first, then taint as a separately-degradable stage, then library
+	// detection, which needs only the bytecode.
+	staticOK := true
 	if app.APK != nil {
-		// The pooled arena feeds both static stages; it is returned
-		// only on the clean path — a panicking stage may leave scratch
-		// state mid-mutation, and dropping the arena is always safe.
-		ar := arenaPool.Get().(*arena)
-		arenaOK := true
-		var p *apg.APG
-		okStatic := c.stage(ctx, r, StageStatic, func() error {
-			res, pg, err := static.CollectWith(ctx, app.APK, c.staticOpts, &ar.build)
-			if err != nil {
-				return err
-			}
-			r.Static, p = res, pg
-			return nil
-		})
-		arenaOK = arenaOK && !r.degradedRecovered(StageStatic)
-		if okStatic {
-			c.stage(ctx, r, StageTaint, func() error {
+		staticOK = memoUnit(memo, StageStatic, r, func() bool {
+			// The pooled arena feeds both static stages; it is returned
+			// only on the clean path — a panicking stage may leave
+			// scratch state mid-mutation, and dropping the arena is
+			// always safe.
+			ar := arenaPool.Get().(*arena)
+			var p *apg.APG
+			okStatic := c.stage(ctx, r, StageStatic, func() error {
+				res, pg, err := static.CollectWith(ctx, app.APK, c.staticOpts, &ar.build)
+				if err != nil {
+					return err
+				}
+				r.Static, p = res, pg
+				return nil
+			})
+			okTaint := okStatic && c.stage(ctx, r, StageTaint, func() error {
 				leaks, err := static.TaintLeaksWith(ctx, p, &ar.taint)
 				if err != nil {
 					return err
@@ -98,31 +126,36 @@ func (c *Checker) CheckSafe(ctx context.Context, app *App) (*Report, error) {
 				r.Static.Leaks = leaks
 				return nil
 			})
-			arenaOK = arenaOK && !r.degradedRecovered(StageTaint)
-		}
-		if arenaOK {
-			arenaPool.Put(ar)
-		}
-		c.stage(ctx, r, StageLibs, func() error {
-			if app.APK.Dex == nil {
-				return errors.New("no bytecode to scan for libraries")
+			if !r.degradedRecovered(StageStatic) && !r.degradedRecovered(StageTaint) {
+				arenaPool.Put(ar)
 			}
-			r.Libs = libdetect.Detect(app.APK.Dex)
-			return nil
+			okLibs := c.stage(ctx, r, StageLibs, func() error {
+				if app.APK.Dex == nil {
+					return errors.New("no bytecode to scan for libraries")
+				}
+				r.Libs = libdetect.Detect(app.APK.Dex)
+				return nil
+			})
+			return okStatic && okTaint && okLibs
 		})
 	}
 
 	// Detectors. When the policy analysis itself failed, the policy
 	// detectors would report every collected info as unmentioned —
 	// noise, not findings — so they are suppressed and the degradation
-	// already recorded for the policy stage stands. Each detector gets
-	// its own sub-span under the detectors stage.
+	// already recorded for the policy stage stands. Findings over a
+	// degraded upstream are partial, so only a complete upstream lets
+	// the memo see the detect unit.
 	if policyOK {
-		c.stage(ctx, r, StageDetect, func() error {
-			c.detectorSpan(r, SpanDetectIncomplete, func() { c.detectIncomplete(app, r) })
-			c.detectorSpan(r, SpanDetectIncorrect, func() { c.detectIncorrect(app, r) })
-			c.detectorSpan(r, SpanDetectInconsistent, func() { c.detectInconsistent(app, r) })
-			return nil
+		detectMemo := memo
+		if !descOK || !staticOK {
+			detectMemo = nil
+		}
+		memoUnit(detectMemo, StageDetect, r, func() bool {
+			return c.stage(ctx, r, StageDetect, func() error {
+				c.DetectStage(app, r)
+				return nil
+			})
 		})
 	}
 
@@ -130,6 +163,23 @@ func (c *Checker) CheckSafe(ctx context.Context, app *App) (*Report, error) {
 		return r, err
 	}
 	return r, nil
+}
+
+// memoUnit serves one cacheable unit from memo, or computes it and
+// offers it back when every one of its stages succeeded. It reports
+// whether the unit is complete.
+func memoUnit(memo StageMemo, unit Stage, r *Report, compute func() bool) bool {
+	if memo == nil {
+		return compute()
+	}
+	if memo.Load(unit, r) {
+		return true
+	}
+	if !compute() {
+		return false
+	}
+	memo.Store(unit, r)
+	return true
 }
 
 // stage runs one pipeline stage behind panic recovery and a

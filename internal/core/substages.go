@@ -1,89 +1,25 @@
 package core
 
-import (
-	"context"
-	"errors"
-	"strings"
-	"unicode/utf8"
+import "ppchecker/internal/desc"
 
-	"ppchecker/internal/apk"
-	"ppchecker/internal/desc"
-	"ppchecker/internal/htmltext"
-	"ppchecker/internal/libdetect"
-	"ppchecker/internal/nlp"
-	"ppchecker/internal/policy"
-	"ppchecker/internal/static"
-)
-
-// substages.go exposes the CheckSafe pipeline stages as standalone
-// computations, so callers that cache stage outputs (the longitudinal
-// engine in internal/longi) can recompute exactly one stage from its
-// inputs. Each method matches the corresponding CheckSafe stage
-// byte-for-byte on success; failure handling (panic recovery, report
-// degradation) stays with the caller, which knows whether a failed
-// stage should poison a cache entry (it must not).
+// substages.go exposes single pipeline stages as standalone
+// computations for callers that time or replay one stage in isolation.
+// Each matches the corresponding CheckSafe stage byte-for-byte; failure
+// handling (panic recovery, report degradation) stays with the caller.
 
 // AppName exposes the report-name rule used by CheckSafe (explicit
 // name, else manifest package, else a placeholder).
 func AppName(app *App) string { return appName(app) }
-
-// PolicyStage runs HTML extraction plus policy NLP over raw policy
-// HTML, the combined StageExtract + StagePolicy computation. The
-// result depends only on the policy bytes and the checker's analyzer
-// configuration.
-func (c *Checker) PolicyStage(policyHTML string) (*policy.Analysis, error) {
-	if !utf8.ValidString(policyHTML) {
-		return nil, errors.New("policy is not valid UTF-8")
-	}
-	policyText := htmltext.Extract(policyHTML)
-	if strings.TrimSpace(policyHTML) != "" && strings.TrimSpace(policyText) == "" {
-		return nil, errors.New("no text extracted from non-empty policy HTML")
-	}
-	if err := nlp.GuardText(policyText); err != nil {
-		return nil, err
-	}
-	return c.policyAnalyzer.AnalyzeText(policyText), nil
-}
 
 // DescStage runs the description analysis, the StageDesc computation.
 func (c *Checker) DescStage(description string) *desc.Result {
 	return c.descAnalyzer.Analyze(description)
 }
 
-// StaticStage runs static collection plus taint tracking over an APK,
-// the combined StageStatic + StageTaint computation. Unlike CheckSafe —
-// which keeps the collected sites when only taint fails — a failure in
-// either half fails the whole stage, because a cacheable artifact must
-// be complete or absent.
-func (c *Checker) StaticStage(ctx context.Context, a *apk.APK) (*static.Result, error) {
-	if a == nil {
-		return nil, errors.New("core: nil apk")
-	}
-	res, p, err := static.Collect(ctx, a, c.staticOpts)
-	if err != nil {
-		return nil, err
-	}
-	leaks, err := static.TaintLeaks(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	res.Leaks = leaks
-	return res, nil
-}
-
-// LibsStage runs third-party library detection, the StageLibs
-// computation.
-func (c *Checker) LibsStage(a *apk.APK) ([]libdetect.Library, error) {
-	if a == nil || a.Dex == nil {
-		return nil, errors.New("no bytecode to scan for libraries")
-	}
-	return libdetect.Detect(a.Dex), nil
-}
-
 // DetectStage runs the three finding detectors over the analyses
 // already assembled on r (Policy, Desc, Static, Libs), appending to the
 // report's finding slices — the StageDetect computation. r.Policy must
-// be non-nil. As in CheckSafe, each detector gets its own sub-span.
+// be non-nil. Each detector gets its own sub-span.
 func (c *Checker) DetectStage(app *App, r *Report) {
 	c.detectorSpan(r, SpanDetectIncomplete, func() { c.detectIncomplete(app, r) })
 	c.detectorSpan(r, SpanDetectIncorrect, func() { c.detectIncorrect(app, r) })

@@ -196,6 +196,57 @@ func TestSkippedReportRequeues(t *testing.T) {
 	}
 }
 
+// TestUnknownOutcomeRejected: a report whose outcome does not parse is
+// refused with 400 before anything is claimed, so it neither breaks
+// Apps = Checked+Degraded+Failed+Skipped nor retires the app. The lease
+// stays held, expires, and the reassigned item folds normally.
+func TestUnknownOutcomeRejected(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{
+		Source:   stream.NewFirehoseSource(7, 1),
+		LeaseTTL: 30 * time.Millisecond,
+	})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	lease, status := postLease(t, srv.URL, "garbled")
+	if status != http.StatusOK {
+		t.Fatalf("lease: status %d", status)
+	}
+	for _, bad := range []string{"", "exploded"} {
+		body, _ := json.Marshal(ReportRequest{
+			LeaseID: lease.LeaseID, Worker: "garbled", Name: lease.Name, Hash: lease.Hash,
+			Outcome: bad,
+		})
+		resp, err := http.Post(srv.URL+"/report", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("outcome %q: status %d, want %d", bad, resp.StatusCode, http.StatusBadRequest)
+		}
+	}
+	if snap := c.StatsSnapshot(); snap.Apps != 0 || snap.Done || snap.Outstanding != 1 {
+		t.Fatalf("rejected reports changed the fold or the lease: %+v", snap)
+	}
+
+	time.Sleep(60 * time.Millisecond) // let the held lease expire
+	again, status := postLease(t, srv.URL, "healthy")
+	if status != http.StatusOK || again.Name != lease.Name {
+		t.Fatalf("reassignment: status %d lease %+v", status, again)
+	}
+	if rr := postReport(t, srv.URL, ReportRequest{
+		LeaseID: again.LeaseID, Worker: "healthy", Name: again.Name, Hash: again.Hash,
+		Outcome: eval.OutcomeChecked.String(),
+	}); !rr.Accepted {
+		t.Fatalf("healthy report: %+v", rr)
+	}
+	snap := c.StatsSnapshot()
+	if snap.Apps != 1 || snap.Checked != 1 || !snap.Done {
+		t.Fatalf("snapshot after reassignment: %+v", snap)
+	}
+}
+
 // TestCoordinatorJournalResume: kill the coordinator after a partial
 // run (worker stops at MaxApps, coordinator discarded); a fresh
 // coordinator over the reopened journal leases only the remainder and

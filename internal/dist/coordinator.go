@@ -153,17 +153,8 @@ func (c *Coordinator) takeLocked() *workItem {
 				// Stale checkpoint — the inputs changed. Fold the old
 				// outcome back out and lease the item afresh.
 				c.stats.Reanalyzed++
-				c.stats.Apps--
-				c.stats.Retried -= rec.Retries
-				switch rec.Outcome {
-				case eval.OutcomeChecked.String():
-					c.stats.Checked--
-				case eval.OutcomeDegraded.String():
-					c.stats.Degraded--
-				case eval.OutcomeFailed.String():
-					c.stats.Failed--
-				case eval.OutcomeSkipped.String():
-					c.stats.Skipped--
+				if o, err := eval.ParseOutcome(rec.Outcome); err == nil {
+					c.stats.Remove(o, rec.Retries)
 				}
 				c.stats.Replayed--
 				delete(c.done, item.Name)
@@ -374,6 +365,14 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
+	// An outcome the fold cannot count must not retire the app: reject
+	// it before anything is claimed. The lease stays held, so it
+	// expires and the item is reassigned.
+	outcome, err := eval.ParseOutcome(req.Outcome)
+	if err != nil {
+		serve.WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 
 	c.mu.Lock()
 	l, held := c.outstanding[req.LeaseID]
@@ -391,7 +390,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, ReportResponse{Accepted: false, Duplicate: true})
 		return
 	}
-	if req.Outcome == eval.OutcomeSkipped.String() {
+	if outcome == eval.OutcomeSkipped {
 		// The worker abandoned the app (dying context); put the item
 		// back so a live worker redoes it — mirroring stream.Run,
 		// where skipped apps are never journaled and always
@@ -439,16 +438,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 
 	c.mu.Lock()
 	c.folding--
-	c.stats.Apps++
-	c.stats.Retried += req.Retries
-	switch req.Outcome {
-	case eval.OutcomeChecked.String():
-		c.stats.Checked++
-	case eval.OutcomeDegraded.String():
-		c.stats.Degraded++
-	case eval.OutcomeFailed.String():
-		c.stats.Failed++
-	}
+	c.stats.Add(outcome, req.Retries)
 	if req.Quarantined {
 		c.stats.Quarantined++
 	}

@@ -132,6 +132,38 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("outcome(%d)", int(o))
 }
 
+// ParseOutcome maps an outcome's wire name (see Outcome.String) back to
+// the outcome.
+func ParseOutcome(s string) (Outcome, error) {
+	for o := OutcomeChecked; o <= OutcomeSkipped; o++ {
+		if o.String() == s {
+			return o, nil
+		}
+	}
+	return 0, fmt.Errorf("eval: unknown outcome %q", s)
+}
+
+// Add folds one app's outcome and retry count into the stats.
+func (s *RunStats) Add(o Outcome, retries int) { s.fold(o, retries, 1) }
+
+// Remove folds an app added earlier back out of the stats.
+func (s *RunStats) Remove(o Outcome, retries int) { s.fold(o, retries, -1) }
+
+func (s *RunStats) fold(o Outcome, retries, n int) {
+	s.Apps += n
+	s.Retried += n * retries
+	switch o {
+	case OutcomeChecked:
+		s.Checked += n
+	case OutcomeDegraded:
+		s.Degraded += n
+	case OutcomeFailed:
+		s.Failed += n
+	case OutcomeSkipped:
+		s.Skipped += n
+	}
+}
+
 // appJob is one unit of corpus work: an app's name and ground truth
 // plus a closure that produces its report on a worker's checker.
 type appJob struct {
@@ -231,7 +263,7 @@ func EvaluateCorpusDirRobust(ctx context.Context, dir string, opts RunOptions) (
 // Skipped stub — so downstream table code needs no nil checks.
 func runRobust(ctx context.Context, jobs []appJob, opts RunOptions) (*CorpusResult, RunStats, error) {
 	n := len(jobs)
-	stats := RunStats{Apps: n}
+	var stats RunStats
 	res := &CorpusResult{
 		Reports: make([]*core.Report, n),
 		Truths:  make([]synth.GroundTruth, n),
@@ -287,17 +319,7 @@ func runRobust(ctx context.Context, jobs []appJob, opts RunOptions) (*CorpusResu
 				sp.End(runError(rep, outcome), false)
 				res.Reports[i] = rep
 				mu.Lock()
-				stats.Retried += retries
-				switch outcome {
-				case OutcomeChecked:
-					stats.Checked++
-				case OutcomeDegraded:
-					stats.Degraded++
-				case OutcomeFailed:
-					stats.Failed++
-				case OutcomeSkipped:
-					stats.Skipped++
-				}
+				stats.Add(outcome, retries)
 				mu.Unlock()
 			}
 		}()
@@ -315,7 +337,7 @@ feed:
 	for i := range res.Reports {
 		if res.Reports[i] == nil {
 			res.Reports[i] = stubReport(jobs[i].name, ctx.Err())
-			stats.Skipped++
+			stats.Add(OutcomeSkipped, 0)
 		}
 	}
 	if opts.Observer != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -16,10 +15,11 @@ import (
 	"ppchecker/internal/static"
 )
 
-// Artifact-store stage names. These are the cache's domain separators,
-// distinct from core.Stage (which names report degradations): the
-// pipeline's seven runtime stages collapse into four cacheable
-// computations — extract+policy, desc, static+taint+libs, detect.
+// Artifact-store names of the four cacheable units that core.StageMemo
+// names by core stage: extract+policy, desc, static+taint+libs and
+// detect. They are the cache's domain separators and part of every
+// key's pre-image, so existing stores stay valid only while they keep
+// these values.
 const (
 	stagePolicy = "policy"
 	stageDesc   = "desc"
@@ -30,7 +30,7 @@ const (
 // Serialized stage outputs. Everything in them is plain exported data,
 // so a JSON round trip is lossless — the engine relies on that to make
 // a freshly computed artifact and a reloaded one structurally
-// identical (see putArtifact).
+// identical (see versionMemo.Store).
 type policyArtifact struct {
 	Analysis *policy.Analysis `json:"analysis"`
 }
@@ -48,6 +48,28 @@ type detectArtifact struct {
 	Incomplete   []core.IncompleteFinding    `json:"incomplete"`
 	Incorrect    []core.IncorrectFinding     `json:"incorrect"`
 	Inconsistent []core.InconsistencyFinding `json:"inconsistent"`
+}
+
+// artifact moves one unit's outputs between a report and its
+// serialized form.
+type artifact interface {
+	fill(r *core.Report)
+	take(r *core.Report)
+}
+
+func (a *policyArtifact) fill(r *core.Report) { r.Policy = a.Analysis }
+func (a *policyArtifact) take(r *core.Report) { a.Analysis = r.Policy }
+func (a *descArtifact) fill(r *core.Report)   { r.Desc = a.Result }
+func (a *descArtifact) take(r *core.Report)   { a.Result = r.Desc }
+func (a *staticArtifact) fill(r *core.Report) { r.Static, r.Libs = a.Result, a.Libs }
+func (a *staticArtifact) take(r *core.Report) { a.Result, a.Libs = r.Static, r.Libs }
+
+func (a *detectArtifact) fill(r *core.Report) {
+	r.Incomplete, r.Incorrect, r.Inconsistent = a.Incomplete, a.Incorrect, a.Inconsistent
+}
+
+func (a *detectArtifact) take(r *core.Report) {
+	a.Incomplete, a.Incorrect, a.Inconsistent = r.Incomplete, r.Incorrect, r.Inconsistent
 }
 
 // CacheStats counts artifact-store traffic. It is execution metadata,
@@ -84,11 +106,12 @@ type Engine struct {
 
 	hits, misses, puts, storeErrs atomic.Int64
 
-	// stageHook, when set by a test, runs before each stage compute
-	// (cache hits bypass it); returning an error fails the stage. It
-	// exists to prove failure paths — timeouts, panics, exhausted retry
-	// budgets — never write artifacts.
-	stageHook func(ctx context.Context, stage string) error
+	// stageHook, when set by a test, runs on every unit the store
+	// cannot supply, just before the pipeline computes it (cache hits
+	// bypass it). Tests use it to assert nothing is recomputed, and to
+	// hold a unit until its attempt deadline so the failure path can be
+	// shown never to write artifacts.
+	stageHook func(ctx context.Context, stage string)
 }
 
 // NewEngine builds an engine over the given artifact store and checker
@@ -111,18 +134,18 @@ func (e *Engine) Stats() CacheStats {
 }
 
 // CheckVersion analyzes one app version through the artifact store:
-// each stage's output is fetched by content address when present and
-// computed (then stored) when not. The report matches core.CheckSafe
-// finding-for-finding on a healthy run, except that it carries no
-// Timings — a longitudinal report must be bit-identical however its
-// stages were satisfied, and wall-clock timings are the one field that
-// never could be.
+// core.Checker.CheckMemo runs the CheckSafe pipeline, fetching each
+// cacheable unit by content address when present and computing (then
+// storing) it when not. The report matches core.CheckSafe
+// finding-for-finding, degraded stages included, except that it
+// carries no Timings — a longitudinal report must be bit-identical
+// however its stages were satisfied, and wall-clock timings are the
+// one field that never could be.
 //
-// Failure handling mirrors CheckSafe: a failed stage degrades the
-// report and the rest of the pipeline continues. A failed or partial
-// stage output is NEVER stored — the store holds only complete,
-// successful computations — so a version that degraded under a timeout
-// or an exhausted retry budget leaves no trace to poison later runs.
+// A failed or partial unit is NEVER stored — the store holds only
+// complete, successful computations — so a version that degraded under
+// a timeout or an exhausted retry budget leaves no trace to poison
+// later runs.
 func (e *Engine) CheckVersion(ctx context.Context, checker *core.Checker, app *core.App) (*core.Report, error) {
 	if app == nil {
 		return nil, errors.New("longi: nil app")
@@ -130,215 +153,114 @@ func (e *Engine) CheckVersion(ctx context.Context, checker *core.Checker, app *c
 	if checker == nil {
 		return nil, errors.New("longi: nil checker")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	r := &core.Report{App: core.AppName(app)}
+	r, err := checker.CheckMemo(ctx, app, e.memo(ctx, app))
+	r.Timings = nil
+	return r, err
+}
 
-	// Policy: extraction + NLP, keyed by the raw policy bytes.
-	pkey := StageKey(stagePolicy, e.fp, []byte(app.PolicyHTML))
-	var pol policyArtifact
-	policyOK := false
-	if loadArtifact(e, stagePolicy, pkey, &pol) {
-		policyOK = true
-	} else if e.stage(ctx, r, core.StagePolicy, stagePolicy, func() error {
-		a, err := checker.PolicyStage(app.PolicyHTML)
-		if err != nil {
-			return err
-		}
-		pol.Analysis = a
-		return nil
-	}) {
-		putArtifact(e, stagePolicy, pkey, &pol)
-		policyOK = true
-	}
-	if policyOK {
-		r.Policy = pol.Analysis
-	}
+// versionMemo is the store-backed core.StageMemo for one app version.
+// Policy and desc are keyed by their input bytes; static by the encoded
+// APK (manifest + dex in the deterministic container layout); detect
+// by the three upstream keys plus the library-policy set. An empty key
+// marks a unit that cannot be cached — an APK that does not encode —
+// which is then computed on every run, and so is the detect unit
+// downstream of it.
+type versionMemo struct {
+	e                      *Engine
+	ctx                    context.Context // handed to Engine.stageHook
+	pkey, dkey, skey, tkey string
+}
 
-	// Description, keyed by the description bytes.
-	dkey := StageKey(stageDesc, e.fp, []byte(app.Description))
-	var de descArtifact
-	descOK := false
-	if loadArtifact(e, stageDesc, dkey, &de) {
-		descOK = true
-	} else if e.stage(ctx, r, core.StageDesc, stageDesc, func() error {
-		de.Result = checker.DescStage(app.Description)
-		return nil
-	}) {
-		putArtifact(e, stageDesc, dkey, &de)
-		descOK = true
+func (e *Engine) memo(ctx context.Context, app *core.App) *versionMemo {
+	m := &versionMemo{
+		e:    e,
+		ctx:  ctx,
+		pkey: StageKey(stagePolicy, e.fp, []byte(app.PolicyHTML)),
+		dkey: StageKey(stageDesc, e.fp, []byte(app.Description)),
+		skey: "no-apk",
 	}
-	if descOK {
-		r.Desc = de.Result
-	}
-
-	// Static + taint + libs as one artifact, keyed by the encoded APK
-	// (manifest + dex in the deterministic container layout).
-	skey := "no-apk"
-	staticOK := true
 	if app.APK != nil {
-		staticOK = false
-		apkBytes, err := apk.Encode(app.APK)
+		m.skey = ""
+		if apkBytes, err := apk.Encode(app.APK); err == nil {
+			m.skey = StageKey(stageStatic, e.fp, apkBytes)
+		}
+	}
+	if m.skey != "" {
+		m.tkey = StageKey(stageDetect, e.fp,
+			[]byte(m.pkey), []byte(m.dkey), []byte(m.skey), libPolicyBytes(app.LibPolicies))
+	}
+	return m
+}
+
+// unit resolves a pipeline unit to its store name, its key and a fresh
+// artifact to decode into.
+func (m *versionMemo) unit(u core.Stage) (name, key string, art artifact) {
+	switch u {
+	case core.StagePolicy:
+		return stagePolicy, m.pkey, &policyArtifact{}
+	case core.StageDesc:
+		return stageDesc, m.dkey, &descArtifact{}
+	case core.StageStatic:
+		return stageStatic, m.skey, &staticArtifact{}
+	}
+	return stageDetect, m.tkey, &detectArtifact{}
+}
+
+// Load fetches and decodes one artifact. Store errors and corrupt
+// payloads are both treated as misses — the unit recomputes — with the
+// error counted. Decoding goes through a fresh artifact so a corrupt
+// payload can never leave the report half-populated.
+func (m *versionMemo) Load(u core.Stage, r *core.Report) bool {
+	name, key, art := m.unit(u)
+	if key != "" {
+		data, ok, err := m.e.store.Get(name, key)
+		if err == nil && ok {
+			if err = json.Unmarshal(data, art); err == nil {
+				m.e.hits.Add(1)
+				art.fill(r)
+				return true
+			}
+		}
 		if err != nil {
-			r.AddDegraded(&core.StageError{
-				Stage: core.StageStatic, App: r.App,
-				Err: fmt.Errorf("encode apk for content address: %w", err),
-			})
-		} else {
-			key := StageKey(stageStatic, e.fp, apkBytes)
-			var st staticArtifact
-			if loadArtifact(e, stageStatic, key, &st) {
-				staticOK = true
-			} else if e.stage(ctx, r, core.StageStatic, stageStatic, func() error {
-				res, err := checker.StaticStage(ctx, app.APK)
-				if err != nil {
-					return err
-				}
-				libs, err := checker.LibsStage(app.APK)
-				if err != nil {
-					return err
-				}
-				st.Result, st.Libs = res, libs
-				return nil
-			}) {
-				putArtifact(e, stageStatic, key, &st)
-				staticOK = true
-			}
-			if staticOK {
-				r.Static, r.Libs = st.Result, st.Libs
-				skey = key
-			}
+			m.e.storeErrs.Add(1)
 		}
+		m.e.misses.Add(1)
 	}
-
-	// Detectors, gated on a usable policy analysis exactly like
-	// CheckSafe. The artifact is keyed by the upstream stage keys plus
-	// the library-policy set; it is only cached when every upstream
-	// analysis is complete — findings over a degraded pipeline are
-	// partial outputs and must not outlive this run.
-	if policyOK {
-		if descOK && staticOK {
-			tkey := StageKey(stageDetect, e.fp,
-				[]byte(pkey), []byte(dkey), []byte(skey), libPolicyBytes(app.LibPolicies))
-			var det detectArtifact
-			if loadArtifact(e, stageDetect, tkey, &det) {
-				r.Incomplete, r.Incorrect, r.Inconsistent = det.Incomplete, det.Incorrect, det.Inconsistent
-			} else if e.stage(ctx, r, core.StageDetect, stageDetect, func() error {
-				checker.DetectStage(app, r)
-				det = detectArtifact{
-					Incomplete: r.Incomplete, Incorrect: r.Incorrect, Inconsistent: r.Inconsistent,
-				}
-				return nil
-			}) {
-				putArtifact(e, stageDetect, tkey, &det)
-				r.Incomplete, r.Incorrect, r.Inconsistent = det.Incomplete, det.Incorrect, det.Inconsistent
-			}
-		} else {
-			e.stage(ctx, r, core.StageDetect, stageDetect, func() error {
-				checker.DetectStage(app, r)
-				return nil
-			})
-		}
+	if m.e.stageHook != nil {
+		m.e.stageHook(m.ctx, name)
 	}
-	if r.Policy == nil {
-		// Downstream consumers (renderers) dereference Policy; mirror
-		// CheckSafe's nil-safety fallback.
-		r.Policy = &policy.Analysis{}
-	}
-
-	if err := ctx.Err(); err != nil {
-		return r, err
-	}
-	return r, nil
+	return false
 }
 
-// stage runs one computation behind panic recovery and a cancellation
-// check, recording failures as report degradations under the matching
-// core stage. Longitudinal stages record no timings (see CheckVersion).
-func (e *Engine) stage(ctx context.Context, r *core.Report, s core.Stage, name string, fn func() error) bool {
-	if err := ctx.Err(); err != nil {
-		r.AddDegraded(&core.StageError{Stage: s, App: r.App, Err: err})
-		return false
+// Store serializes and stores one complete unit, and — crucially for
+// the delta-vs-cold bit-identity bar — replaces the unit's fields on r
+// with their own JSON round trip, so the report assembled from a fresh
+// compute is structurally identical to one assembled from a future
+// cache hit (nil-vs-empty slices and any other encoding normalization
+// included). A store write failure only loses the cache entry; the
+// computed value remains usable.
+func (m *versionMemo) Store(u core.Stage, r *core.Report) {
+	name, key, art := m.unit(u)
+	if key == "" {
+		return
 	}
-	run := fn
-	if e.stageHook != nil {
-		hook := e.stageHook
-		run = func() error {
-			if err := hook(ctx, name); err != nil {
-				return err
-			}
-			return fn()
-		}
-	}
-	err, recovered := recoverStage(run)
-	if err != nil {
-		r.AddDegraded(&core.StageError{Stage: s, App: r.App, Err: err, Recovered: recovered})
-		return false
-	}
-	return true
-}
-
-// recoverStage invokes fn, converting a panic into an error (the
-// engine-side twin of core's runRecovered).
-func recoverStage(fn func() error) (err error, recovered bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("panic: %v", p)
-			recovered = true
-		}
-	}()
-	return fn(), false
-}
-
-// loadArtifact fetches and decodes one artifact. Store errors and
-// corrupt payloads are both treated as misses — the stage recomputes —
-// with the error counted. Decoding goes through a fresh value so a
-// corrupt payload can never leave *out half-populated.
-func loadArtifact[T any](e *Engine, stage, key string, out *T) bool {
-	data, ok, err := e.store.Get(stage, key)
-	if err != nil {
-		e.storeErrs.Add(1)
-	}
-	if err != nil || !ok {
-		e.misses.Add(1)
-		return false
-	}
-	var fresh T
-	if err := json.Unmarshal(data, &fresh); err != nil {
-		e.storeErrs.Add(1)
-		e.misses.Add(1)
-		return false
-	}
-	*out = fresh
-	e.hits.Add(1)
-	return true
-}
-
-// putArtifact serializes and stores one successful stage output, and —
-// crucially for the delta-vs-cold bit-identity bar — replaces the
-// caller's value with its own JSON round trip, so the report assembled
-// from a fresh compute is structurally identical to one assembled from
-// a future cache hit (nil-vs-empty slices and any other encoding
-// normalization included). A store write failure only loses the cache
-// entry; the computed value remains usable.
-func putArtifact[T any](e *Engine, stage, key string, art *T) {
+	art.take(r)
 	data, err := json.Marshal(art)
 	if err != nil {
-		e.storeErrs.Add(1)
+		m.e.storeErrs.Add(1)
 		return
 	}
-	var fresh T
-	if err := json.Unmarshal(data, &fresh); err != nil {
-		e.storeErrs.Add(1)
+	_, _, fresh := m.unit(u)
+	if err := json.Unmarshal(data, fresh); err != nil {
+		m.e.storeErrs.Add(1)
 		return
 	}
-	*art = fresh
-	if err := e.store.Put(stage, key, data); err != nil {
-		e.storeErrs.Add(1)
+	fresh.fill(r)
+	if err := m.e.store.Put(name, key, data); err != nil {
+		m.e.storeErrs.Add(1)
 		return
 	}
-	e.puts.Add(1)
+	m.e.puts.Add(1)
 }
 
 // libPolicyBytes canonically frames the app's library-policy set (an

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"ppchecker/internal/core"
+	"ppchecker/internal/dex"
+	"ppchecker/internal/libdetect"
 	"ppchecker/internal/synth"
 )
 
@@ -22,6 +25,24 @@ func reportJSON(t *testing.T, r *core.Report) []byte {
 		t.Fatalf("marshal report: %v", err)
 	}
 	return b
+}
+
+// canonicalJSON is reportJSON after a JSON round trip of the report's
+// analyses, the same normalization the engine's artifact store
+// applies, so a CheckSafe reference compares encoding-canonically
+// against a CheckVersion report. Degradations never pass through the
+// store (and their wrapped errors do not decode), so they are carried
+// over as they are.
+func canonicalJSON(t *testing.T, r *core.Report) []byte {
+	t.Helper()
+	clone := *r
+	clone.Degraded = nil
+	var canon core.Report
+	if err := json.Unmarshal(reportJSON(t, &clone), &canon); err != nil {
+		t.Fatalf("canonicalize report: %v", err)
+	}
+	canon.Degraded = r.Degraded
+	return reportJSON(t, &canon)
 }
 
 // TestCheckVersionMatchesCheckSafe proves the incremental engine is a
@@ -51,19 +72,85 @@ func TestCheckVersionMatchesCheckSafe(t *testing.T) {
 		if err != nil {
 			t.Fatalf("app %d: CheckSafe: %v", i, err)
 		}
-		// Round-trip the reference the same way the engine's artifact
-		// store does, so the comparison is encoding-canonical.
-		var wantCanon core.Report
-		if err := json.Unmarshal(reportJSON(t, want), &wantCanon); err != nil {
-			t.Fatalf("app %d: canonicalize: %v", i, err)
-		}
-		g, w := reportJSON(t, got), reportJSON(t, &wantCanon)
+		g, w := reportJSON(t, got), canonicalJSON(t, want)
 		if !bytes.Equal(g, w) {
 			t.Errorf("app %d: CheckVersion != CheckSafe\n got: %s\nwant: %s", i, g, w)
 		}
 	}
 	if s := eng.Stats(); s.Puts == 0 {
 		t.Fatalf("cold run stored no artifacts: %+v", s)
+	}
+}
+
+// TestCheckVersionMatchesCheckSafeOnFaults extends the parity proof to
+// degraded inputs: every policy fault the corruptor injects, and an APG
+// size-guard failure (BombDex classes appended to the dex) on apps that
+// bundle libraries. A cold store and the warm store it leaves behind
+// must both reproduce CheckSafe — the same degraded stages, and the
+// libraries CheckSafe still detects when the APG build fails.
+func TestCheckVersionMatchesCheckSafeOnFaults(t *testing.T) {
+	ds, err := synth.Generate(synth.Config{Seed: 21, NumApps: synth.MinApps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cor := synth.NewCorruptor(21)
+	type faulted struct {
+		name string
+		app  *core.App
+	}
+	var cases []faulted
+	bombs := 0
+	for i, ga := range ds.Apps[:24] {
+		for _, f := range synth.AllFaults() {
+			if !f.PolicyFault() {
+				continue
+			}
+			html, err := cor.CorruptPolicy(ga.App.PolicyHTML, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app := *ga.App
+			app.PolicyHTML = html
+			cases = append(cases, faulted{fmt.Sprintf("app %d %s", i, f), &app})
+		}
+		if ga.App.APK == nil || len(libdetect.Detect(ga.App.APK.Dex)) == 0 {
+			continue
+		}
+		d := *ga.App.APK.Dex
+		d.Classes = append(append([]*dex.Class(nil), d.Classes...), synth.BombDex().Classes...)
+		a := *ga.App.APK
+		a.Dex = &d
+		app := *ga.App
+		app.APK = &a
+		cases = append(cases, faulted{fmt.Sprintf("app %d bomb-dex", i), &app})
+		bombs++
+	}
+	if bombs == 0 {
+		t.Fatal("no app with libraries to append the bomb dex to")
+	}
+
+	ctx := context.Background()
+	ref := core.NewChecker(Config{}.CheckerOptions()...)
+	for _, tc := range cases {
+		want, err := ref.CheckSafe(ctx, tc.app)
+		if err != nil {
+			t.Fatalf("%s: CheckSafe: %v", tc.name, err)
+		}
+		if !want.Partial {
+			t.Fatalf("%s: fault did not degrade CheckSafe", tc.name)
+		}
+		w := canonicalJSON(t, want)
+		eng := NewEngine(NewMemStore(0), Config{})
+		checker := core.NewChecker(eng.Config().CheckerOptions()...)
+		for _, pass := range []string{"cold", "warm"} {
+			got, err := eng.CheckVersion(ctx, checker, tc.app)
+			if err != nil {
+				t.Fatalf("%s: %s CheckVersion: %v", tc.name, pass, err)
+			}
+			if g := reportJSON(t, got); !bytes.Equal(g, w) {
+				t.Errorf("%s: %s CheckVersion != CheckSafe\n got: %s\nwant: %s", tc.name, pass, g, w)
+			}
+		}
 	}
 }
 
@@ -88,9 +175,8 @@ func TestCheckVersionCacheHitIdentical(t *testing.T) {
 
 	// Second pass must be all hits, no computes: poison the hook so any
 	// compute fails loudly.
-	eng.stageHook = func(ctx context.Context, stage string) error {
+	eng.stageHook = func(ctx context.Context, stage string) {
 		t.Errorf("stage %q recomputed on warm store", stage)
-		return nil
 	}
 	second, err := eng.CheckVersion(ctx, checker, ga.App)
 	if err != nil {
@@ -161,9 +247,8 @@ func TestDirStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng2 := NewEngine(store2, Config{})
-	eng2.stageHook = func(ctx context.Context, stage string) error {
+	eng2.stageHook = func(ctx context.Context, stage string) {
 		t.Errorf("stage %q recomputed against durable warm store", stage)
-		return nil
 	}
 	r2, err := eng2.CheckVersion(ctx, core.NewChecker(eng2.Config().CheckerOptions()...), ga.App)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"ppchecker/internal/apk"
 	"ppchecker/internal/core"
 	"ppchecker/internal/eval"
+	"ppchecker/internal/policy"
 	"ppchecker/internal/synth"
 )
 
@@ -57,12 +58,10 @@ func TestExhaustedRetriesNeverPoisonStore(t *testing.T) {
 	}
 	store := NewMemStore(0)
 	eng := NewEngine(store, Config{})
-	eng.stageHook = func(ctx context.Context, stage string) error {
+	eng.stageHook = func(ctx context.Context, stage string) {
 		if stage == stageStatic {
 			<-ctx.Done() // hold the stage until the attempt deadline
-			return ctx.Err()
 		}
-		return nil
 	}
 	checker := core.NewChecker(eng.Config().CheckerOptions()...)
 	opts := eval.AttemptOptions{
@@ -110,7 +109,8 @@ func TestExhaustedRetriesNeverPoisonStore(t *testing.T) {
 
 // TestPanickingStageNeverPoisonsStore is the panic variant: a stage
 // that panics mid-compute degrades the report (recovered) and stores
-// nothing; the next run recomputes and matches cold.
+// nothing; the next run, with a healthy checker, recomputes and matches
+// cold.
 func TestPanickingStageNeverPoisonsStore(t *testing.T) {
 	fh := synth.NewFirehose(29)
 	ga, err := fh.App(2)
@@ -119,14 +119,12 @@ func TestPanickingStageNeverPoisonsStore(t *testing.T) {
 	}
 	store := NewMemStore(0)
 	eng := NewEngine(store, Config{})
-	eng.stageHook = func(ctx context.Context, stage string) error {
-		if stage == stagePolicy {
-			panic("synthetic analyzer fault")
-		}
-		return nil
-	}
+	// A policy analyzer without a pattern matcher panics on the first
+	// sentence it screens: a real analyzer fault inside policy-nlp.
+	faulty := core.NewChecker(append(eng.Config().CheckerOptions(),
+		core.WithPolicyAnalyzer(policy.NewAnalyzer(policy.WithMatcher(nil))))...)
 	checker := core.NewChecker(eng.Config().CheckerOptions()...)
-	rep, err := eng.CheckVersion(context.Background(), checker, ga.App)
+	rep, err := eng.CheckVersion(context.Background(), faulty, ga.App)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +139,6 @@ func TestPanickingStageNeverPoisonsStore(t *testing.T) {
 		t.Errorf("%d detect artifacts cached from a panicked run, want 0", n)
 	}
 
-	eng.stageHook = nil
 	healed, err := eng.CheckVersion(context.Background(), checker, ga.App)
 	if err != nil {
 		t.Fatal(err)

@@ -63,9 +63,8 @@ func TestVersionSourceThroughStream(t *testing.T) {
 		t.Fatal("first pass stored no artifacts")
 	}
 
-	eng.stageHook = func(ctx context.Context, stage string) error {
+	eng.stageHook = func(ctx context.Context, stage string) {
 		t.Errorf("stage %q recomputed on warm store", stage)
-		return nil
 	}
 	second, s2 := collectResults(t, eng, apps, nil, nil)
 	if s2.Checked != s1.Checked || s2.Degraded != s1.Degraded {
@@ -121,9 +120,8 @@ func TestVersionSourceJournalResume(t *testing.T) {
 	// The resumed engine has a cold store — if any item were wrongly
 	// re-analyzed it would still succeed, so assert via Replayed.
 	eng2 := NewEngine(NewMemStore(0), Config{})
-	eng2.stageHook = func(ctx context.Context, stage string) error {
+	eng2.stageHook = func(ctx context.Context, stage string) {
 		t.Errorf("stage %q analyzed during a full-journal resume", stage)
-		return nil
 	}
 	_, s2 := collectResults(t, eng2, apps, j2, replay2)
 	if s2.Replayed == 0 || s2.Reanalyzed != 0 {

@@ -113,11 +113,11 @@ func Analyze(a *apk.APK, opts Options) (*Result, error) {
 // AnalyzeCtx runs the full static-analysis module — collection-site
 // scan plus taint analysis — honouring ctx cancellation.
 func AnalyzeCtx(ctx context.Context, a *apk.APK, opts Options) (*Result, error) {
-	res, p, err := Collect(ctx, a, opts)
+	res, p, err := CollectWith(ctx, a, opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	leaks, err := TaintLeaks(ctx, p)
+	leaks, err := TaintLeaksWith(ctx, p, nil)
 	if err != nil {
 		return res, err
 	}
@@ -134,16 +134,11 @@ type Scratch struct {
 	uri   uriScratch
 }
 
-// Collect runs the APG build and the collection-site scan — everything
-// except the taint analysis — and returns the APG so the caller can run
-// TaintLeaks as a separately-degradable stage.
-func Collect(ctx context.Context, a *apk.APK, opts Options) (*Result, *apg.APG, error) {
-	return CollectWith(ctx, a, opts, nil)
-}
-
-// CollectWith is Collect with caller-provided scratch (nil falls back
-// to internal pools); worker pools pass a per-arena scratch to avoid
-// re-allocating per app.
+// CollectWith runs the APG build and the collection-site scan —
+// everything except the taint analysis — and returns the APG so the
+// caller can run TaintLeaksWith as a separately-degradable stage. A nil
+// scratch falls back to internal pools; worker pools pass a per-arena
+// scratch to avoid re-allocating per app.
 func CollectWith(ctx context.Context, a *apk.APK, opts Options, s *Scratch) (*Result, *apg.APG, error) {
 	if a == nil || a.Dex == nil {
 		return nil, nil, errors.New("static: nil apk or bytecode")
@@ -190,13 +185,9 @@ func CollectWith(ctx context.Context, a *apk.APK, opts Options, s *Scratch) (*Re
 	return res, p, nil
 }
 
-// TaintLeaks runs the taint stage over a previously built APG.
-func TaintLeaks(ctx context.Context, p *apg.APG) ([]taint.Leak, error) {
-	return TaintLeaksWith(ctx, p, nil)
-}
-
-// TaintLeaksWith is TaintLeaks with caller-provided fixpoint scratch
-// (nil falls back to the taint package's internal pool).
+// TaintLeaksWith runs the taint stage over a previously built APG with
+// caller-provided fixpoint scratch (nil falls back to the taint
+// package's internal pool).
 func TaintLeaksWith(ctx context.Context, p *apg.APG, s *taint.Scratch) ([]taint.Leak, error) {
 	tres, err := taint.AnalyzeCtxWith(ctx, p, s)
 	if err != nil {

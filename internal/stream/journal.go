@@ -215,7 +215,9 @@ func replayFile(path string) (*Replay, int64, bool, error) {
 	}
 }
 
-// foldRecord folds one intact record into the replay.
+// foldRecord folds one intact record into the replay. A record whose
+// outcome does not parse checkpoints nothing: its app stays undone and
+// is analyzed again.
 func foldRecord(replay *Replay, rec Record) {
 	if rec.Type != RecordApp {
 		return
@@ -225,19 +227,12 @@ func foldRecord(replay *Replay, rec Record) {
 		replay.Duplicates++
 		return
 	}
-	replay.Done[rec.App] = rec
-	replay.Stats.Apps++
-	replay.Stats.Retried += rec.Retries
-	switch rec.Outcome {
-	case eval.OutcomeChecked.String():
-		replay.Stats.Checked++
-	case eval.OutcomeDegraded.String():
-		replay.Stats.Degraded++
-	case eval.OutcomeFailed.String():
-		replay.Stats.Failed++
-	case eval.OutcomeSkipped.String():
-		replay.Stats.Skipped++
+	o, err := eval.ParseOutcome(rec.Outcome)
+	if err != nil {
+		return
 	}
+	replay.Done[rec.App] = rec
+	replay.Stats.Add(o, rec.Retries)
 }
 
 // Append journals one completed app. The record is durable once the

@@ -206,17 +206,8 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 					// journal record is stale, re-analyze.
 					mu.Lock()
 					stats.Reanalyzed++
-					stats.Apps--
-					stats.Retried -= rec.Retries
-					switch rec.Outcome {
-					case eval.OutcomeChecked.String():
-						stats.Checked--
-					case eval.OutcomeDegraded.String():
-						stats.Degraded--
-					case eval.OutcomeFailed.String():
-						stats.Failed--
-					case eval.OutcomeSkipped.String():
-						stats.Skipped--
+					if o, err := eval.ParseOutcome(rec.Outcome); err == nil {
+						stats.Remove(o, rec.Retries)
 					}
 					stats.Replayed--
 					mu.Unlock()
@@ -334,18 +325,7 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 				}
 
 				mu.Lock()
-				stats.Apps++
-				stats.Retried += retries
-				switch outcome {
-				case eval.OutcomeChecked:
-					stats.Checked++
-				case eval.OutcomeDegraded:
-					stats.Degraded++
-				case eval.OutcomeFailed:
-					stats.Failed++
-				case eval.OutcomeSkipped:
-					stats.Skipped++
-				}
+				stats.Add(outcome, retries)
 				if quarantined {
 					stats.Quarantined++
 				}
