@@ -263,6 +263,23 @@ func BenchmarkCheckSafeSingleApp(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckSafeCorpus is BenchmarkCheckSafeSingleApp rotating
+// over the whole paper corpus with one checker. Re-analysing one app
+// hides any per-app cost that grows with the set of distinct apps the
+// pooled arenas have seen; here every iteration brings new class and
+// method names, as a real corpus run does.
+func BenchmarkCheckSafeCorpus(b *testing.B) {
+	apps := paperCorpus(b).Apps
+	checker := core.NewChecker()
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := checker.CheckSafe(ctx, apps[i%len(apps)].App); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCheckSafeObserved is the same pipeline with a metrics-only
 // observer attached (no trace sink): the per-span cost is a handful of
 // atomic adds, so this should stay within a few percent of

@@ -17,9 +17,9 @@
 //     word-run boundary and end at one, where a trailing contraction
 //     suffix ("user's", "don't") still counts as a boundary.
 //
-// Every automaton retains its pattern list so a Reference — the
-// straightforward loop implementation — can be derived for the
-// differential and fuzz tests that prove the DFA equivalent.
+// Every automaton retains its pattern list, so the tests can derive a
+// straightforward loop implementation of the same semantics (Reference,
+// in ref_test.go) and prove the DFA equivalent to it.
 package actrie
 
 import "sort"
@@ -184,13 +184,6 @@ func (b *Builder) Build() *Automaton {
 		a.outOff[si+1] = int32(len(a.outPlen))
 	}
 	return a
-}
-
-// Reference returns the linear-scan implementation of the same match
-// semantics over the same pattern snapshot. It is the oracle the
-// differential and fuzz tests compare the DFA against.
-func (a *Automaton) Reference() *Reference {
-	return &Reference{fold: a.fold, pats: a.pats, vals: a.vals}
 }
 
 // Empty reports whether the automaton has no patterns (it then

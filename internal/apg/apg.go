@@ -185,7 +185,6 @@ func BuildCtxWith(ctx context.Context, a *apk.APK, opts Options, s *BuildScratch
 		p.methodNode = make(map[dex.MethodRef]graphdb.NodeID, nm)
 		p.classNode = make(map[dex.TypeDesc]graphdb.NodeID, len(a.Dex.Classes))
 	}
-	p.G.CreateIndex("name")
 	if err := p.addStructure(ctx, s); err != nil {
 		return nil, err
 	}

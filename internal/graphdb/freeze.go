@@ -5,9 +5,9 @@ import "sync"
 // Frozen is the compressed-sparse-row (CSR) view of a Graph produced by
 // Freeze. Node and edge labels are interned into int32 symbol tables,
 // adjacency is stored as contiguous edge arrays with per-node offset
-// slices (out- and in-side), and property indexes are resolved to
-// ID-sorted NodeID slices. A Frozen view is immutable and safe for
-// concurrent readers.
+// slices (out- and in-side), and the per-label node lists are captured
+// ID-sorted. Property lookups scan, through Query(label).Where. A
+// Frozen view is immutable and safe for concurrent readers.
 //
 // Freeze is a snapshot: mutations applied to the builder Graph after
 // Freeze are not reflected in the frozen view. Per-node edge runs keep
@@ -30,8 +30,7 @@ type Frozen struct {
 	outTo, inTo   []NodeID
 	outLab, inLab []int32
 
-	byLabel map[string][]NodeID            // snapshot of the builder's label lists
-	indexes map[string]map[string][]NodeID // property key -> value -> ID-sorted nodes
+	byLabel map[string][]NodeID // snapshot of the builder's label lists
 
 	edgeCount int
 }
@@ -53,7 +52,6 @@ func (g *Graph) Freeze() *Frozen {
 			nodeLabelID: make(map[string]int32, 8),
 			edgeLabelID: make(map[string]int32, 8),
 			byLabel:     make(map[string][]NodeID, len(g.byLabel)),
-			indexes:     make(map[string]map[string][]NodeID, len(g.indexes)),
 		}
 	} else {
 		clear(f.nodeLabelID)
@@ -107,33 +105,14 @@ func (g *Graph) Freeze() *Frozen {
 		}
 		f.inOff[i+1] = int32(len(f.inTo))
 	}
-	// Label lists and property indexes are append-only in the builder,
-	// so capturing the slice headers (length-capped) is a stable
-	// snapshot even if the builder keeps growing. Empty lists (possible
-	// only for keys left behind by Reset) are skipped: a missing map
-	// entry answers lookups identically.
+	// Label lists are append-only in the builder, so capturing the
+	// slice headers (length-capped) is a stable snapshot even if the
+	// builder keeps growing. Empty lists (possible only for labels left
+	// behind by Reset) are skipped: a missing map entry answers lookups
+	// identically.
 	for label, ids := range g.byLabel {
 		if len(ids) > 0 {
 			f.byLabel[label] = ids[:len(ids):len(ids)]
-		}
-	}
-	for key := range f.indexes {
-		if _, ok := g.indexes[key]; !ok {
-			delete(f.indexes, key)
-		}
-	}
-	for key, byVal := range g.indexes {
-		vals := f.indexes[key]
-		if vals == nil {
-			vals = make(map[string][]NodeID, len(byVal))
-			f.indexes[key] = vals
-		} else {
-			clear(vals)
-		}
-		for v, ids := range byVal {
-			if len(ids) > 0 {
-				vals[v] = ids[:len(ids):len(ids)]
-			}
 		}
 	}
 	g.last = f
@@ -288,21 +267,6 @@ func (f *Frozen) OutDegree(id NodeID) int {
 		return 0
 	}
 	return int(f.outOff[id] - f.outOff[id-1])
-}
-
-// FindByProp returns nodes whose property key equals value, using the
-// snapshot index when available and an ID-ordered scan otherwise.
-func (f *Frozen) FindByProp(key, value string) []NodeID {
-	if byVal, ok := f.indexes[key]; ok {
-		return append([]NodeID(nil), byVal[value]...)
-	}
-	var out []NodeID
-	for i := range f.nodes {
-		if f.nodes[i].Props.Get(key) == value {
-			out = append(out, f.nodes[i].ID)
-		}
-	}
-	return out
 }
 
 // scratch holds reusable BFS state. marks is an epoch-stamped visited

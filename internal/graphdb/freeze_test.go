@@ -10,7 +10,7 @@ import (
 
 // randomGraph builds a random labelled graph: nLo..nHi nodes over a few
 // node labels, ~2 edges per node over a few edge labels, and properties
-// drawn from a small vocabulary so FindByProp has collisions to find.
+// drawn from a small vocabulary so Where has collisions to find.
 func randomGraph(r *rand.Rand) (*Graph, []NodeID) {
 	g := New()
 	nodeLabels := []string{"class", "method", "stmt"}
@@ -141,12 +141,11 @@ func TestFrozenPathDifferential(t *testing.T) {
 }
 
 // TestFrozenLookupDifferential: node lookups, label lists, property
-// scans/indexes, and the fluent Query API agree between the two views.
+// lookups, and the fluent Query API agree between the two views.
 func TestFrozenLookupDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g, ids := randomGraph(r)
-		g.CreateIndex("name")
 		fz := g.Freeze()
 		if g.NodeCount() != fz.NodeCount() || g.EdgeCount() != fz.EdgeCount() {
 			return false
@@ -156,12 +155,15 @@ func TestFrozenLookupDifferential(t *testing.T) {
 				return false
 			}
 		}
-		for _, key := range []string{"name", "kind", "nosuch"} {
-			for _, val := range []string{"a", "b", "c", ""} {
-				if !sameIDs(g.FindByProp(key, val), fz.FindByProp(key, val)) {
-					t.Logf("FindByProp(%q,%q): %v vs %v", key, val,
-						g.FindByProp(key, val), fz.FindByProp(key, val))
-					return false
+		for _, label := range []string{"class", "method", "stmt", "nosuch"} {
+			for _, key := range []string{"name", "kind", "nosuch"} {
+				for _, val := range []string{"a", "b", "c", ""} {
+					mw := g.Query(label).Where(key, val).Collect()
+					fw := fz.Query(label).Where(key, val).Collect()
+					if !sameIDs(mw, fw) {
+						t.Logf("Query(%q).Where(%q,%q): %v vs %v", label, key, val, mw, fw)
+						return false
+					}
 				}
 			}
 		}
@@ -205,7 +207,7 @@ func TestFreezeSnapshot(t *testing.T) {
 	if got := fz.NodesByLabel("m"); len(got) != 2 {
 		t.Fatalf("snapshot label list grew: %v", got)
 	}
-	if got := fz.FindByProp("name", "a"); len(got) != 1 || got[0] != a {
+	if got := fz.Query("m").Where("name", "a").Collect(); len(got) != 1 || got[0] != a {
 		t.Fatalf("snapshot prop scan = %v", got)
 	}
 	if got := fz.Reachable([]NodeID{b}, nil); len(got) != 1 {

@@ -2,8 +2,10 @@
 // paper stores the Android Property Graph in a graph database and
 // answers every static-analysis question as a graph query; this package
 // provides the same contract: labelled nodes with string properties,
-// labelled edges, property indexes, traversals, reachability, and path
-// search.
+// labelled edges, traversals, reachability, and path search. Property
+// lookups are scans (Query(label).Where(key, value)): the APG's
+// queries always start from a label, and a per-value index would make
+// an arena-reused graph carry every value it has ever seen.
 //
 // The package has two layers. *Graph is the mutable build-time
 // representation: slice-backed adjacency keyed by dense sequential
@@ -74,14 +76,13 @@ type Graph struct {
 	// so a slice replaces the former map[NodeID]*Node, every iteration
 	// is ID-ordered by construction, and there is no per-node heap
 	// object — Node pointers handed out point into this backing array.
-	nodes   []Node
-	out     [][]Edge
-	in      [][]Edge
-	byLabel map[string][]NodeID
-	// indexes[key][value] lists nodes with Props.Get(key)==value, for
-	// keys registered via CreateIndex. Slices are ID-sorted because
-	// nodes are indexed in insertion order.
-	indexes   map[string]map[string][]NodeID
+	nodes []Node
+	out   [][]Edge
+	in    [][]Edge
+	// byLabel is the only map keyed by node content; its keys are node
+	// labels (a handful per APG), so the keys Reset keeps are bounded by
+	// the label vocabulary, not by the graphs built so far.
+	byLabel   map[string][]NodeID
 	edgeCount int
 
 	// propCur/propFull/propSpare form a chunked arena holding node
@@ -103,10 +104,7 @@ const propBlockSize = 512
 
 // New creates an empty graph.
 func New() *Graph {
-	return &Graph{
-		byLabel: map[string][]NodeID{},
-		indexes: map[string]map[string][]NodeID{},
-	}
+	return &Graph{byLabel: map[string][]NodeID{}}
 }
 
 // node returns the node for id, or nil when out of range.
@@ -118,9 +116,10 @@ func (g *Graph) node(id NodeID) *Node {
 }
 
 // Reset clears the graph for rebuilding while keeping every allocated
-// buffer: node storage, per-node adjacency runs, label lists, index
-// buckets, and the arrays of the last Frozen view (which the next
-// Freeze reuses). Registered indexes stay registered. Reset invalidates
+// buffer: node storage, per-node adjacency runs, label lists, and the
+// arrays of the last Frozen view (which the next Freeze reuses). Its
+// cost is O(the graph just discarded): nothing keyed by node content
+// outlives it except the label-list keys. Reset invalidates
 // everything previously obtained from this graph — *Node pointers,
 // Frozen views, and slices they returned — so it is only for
 // arena-style reuse where the previous analysis is completely finished,
@@ -134,11 +133,6 @@ func (g *Graph) Reset() {
 	g.in = g.in[:0]
 	for label, ids := range g.byLabel {
 		g.byLabel[label] = ids[:0]
-	}
-	for _, byVal := range g.indexes {
-		for v, ids := range byVal {
-			byVal[v] = ids[:0]
-		}
 	}
 	g.edgeCount = 0
 	for _, b := range g.propFull {
@@ -213,14 +207,6 @@ func (g *Graph) addNode(label string, kv []string) NodeID {
 	g.out = growAdj(g.out)
 	g.in = growAdj(g.in)
 	g.byLabel[label] = append(g.byLabel[label], id)
-	for key, byVal := range g.indexes {
-		for i := 0; i+1 < len(kv); i += 2 {
-			if kv[i] == key {
-				byVal[kv[i+1]] = append(byVal[kv[i+1]], id)
-				break
-			}
-		}
-	}
 	return id
 }
 
@@ -274,39 +260,6 @@ func (g *Graph) Nodes() []*Node {
 // (= ascending ID) order.
 func (g *Graph) NodesByLabel(label string) []NodeID {
 	return append([]NodeID(nil), g.byLabel[label]...)
-}
-
-// CreateIndex registers a property key for indexed lookup; existing
-// nodes are back-filled in ID order, so indexed lookups return
-// ID-sorted slices.
-func (g *Graph) CreateIndex(key string) {
-	if _, ok := g.indexes[key]; ok {
-		return
-	}
-	byVal := map[string][]NodeID{}
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		if n.Props.Has(key) {
-			v := n.Props.Get(key)
-			byVal[v] = append(byVal[v], n.ID)
-		}
-	}
-	g.indexes[key] = byVal
-}
-
-// FindByProp returns nodes whose property key equals value, using the
-// index when available and a label-agnostic ID-ordered scan otherwise.
-func (g *Graph) FindByProp(key, value string) []NodeID {
-	if byVal, ok := g.indexes[key]; ok {
-		return append([]NodeID(nil), byVal[value]...)
-	}
-	var out []NodeID
-	for i := range g.nodes {
-		if g.nodes[i].Props.Get(key) == value {
-			out = append(out, g.nodes[i].ID)
-		}
-	}
-	return out
 }
 
 // Out returns the targets of edges leaving id; label == "" matches all.

@@ -35,23 +35,8 @@ func TestAddAndLookup(t *testing.T) {
 	if got := g.NodesByLabel("method"); len(got) != 4 {
 		t.Fatalf("by label = %v", got)
 	}
-	if got := g.FindByProp("name", "leaf"); len(got) != 1 || got[0] != ids["leaf"] {
-		t.Fatalf("FindByProp = %v", got)
-	}
-}
-
-func TestIndexConsistentWithScan(t *testing.T) {
-	g, ids := buildSample(t)
-	scan := g.FindByProp("name", "helper")
-	g.CreateIndex("name")
-	indexed := g.FindByProp("name", "helper")
-	if len(scan) != 1 || len(indexed) != 1 || scan[0] != indexed[0] {
-		t.Fatalf("scan %v vs indexed %v", scan, indexed)
-	}
-	// New nodes keep the index fresh.
-	id := g.AddNode("method", map[string]string{"name": "helper"})
-	if got := g.FindByProp("name", "helper"); len(got) != 2 {
-		t.Fatalf("index missed new node: %v (want 2, got ids %v %v)", got, id, ids["helper"])
+	if got := g.Query("method").Where("name", "leaf").Collect(); len(got) != 1 || got[0] != ids["leaf"] {
+		t.Fatalf("Where = %v", got)
 	}
 }
 
@@ -220,14 +205,5 @@ func TestReachableFromUnknownSeed(t *testing.T) {
 	g, _ := buildSample(t)
 	if seen := g.Reachable([]NodeID{12345}, nil); len(seen) != 0 {
 		t.Fatalf("unknown seed reachable set = %v", seen)
-	}
-}
-
-func TestCreateIndexIdempotent(t *testing.T) {
-	g, ids := buildSample(t)
-	g.CreateIndex("name")
-	g.CreateIndex("name") // second call is a no-op
-	if got := g.FindByProp("name", "main"); len(got) != 1 || got[0] != ids["main"] {
-		t.Fatalf("FindByProp = %v", got)
 	}
 }
