@@ -420,10 +420,12 @@ func BenchmarkAutoPPGGenerate(b *testing.B) {
 // and reports corpus throughput in apps/sec.
 func BenchmarkSummaryParallel(b *testing.B) {
 	ds := paperCorpus(b)
+	jobs := eval.DatasetJobs(ds)
 	b.ResetTimer()
 	var s eval.SummaryStats
 	for i := 0; i < b.N; i++ {
-		s = eval.EvaluateCorpusParallel(ds, 0).Summary()
+		res, _, _ := eval.RunJobs(context.Background(), jobs, eval.RunOptions{})
+		s = res.Summary()
 	}
 	b.ReportMetric(float64(s.AppsWithProblem), "apps-with-problem")
 	b.ReportMetric(float64(len(ds.Apps))*float64(b.N)/b.Elapsed().Seconds(), "apps/sec")

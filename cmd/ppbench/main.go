@@ -112,7 +112,7 @@ func main() {
 		runOpts := eval.DefaultRunOptions()
 		runOpts.Observer = observer
 		esaBefore := esa.AggregateCacheStats()
-		res, stats, err := eval.EvaluateCorpusRobust(context.Background(), ds, runOpts)
+		res, stats, err := eval.RunJobs(context.Background(), eval.DatasetJobs(ds), runOpts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -86,14 +86,18 @@ func run() int {
 		err      error
 		degraded bool
 	)
+	jobs, err := eval.DirJobs(*dir)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *robust {
 		opts := eval.DefaultRunOptions()
-		opts.PerAppTimeout = *timeout
+		opts.Attempt.Timeout = *timeout
 		opts.Observer = observer
 		// Interrupt cancels the run; apps not yet started are counted
 		// as skipped and the run fails below rather than hanging.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		res, stats, err = eval.EvaluateCorpusDirRobust(ctx, *dir, opts)
+		res, stats, err = eval.RunJobs(ctx, jobs, opts)
 		stop()
 		if err != nil {
 			log.Fatalf("run canceled: %v (%s)", err, stats.Render())
@@ -104,11 +108,8 @@ func run() int {
 		// observer through RunOptions (rather than a checker option)
 		// lets the runner fold the run-level cache counters into the
 		// same exposition.
-		res, _, err = eval.EvaluateCorpusDirRobust(context.Background(), *dir,
+		res, _, _ = eval.RunJobs(context.Background(), jobs,
 			eval.RunOptions{Workers: 1, Observer: observer})
-		if err != nil {
-			log.Fatal(err)
-		}
 	}
 	fmt.Printf("evaluated %d apps from %s in %v\n",
 		len(res.Reports), *dir, time.Since(start).Round(time.Millisecond))

@@ -30,6 +30,7 @@ import (
 	"sort"
 	"time"
 
+	"ppchecker/internal/eval"
 	"ppchecker/internal/longi"
 	"ppchecker/internal/synth"
 )
@@ -88,9 +89,8 @@ func run() int {
 	}
 
 	opts := longi.RunOptions{
-		Workers:       *workers,
-		PerAppTimeout: *timeout,
-		MaxRetries:    *retries,
+		Workers: *workers,
+		Attempt: eval.AttemptOptions{Timeout: *timeout, MaxRetries: *retries},
 	}
 	eng := longi.NewEngine(store, longi.Config{})
 	start := time.Now()

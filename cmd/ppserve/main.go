@@ -38,6 +38,7 @@ import (
 	"syscall"
 	"time"
 
+	"ppchecker/internal/eval"
 	"ppchecker/internal/longi"
 	"ppchecker/internal/obs"
 	"ppchecker/internal/serve"
@@ -82,12 +83,10 @@ func run() int {
 	}
 
 	srvOpts := serve.Options{
-		Workers:       *workers,
-		QueueDepth:    *queue,
-		PerAppTimeout: *timeout,
-		MaxRetries:    *retries,
-		RetryBackoff:  *backoff,
-		Observer:      obs.New(obsOpts...),
+		Workers:    *workers,
+		QueueDepth: *queue,
+		Attempt:    eval.AttemptOptions{Timeout: *timeout, MaxRetries: *retries, RetryBackoff: *backoff},
+		Observer:   obs.New(obsOpts...),
 	}
 	if *longiFlag {
 		srvOpts.Longi = &longi.Config{}

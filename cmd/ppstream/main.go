@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"ppchecker/internal/dist"
+	"ppchecker/internal/eval"
 	"ppchecker/internal/obs"
 	"ppchecker/internal/stream"
 )
@@ -120,17 +121,20 @@ func run() int {
 		obsOpts = append(obsOpts, obs.WithSink(traceSink))
 	}
 	observer := obs.New(obsOpts...)
+	attempt := eval.AttemptOptions{
+		Timeout:      *timeout,
+		MaxRetries:   *retries,
+		RetryBackoff: *backoff,
+		BackoffMax:   *backoffMax,
+		Jitter:       *jitter,
+	}
 
 	if *worker != "" {
 		return runWorker(observer, workerConfig{
 			coordinators: strings.Split(*worker, ","),
 			name:         *workerName,
 			concurrency:  *workers,
-			timeout:      *timeout,
-			retries:      *retries,
-			backoff:      *backoff,
-			backoffMax:   *backoffMax,
-			jitter:       *jitter,
+			attempt:      attempt,
 			remoteCache:  *remoteCache,
 			renew:        *renew,
 			metricsDump:  *metricsDump,
@@ -211,18 +215,14 @@ func run() int {
 
 	start := time.Now()
 	stats, err := stream.Run(ctx, src, stream.Options{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		PerAppTimeout:   *timeout,
-		MaxRetries:      *retries,
-		RetryBackoff:    *backoff,
-		RetryBackoffMax: *backoffMax,
-		RetryJitter:     *jitter,
-		Observer:        observer,
-		Journal:         journal,
-		Replay:          replay,
-		Breaker:         stream.NewBreaker(stream.BreakerConfig{Threshold: *threshold}),
-		Drain:           drain,
+		Workers:    *workers,
+		QueueDepth: *queue,
+		Attempt:    attempt,
+		Observer:   observer,
+		Journal:    journal,
+		Replay:     replay,
+		Breaker:    eval.NewBreaker(eval.BreakerConfig{Threshold: *threshold}),
+		Drain:      drain,
 	})
 	elapsed := time.Since(start)
 	if sampler != nil {
@@ -274,11 +274,7 @@ type workerConfig struct {
 	coordinators []string
 	name         string
 	concurrency  int
-	timeout      time.Duration
-	retries      int
-	backoff      time.Duration
-	backoffMax   time.Duration
-	jitter       float64
+	attempt      eval.AttemptOptions
 	remoteCache  bool
 	renew        bool
 	metricsDump  bool
@@ -303,18 +299,14 @@ func runWorker(observer *obs.Observer, cfg workerConfig) int {
 		cfg.name, strings.Join(cfg.coordinators, ","), cfg.concurrency, cfg.renew)
 	start := time.Now()
 	ws, err := dist.RunWorker(ctx, dist.WorkerOptions{
-		Coordinator:     cfg.coordinators[0],
-		Coordinators:    cfg.coordinators,
-		Name:            cfg.name,
-		Concurrency:     cfg.concurrency,
-		RenewLeases:     cfg.renew,
-		PerAppTimeout:   cfg.timeout,
-		MaxRetries:      cfg.retries,
-		RetryBackoff:    cfg.backoff,
-		RetryBackoffMax: cfg.backoffMax,
-		RetryJitter:     cfg.jitter,
-		Observer:        observer,
-		UseRemoteCache:  cfg.remoteCache,
+		Coordinator:    cfg.coordinators[0],
+		Coordinators:   cfg.coordinators,
+		Name:           cfg.name,
+		Concurrency:    cfg.concurrency,
+		RenewLeases:    cfg.renew,
+		Attempt:        cfg.attempt,
+		Observer:       observer,
+		UseRemoteCache: cfg.remoteCache,
 	})
 	elapsed := time.Since(start)
 	fmt.Printf("Worker: %d leased, %d folded, %d duplicates, %d report errors in %s\n",

@@ -13,6 +13,8 @@
 //     precision percentages or detection counts) gate two-sided: any
 //     drift beyond the tolerance fails, because the repository treats
 //     benchmark output as the reproduction record of the paper tables.
+//     The exception is a throughput (a unit ending in "/sec"), which
+//     gates one-sided: only falling below baseline×(1-tol) fails.
 //
 // ns/op is skipped when either run did a single iteration — a
 // -benchtime=1x run measures outcomes, not time, and one-shot wall
@@ -53,9 +55,11 @@ var costUnits = map[string]bool{"ns/op": true, "B/op": true, "allocs/op": true}
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
 // Parse reads `go test -bench` output. Lines that are not benchmark
-// results (the goos/pkg header, PASS, ok) are ignored.
+// results (the goos/pkg header, PASS, ok) are ignored. A benchmark
+// that appears several times (-count, or runs concatenated) yields the
+// median of each metric and the fewest iterations of any run.
 func Parse(r io.Reader) (*Suite, error) {
-	s := &Suite{Results: map[string]Result{}}
+	runs := map[string][]Result{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -90,12 +94,43 @@ func Parse(r io.Reader) (*Suite, error) {
 				res.Custom[unit] = v
 			}
 		}
-		s.Results[res.Name] = res
+		runs[res.Name] = append(runs[res.Name], res)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	s := &Suite{Results: map[string]Result{}}
+	for name, rs := range runs {
+		res := Result{Name: name, Iterations: rs[0].Iterations}
+		var costs, customs []map[string]float64
+		for _, r := range rs {
+			res.Iterations = min(res.Iterations, r.Iterations)
+			costs, customs = append(costs, r.Cost), append(customs, r.Custom)
+		}
+		res.Cost, res.Custom = medians(costs), medians(customs)
+		s.Results[name] = res
+	}
 	return s, nil
+}
+
+// medians folds one metric map per run into the median of each unit
+// (the mean of the middle two for an even count).
+func medians(runs []map[string]float64) map[string]float64 {
+	vals := map[string][]float64{}
+	for _, m := range runs {
+		for unit, v := range m {
+			vals[unit] = append(vals[unit], v)
+		}
+	}
+	if len(vals) == 0 {
+		return nil
+	}
+	out := make(map[string]float64, len(vals))
+	for unit, vs := range vals {
+		sort.Float64s(vs)
+		out[unit] = (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
+	}
+	return out
 }
 
 // WriteJSON stores the suite for use as a baseline.
@@ -181,6 +216,8 @@ func Compare(baseline, current *Suite, tol float64) []Delta {
 				d.Regression, d.Missing = true, true
 			case b == 0:
 				d.Regression = c != 0
+			case strings.HasSuffix(unit, "/sec"):
+				d.Regression = c < b*(1-tol)
 			default:
 				drift := (c - b) / b
 				d.Regression = drift > tol || drift < -tol

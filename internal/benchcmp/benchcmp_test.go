@@ -111,6 +111,42 @@ func TestCompareCustomTwoSided(t *testing.T) {
 	}
 }
 
+func TestCompareThroughputOneSided(t *testing.T) {
+	line := "BenchmarkLexiconMatch 	 1000	 1368 ns/op	 5000000 sentences/sec\n"
+	base, err := Parse(strings.NewReader(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cur, want := range map[string]int{"7000000": 0, "4500000": 0, "3500000": 1} {
+		s, err := Parse(strings.NewReader(strings.Replace(line, "5000000", cur, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if regs := Regressions(Compare(base, s, 0.20)); len(regs) != want {
+			t.Errorf("%s sentences/sec: regressions = %+v, want %d", cur, regs, want)
+		}
+	}
+}
+
+func TestParseRepeatedRunsTakeMedian(t *testing.T) {
+	s, err := Parse(strings.NewReader(`BenchmarkX 	 900	 300 ns/op	 16 B/op
+BenchmarkX 	 1000	 100 ns/op	 16 B/op
+BenchmarkX 	 1100	 200 ns/op	 16 B/op
+BenchmarkY 	 10	 1 ns/op
+BenchmarkY 	 10	 4 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := s.Results["BenchmarkX"]
+	if x.Iterations != 900 || x.Cost["ns/op"] != 200 || x.Cost["B/op"] != 16 {
+		t.Errorf("BenchmarkX = %+v, want 900 iterations, 200 ns/op, 16 B/op", x)
+	}
+	if y := s.Results["BenchmarkY"].Cost["ns/op"]; y != 2.5 {
+		t.Errorf("BenchmarkY ns/op = %v, want 2.5", y)
+	}
+}
+
 func TestCompareSkipsOneShotTiming(t *testing.T) {
 	base := parseSample(t)
 	// The table bench ran once; tripling its wall clock is not a

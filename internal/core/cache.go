@@ -21,9 +21,9 @@ import (
 // it. Entries are never evicted — the key space is the fixed library
 // inventory, bounded by construction.
 //
-// Ownership contract: the runner (eval.EvaluateCorpusRobust and
-// friends) constructs one cache per run and hands it to every worker's
-// Checker via WithSharedAnalysisCache. A cache must only be shared
+// Ownership contract: the analysis pool (eval.Pool) constructs one
+// cache per pool and hands it to every worker's Checker via
+// WithSharedAnalysisCache. A cache must only be shared
 // between checkers with an identical policy-analyzer configuration —
 // the cached Analysis is whatever the first checker's analyzer
 // produced.
@@ -201,16 +201,18 @@ func (c *AnalysisCache) Len() int {
 	return n
 }
 
-// RecordESACacheCounters folds an ESA cache-stats delta (taken with
-// esa.AggregateCacheStats around a run) into the observer's named
-// counters, so the -metrics exposition shows the interpret-memo and
-// vector-pool economics. Nil-safe on the observer.
+// RecordESACacheCounters publishes ESA cache stats (a per-pool stat
+// scope's snapshot, or a delta of esa.AggregateCacheStats around a
+// run) as the observer's named counters, so the -metrics exposition
+// shows the interpret-memo and vector-pool economics. It sets the
+// counters rather than adding to them, so republishing a growing
+// total is safe. Nil-safe on the observer.
 func RecordESACacheCounters(o *obs.Observer, d esa.CacheStats) {
-	o.AddCounter("esa-interpret-hits", d.Hits)
-	o.AddCounter("esa-interpret-misses", d.Misses)
-	o.AddCounter("esa-interpret-evictions", d.Evictions)
-	o.AddCounter("esa-vec-pool-gets", d.PoolGets)
-	o.AddCounter("esa-vec-pool-allocs", d.PoolNews)
-	o.AddCounter("esa-remote-hits", d.RemoteHits)
-	o.AddCounter("esa-remote-fails", d.RemoteFails)
+	o.SetCounter("esa-interpret-hits", d.Hits)
+	o.SetCounter("esa-interpret-misses", d.Misses)
+	o.SetCounter("esa-interpret-evictions", d.Evictions)
+	o.SetCounter("esa-vec-pool-gets", d.PoolGets)
+	o.SetCounter("esa-vec-pool-allocs", d.PoolNews)
+	o.SetCounter("esa-remote-hits", d.RemoteHits)
+	o.SetCounter("esa-remote-fails", d.RemoteFails)
 }

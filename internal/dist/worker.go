@@ -41,12 +41,8 @@ type WorkerOptions struct {
 	// lease must outlive the whole analysis.
 	RenewLeases bool
 
-	// Per-attempt bounds, eval.RunOptions semantics.
-	PerAppTimeout   time.Duration
-	MaxRetries      int
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-	RetryJitter     float64
+	// Attempt bounds each app's analysis (timeout and retry budget).
+	Attempt eval.AttemptOptions
 	// CheckerOptions configure the per-goroutine checkers. Every
 	// worker sharing a coordinator must use an equivalent
 	// configuration, or the shared remote cache would alias results.
@@ -176,7 +172,7 @@ func (f followerStore) Put(stage, key string, data []byte) error {
 
 // RunWorker pulls leases from a coordinator until the run completes
 // (410), the lease budget MaxApps is spent, or ctx dies. It is a thin
-// distributed wrapper over eval.CheckApp: the worker holds no corpus
+// distributed feed for an eval.Pool: the worker holds no corpus
 // state, so killing it costs only its outstanding leases.
 func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 	opts = opts.withDefaults()
@@ -223,20 +219,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 		defer esa.Default().SetVecBacking(nil)
 	}
 
-	checkerOpts := append(append([]core.CheckerOption{}, opts.CheckerOptions...),
-		core.WithSharedAnalysisCache(libCache))
-	if opts.Observer != nil {
-		checkerOpts = append(checkerOpts, core.WithObserver(opts.Observer))
-	}
-	checkerOpts = append(checkerOpts, core.WithESAStatScope(esa.NewStatScope()))
-
-	attempt := eval.AttemptOptions{
-		Timeout:      opts.PerAppTimeout,
-		MaxRetries:   opts.MaxRetries,
-		RetryBackoff: opts.RetryBackoff,
-		BackoffMax:   opts.RetryBackoffMax,
-		Jitter:       opts.RetryJitter,
-	}
+	pool := eval.NewPool("dist", opts.Attempt, nil, opts.Observer, libCache, opts.CheckerOptions...)
 
 	var (
 		stats    WorkerStats
@@ -250,8 +233,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			checker := core.NewChecker(checkerOpts...)
-			if err := workerLoop(ctx, opts, set, checker, resolver, attempt, &stats, &accepted); err != nil {
+			if err := workerLoop(ctx, opts, set, pool, resolver, &stats, &accepted); err != nil {
 				errMu.Lock()
 				if loopErr == nil {
 					loopErr = err
@@ -262,6 +244,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 	}
 	wg.Wait()
 
+	pool.Publish()
 	if opts.UseRemoteCache {
 		stats.RemoteHits, stats.RemoteFails = libCache.BackingStats()
 		opts.Observer.SetCounter("dist-cache-remote-hits", stats.RemoteHits)
@@ -270,10 +253,11 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 	return stats, loopErr
 }
 
-// workerLoop is one lease-pull goroutine.
+// workerLoop is one lease-pull goroutine with its own checker.
 func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
-	checker *core.Checker, resolver *stream.SpecResolver, attempt eval.AttemptOptions,
+	pool *eval.Pool, resolver *stream.SpecResolver,
 	stats *WorkerStats, accepted *atomic.Int64) error {
+	checker := pool.NewChecker()
 
 	// Renew goroutines for leases this loop holds; waited out on return
 	// so none outlive the worker.
@@ -340,7 +324,7 @@ func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 		if opts.PerAppDelay > 0 {
 			sleepCtx(ctx, opts.PerAppDelay)
 		}
-		rep, outcome, retries := eval.CheckApp(ctx, checker, item.Name, item.Run, attempt)
+		res := pool.Analyze(ctx, checker, item.Name, item.Run)
 		if stopRenew != nil {
 			close(stopRenew)
 		}
@@ -350,11 +334,11 @@ func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 			// copy — the resume contract hashes what was analyzed.
 			Name:        item.Name,
 			Hash:        item.Hash,
-			Outcome:     outcome.String(),
-			Retries:     retries,
-			Partial:     rep != nil && rep.Partial,
-			Quarantined: false,
-			Exhausted:   attempt.Exhausted(outcome, rep, retries),
+			Outcome:     res.Outcome.String(),
+			Retries:     res.Retries,
+			Partial:     res.Report.Partial,
+			Quarantined: res.Quarantined,
+			Exhausted:   res.Exhausted,
 		})
 	}
 }

@@ -1,4 +1,4 @@
-package stream
+package eval
 
 import (
 	"fmt"
@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"ppchecker/internal/core"
-	"ppchecker/internal/eval"
 )
 
 // BreakerState is one stage-breaker's position.
@@ -19,7 +18,7 @@ const (
 	BreakerClosed BreakerState = "closed"
 	// BreakerOpen: the stage failed on Threshold consecutive apps —
 	// something systemic (a poisoned lexicon, a corrupt shard) is
-	// wrong. The stream keeps going in quarantine mode: apps run with
+	// wrong. The pool keeps going in quarantine mode: apps run with
 	// their retry budget withheld, so a run over a poisoned corpus
 	// degrades in throughput-preserving fashion instead of burning
 	// its whole retry budget on every app.
@@ -52,9 +51,11 @@ type stageBreaker struct {
 	trips    int64
 }
 
-// Breaker watches stage failures across apps and trips repeatedly
-// failing stages into quarantine. One Breaker serves all workers; the
-// per-app bookkeeping is two short critical sections.
+// Breaker is the cross-app half of the retry contract: it watches
+// stage failures across apps and trips repeatedly failing stages into
+// quarantine, where a Pool withholds AttemptOptions.MaxRetries. One
+// Breaker serves all workers; the per-app bookkeeping is two short
+// critical sections.
 type Breaker struct {
 	cfg    BreakerConfig
 	mu     sync.Mutex
@@ -101,8 +102,8 @@ func (b *Breaker) Quarantine() bool {
 // degraded or failed counts against its consecutive-failure run, and
 // stages absent from the report's degraded list reset theirs. Returns
 // the stages that tripped on this observation (for logging/metrics).
-func (b *Breaker) Observe(rep *core.Report, outcome eval.Outcome) []string {
-	if b == nil || b.cfg.Threshold <= 0 || outcome == eval.OutcomeSkipped {
+func (b *Breaker) Observe(rep *core.Report, outcome Outcome) []string {
+	if b == nil || b.cfg.Threshold <= 0 || outcome == OutcomeSkipped {
 		return nil
 	}
 	failed := map[string]bool{}

@@ -1,11 +1,10 @@
-package stream
+package eval
 
 import (
 	"errors"
 	"testing"
 
 	"ppchecker/internal/core"
-	"ppchecker/internal/eval"
 )
 
 // degradedAt builds a report degraded at the given stage.
@@ -24,11 +23,11 @@ func TestBreakerTripAndQuarantine(t *testing.T) {
 		t.Fatal("fresh breaker quarantines")
 	}
 	for i := 0; i < 2; i++ {
-		if tripped := b.Observe(degradedAt(core.StageDecode), eval.OutcomeDegraded); len(tripped) != 0 {
+		if tripped := b.Observe(degradedAt(core.StageDecode), OutcomeDegraded); len(tripped) != 0 {
 			t.Fatalf("tripped early at %d: %v", i, tripped)
 		}
 	}
-	if tripped := b.Observe(degradedAt(core.StageDecode), eval.OutcomeDegraded); len(tripped) != 1 || tripped[0] != string(core.StageDecode) {
+	if tripped := b.Observe(degradedAt(core.StageDecode), OutcomeDegraded); len(tripped) != 1 || tripped[0] != string(core.StageDecode) {
 		t.Fatalf("third failure did not trip: %v", tripped)
 	}
 	if state, _ := b.Status(); state != BreakerOpen {
@@ -46,7 +45,7 @@ func TestBreakerTripAndQuarantine(t *testing.T) {
 		t.Fatalf("state = %v, want half-open", state)
 	}
 	// Clean probe closes it.
-	b.Observe(&core.Report{App: "probe"}, eval.OutcomeChecked)
+	b.Observe(&core.Report{App: "probe"}, OutcomeChecked)
 	if state, _ := b.Status(); state != BreakerClosed {
 		t.Fatalf("state after clean probe = %v, want closed", state)
 	}
@@ -59,8 +58,8 @@ func TestBreakerTripAndQuarantine(t *testing.T) {
 // open and counts a second trip.
 func TestBreakerFailedProbeReopens(t *testing.T) {
 	b := NewBreaker(BreakerConfig{Threshold: 2, Cooldown: 1})
-	b.Observe(degradedAt(core.StageStatic), eval.OutcomeDegraded)
-	b.Observe(degradedAt(core.StageStatic), eval.OutcomeDegraded)
+	b.Observe(degradedAt(core.StageStatic), OutcomeDegraded)
+	b.Observe(degradedAt(core.StageStatic), OutcomeDegraded)
 	if state, _ := b.Status(); state != BreakerOpen {
 		t.Fatalf("not open after threshold: %v", state)
 	}
@@ -68,7 +67,7 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	if state, _ := b.Status(); state != BreakerHalfOpen {
 		t.Fatalf("not half-open: %v", state)
 	}
-	if tripped := b.Observe(degradedAt(core.StageStatic), eval.OutcomeDegraded); len(tripped) != 1 {
+	if tripped := b.Observe(degradedAt(core.StageStatic), OutcomeDegraded); len(tripped) != 1 {
 		t.Fatalf("failed probe did not re-trip: %v", tripped)
 	}
 	if b.Trips() != 2 {
@@ -80,9 +79,9 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 // consecutive count — only sustained cross-app failure trips.
 func TestBreakerResetOnSuccess(t *testing.T) {
 	b := NewBreaker(BreakerConfig{Threshold: 2})
-	b.Observe(degradedAt(core.StageDecode), eval.OutcomeDegraded)
-	b.Observe(&core.Report{App: "ok"}, eval.OutcomeChecked)
-	if tripped := b.Observe(degradedAt(core.StageDecode), eval.OutcomeDegraded); len(tripped) != 0 {
+	b.Observe(degradedAt(core.StageDecode), OutcomeDegraded)
+	b.Observe(&core.Report{App: "ok"}, OutcomeChecked)
+	if tripped := b.Observe(degradedAt(core.StageDecode), OutcomeDegraded); len(tripped) != 0 {
 		t.Fatalf("tripped without consecutive failures: %v", tripped)
 	}
 	if state, _ := b.Status(); state != BreakerClosed {
@@ -94,15 +93,15 @@ func TestBreakerResetOnSuccess(t *testing.T) {
 // independently; one stage tripping does not count for another.
 func TestBreakerPerStageIndependence(t *testing.T) {
 	b := NewBreaker(BreakerConfig{Threshold: 2, Cooldown: 100})
-	b.Observe(degradedAt(core.StageDecode), eval.OutcomeDegraded)
-	b.Observe(degradedAt(core.StageStatic), eval.OutcomeDegraded)
-	b.Observe(degradedAt(core.StageDecode), eval.OutcomeDegraded)
+	b.Observe(degradedAt(core.StageDecode), OutcomeDegraded)
+	b.Observe(degradedAt(core.StageStatic), OutcomeDegraded)
+	b.Observe(degradedAt(core.StageDecode), OutcomeDegraded)
 	// decode failed twice but not consecutively (the static failure's
 	// report had no decode error, resetting decode's run).
 	if state, _ := b.Status(); state != BreakerClosed {
 		t.Fatalf("state = %v, want closed", state)
 	}
-	b.Observe(degradedAt(core.StageDecode), eval.OutcomeDegraded)
+	b.Observe(degradedAt(core.StageDecode), OutcomeDegraded)
 	if state, rows := b.Status(); state != BreakerOpen || len(rows) != 2 {
 		t.Fatalf("state = %v rows = %v", state, rows)
 	}
@@ -112,12 +111,12 @@ func TestBreakerPerStageIndependence(t *testing.T) {
 // inert.
 func TestBreakerDisabledAndNil(t *testing.T) {
 	var nilB *Breaker
-	if nilB.Quarantine() || nilB.Observe(degradedAt(core.StageDecode), eval.OutcomeDegraded) != nil || nilB.Trips() != 0 {
+	if nilB.Quarantine() || nilB.Observe(degradedAt(core.StageDecode), OutcomeDegraded) != nil || nilB.Trips() != 0 {
 		t.Fatal("nil breaker not inert")
 	}
 	b := NewBreaker(BreakerConfig{})
 	for i := 0; i < 100; i++ {
-		b.Observe(degradedAt(core.StageDecode), eval.OutcomeDegraded)
+		b.Observe(degradedAt(core.StageDecode), OutcomeDegraded)
 	}
 	if b.Quarantine() || b.Trips() != 0 {
 		t.Fatal("disabled breaker tripped")

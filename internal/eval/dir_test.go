@@ -25,7 +25,7 @@ func TestEvaluateCorpusDirToleratesCorruptBundle(t *testing.T) {
 	if err := bundle.WriteDataset(small, dir); err != nil {
 		t.Fatal(err)
 	}
-	base, err := EvaluateCorpusDir(dir)
+	base, _, err := evaluateDir(context.Background(), dir, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestEvaluateCorpusDirToleratesCorruptBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := EvaluateCorpusDir(dir)
+	res, _, err := evaluateDir(context.Background(), dir, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatalf("corrupt bundle aborted the run: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestEvaluateCorpusDirMissingFiles(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "apps", victim, "policy.html")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvaluateCorpusDir(dir)
+	res, _, err := evaluateDir(context.Background(), dir, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRunStatsMetricsAggregation(t *testing.T) {
 	opts := DefaultRunOptions()
 	opts.Workers = 4
 	opts.Observer = obs.New()
-	_, stats, err := EvaluateCorpusRobust(context.Background(), small, opts)
+	_, stats, err := RunJobs(context.Background(), DatasetJobs(small), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +152,20 @@ func TestRunStatsMetricsAggregation(t *testing.T) {
 		t.Errorf("corpus-run total %v < policy-nlp total %v", run.Total, enclosed.Total)
 	}
 	// Un-instrumented runs leave Metrics nil.
-	_, plain, err := EvaluateCorpusRobust(context.Background(), small, RunOptions{Workers: 2})
+	_, plain, err := RunJobs(context.Background(), DatasetJobs(small), RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Metrics != nil {
 		t.Fatal("Metrics non-nil without an observer")
 	}
+}
+
+// evaluateDir runs an on-disk corpus through the robust runner.
+func evaluateDir(ctx context.Context, dir string, opts RunOptions) (*CorpusResult, RunStats, error) {
+	jobs, err := DirJobs(dir)
+	if err != nil {
+		return nil, RunStats{}, err
+	}
+	return RunJobs(ctx, jobs, opts)
 }

@@ -18,7 +18,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := EvaluateCorpus(ds)
-	parallel := EvaluateCorpusParallel(ds, 4)
+	parallel, _, _ := RunJobs(context.Background(), DatasetJobs(ds), RunOptions{Workers: 4})
 	if len(serial.Reports) != len(parallel.Reports) {
 		t.Fatalf("report counts differ: %d vs %d", len(serial.Reports), len(parallel.Reports))
 	}
@@ -46,7 +46,7 @@ func TestSharedLibCacheBoundsAnalyses(t *testing.T) {
 	opts := DefaultRunOptions()
 	opts.Workers = 4
 	opts.Observer = observer
-	_, stats, err := EvaluateCorpusRobust(context.Background(), ds, opts)
+	_, stats, err := RunJobs(context.Background(), DatasetJobs(ds), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestParallelWorkerClamping(t *testing.T) {
 	}
 	small := &synth.Dataset{Apps: ds.Apps[:3], LibPolicies: ds.LibPolicies}
 	for _, workers := range []int{-1, 0, 1, 100} {
-		res := EvaluateCorpusParallel(small, workers)
+		res, _, _ := RunJobs(context.Background(), DatasetJobs(small), RunOptions{Workers: workers})
 		if len(res.Reports) != 3 {
 			t.Fatalf("workers=%d: %d reports", workers, len(res.Reports))
 		}
@@ -97,7 +97,7 @@ func TestEvaluateCorpusDir(t *testing.T) {
 	if err := bundle.WriteDataset(small, dir); err != nil {
 		t.Fatal(err)
 	}
-	fromDisk, err := EvaluateCorpusDir(dir)
+	fromDisk, _, err := evaluateDir(context.Background(), dir, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestEvaluateCorpusDir(t *testing.T) {
 			t.Fatalf("app %s differs from in-memory result", r.App)
 		}
 	}
-	if _, err := EvaluateCorpusDir(filepath.Join(dir, "nonexistent")); err == nil {
+	if _, err := DirJobs(filepath.Join(dir, "nonexistent")); err == nil {
 		t.Fatal("missing dir accepted")
 	}
 }

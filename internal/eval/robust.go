@@ -11,7 +11,6 @@ import (
 
 	"ppchecker/internal/bundle"
 	"ppchecker/internal/core"
-	"ppchecker/internal/esa"
 	"ppchecker/internal/obs"
 	"ppchecker/internal/policy"
 	"ppchecker/internal/synth"
@@ -56,23 +55,9 @@ func (s RunStats) Render() string {
 type RunOptions struct {
 	// Workers is the worker-pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// PerAppTimeout bounds one analysis attempt; 0 means no bound.
-	PerAppTimeout time.Duration
-	// MaxRetries is how many extra attempts a failed app gets.
-	MaxRetries int
-	// RetryBackoff is the base pause before the first retry; later
-	// retries back off exponentially (doubling per attempt) up to
-	// RetryBackoffMax.
-	RetryBackoff time.Duration
-	// RetryBackoffMax caps the exponential growth; 0 means 32x the
-	// base backoff.
-	RetryBackoffMax time.Duration
-	// RetryJitter randomizes each backoff within ±RetryJitter fraction
-	// of its nominal value (0..1). A fixed backoff synchronizes the
-	// retries of every worker that failed in the same burst — under
-	// load they all sleep, then all slam the same contended resource
-	// again together; jitter decorrelates them. 0 means no jitter.
-	RetryJitter float64
+	// Attempt bounds each app's analysis: per-attempt timeout and the
+	// retry budget with its backoff schedule.
+	Attempt AttemptOptions
 	// CheckerOptions configure the per-worker checkers.
 	CheckerOptions []core.CheckerOption
 	// Observer, when non-nil, instruments the run: every worker's
@@ -92,14 +77,11 @@ type RunOptions struct {
 // DefaultRunOptions returns the runner defaults: GOMAXPROCS workers,
 // no per-app timeout, one retry after a short jittered backoff.
 func DefaultRunOptions() RunOptions {
-	return RunOptions{MaxRetries: 1, RetryBackoff: 50 * time.Millisecond, RetryJitter: 0.5}
+	return RunOptions{Attempt: AttemptOptions{MaxRetries: 1, RetryBackoff: 50 * time.Millisecond, Jitter: 0.5}}
 }
 
 // Outcome classifies one app's analysis, mapped one-to-one onto the
-// RunStats counters. It is exported so request-scoped callers (the
-// ppserve analysis service) can reuse the corpus runner's per-app
-// attempt machinery — CheckApp — instead of reimplementing the
-// retry/timeout/panic contract.
+// RunStats counters.
 type Outcome int
 
 // Per-app outcomes.
@@ -164,14 +146,6 @@ func (s *RunStats) fold(o Outcome, retries, n int) {
 	}
 }
 
-// appJob is one unit of corpus work: an app's name and ground truth
-// plus a closure that produces its report on a worker's checker.
-type appJob struct {
-	name  string
-	truth synth.GroundTruth
-	run   func(ctx context.Context, checker *core.Checker) (*core.Report, error)
-}
-
 // Job is one unit of work for RunJobs: a named analysis closure plus
 // its ground-truth label (zero truth when unlabeled).
 type Job struct {
@@ -180,50 +154,33 @@ type Job struct {
 	Run   func(ctx context.Context, checker *core.Checker) (*core.Report, error)
 }
 
-// RunJobs drives the robust worker pool — per-worker checkers over a
-// shared analysis cache and ESA stat scope, per-attempt timeouts,
-// bounded retries, prompt cancellation — over arbitrary jobs instead
-// of a Dataset. It is the generalized core of EvaluateCorpusRobust,
-// exported for callers that wrap the pipeline (the longitudinal engine
-// runs every app *version* as one job here).
-func RunJobs(ctx context.Context, jobs []Job, opts RunOptions) (*CorpusResult, RunStats, error) {
-	internal := make([]appJob, len(jobs))
-	for i, j := range jobs {
-		internal[i] = appJob{name: j.Name, truth: j.Truth, run: j.Run}
-	}
-	return runRobust(ctx, internal, opts)
-}
-
-// EvaluateCorpusRobust is the fault-tolerant corpus runner: every app
-// is analyzed in isolation (a panic or timeout in one cannot take down
-// the run), hard failures get bounded retries, and canceling ctx
-// returns promptly with the remaining apps counted as Skipped. Each
-// report lands at its app's index, so on an all-clean run the result
-// is identical to EvaluateCorpusParallel.
-func EvaluateCorpusRobust(ctx context.Context, ds *synth.Dataset, opts RunOptions) (*CorpusResult, RunStats, error) {
-	jobs := make([]appJob, len(ds.Apps))
+// DatasetJobs turns an in-memory dataset into one CheckSafe job per
+// app, in dataset order.
+func DatasetJobs(ds *synth.Dataset) []Job {
+	jobs := make([]Job, len(ds.Apps))
 	for i, ga := range ds.Apps {
 		app := ga.App
-		jobs[i] = appJob{
-			name:  app.Name,
-			truth: ga.Truth,
-			run: func(ctx context.Context, checker *core.Checker) (*core.Report, error) {
+		jobs[i] = Job{
+			Name:  app.Name,
+			Truth: ga.Truth,
+			Run: func(ctx context.Context, checker *core.Checker) (*core.Report, error) {
 				return checker.CheckSafe(ctx, app)
 			},
 		}
 	}
-	return runRobust(ctx, jobs, opts)
+	return jobs
 }
 
-// EvaluateCorpusDirRobust evaluates an on-disk corpus the way
-// EvaluateCorpusDir does, but tolerates damage: unreadable or corrupt
-// bundle files degrade that one app (recorded under StageRead or
-// StageDecode) instead of failing the whole run, and a missing
-// truth.json yields empty ground truth rather than an error.
-func EvaluateCorpusDirRobust(ctx context.Context, dir string, opts RunOptions) (*CorpusResult, RunStats, error) {
+// DirJobs turns a corpus written to disk by cmd/ppgen (or
+// bundle.WriteDataset) into one job per app bundle, in directory
+// order. Reads are lenient: an unreadable or corrupt bundle file
+// degrades that one app (recorded under StageRead or StageDecode)
+// instead of failing the run, and a missing truth.json yields empty
+// ground truth. Only an unlistable corpus directory is an error.
+func DirJobs(dir string) ([]Job, error) {
 	appDirs, err := bundle.ListApps(dir)
 	if err != nil {
-		return nil, RunStats{}, err
+		return nil, err
 	}
 	truthByPkg := map[string]synth.GroundTruth{}
 	if truths, err := bundle.ReadTruth(dir); err == nil {
@@ -232,14 +189,14 @@ func EvaluateCorpusDirRobust(ctx context.Context, dir string, opts RunOptions) (
 		}
 	}
 	libsDir := filepath.Join(dir, bundle.DirLibs)
-	jobs := make([]appJob, len(appDirs))
+	jobs := make([]Job, len(appDirs))
 	for i, appDir := range appDirs {
 		appDir := appDir
 		name := filepath.Base(appDir)
-		jobs[i] = appJob{
-			name:  name,
-			truth: truthByPkg[name],
-			run: func(ctx context.Context, checker *core.Checker) (*core.Report, error) {
+		jobs[i] = Job{
+			Name:  name,
+			Truth: truthByPkg[name],
+			Run: func(ctx context.Context, checker *core.Checker) (*core.Report, error) {
 				app, ferrs := bundle.ReadAppLenient(appDir, libsDir)
 				rep, err := checker.CheckSafe(ctx, app)
 				if rep != nil {
@@ -255,13 +212,18 @@ func EvaluateCorpusDirRobust(ctx context.Context, dir string, opts RunOptions) (
 			},
 		}
 	}
-	return runRobust(ctx, jobs, opts)
+	return jobs, nil
 }
 
-// runRobust drives the worker pool over the jobs. Reports land at
-// their job's index; every slot is filled — apps never attempted get a
-// Skipped stub — so downstream table code needs no nil checks.
-func runRobust(ctx context.Context, jobs []appJob, opts RunOptions) (*CorpusResult, RunStats, error) {
+// RunJobs is the fault-tolerant corpus runner: a fixed set of workers,
+// each with its own checker from one Pool, analyzes the jobs in
+// isolation (a panic or timeout in one cannot take down the run), hard
+// failures get bounded retries, and canceling ctx returns promptly
+// with the remaining apps counted as Skipped. Each report lands at its
+// job's index; every slot is filled — apps never attempted get a
+// Skipped stub — so downstream table code needs no nil checks. On an
+// all-clean run the result is identical to EvaluateCorpus.
+func RunJobs(ctx context.Context, jobs []Job, opts RunOptions) (*CorpusResult, RunStats, error) {
 	n := len(jobs)
 	var stats RunStats
 	res := &CorpusResult{
@@ -269,7 +231,7 @@ func runRobust(ctx context.Context, jobs []appJob, opts RunOptions) (*CorpusResu
 		Truths:  make([]synth.GroundTruth, n),
 	}
 	for i := range jobs {
-		res.Truths[i] = jobs[i].truth
+		res.Truths[i] = jobs[i].Truth
 	}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -285,41 +247,18 @@ func runRobust(ctx context.Context, jobs []appJob, opts RunOptions) (*CorpusResu
 		mu sync.Mutex
 		wg sync.WaitGroup
 	)
-	libCache := opts.SharedAnalysisCache
-	if libCache == nil {
-		libCache = core.NewAnalysisCache()
-	}
-	checkerOpts := append(append([]core.CheckerOption{}, opts.CheckerOptions...),
-		core.WithSharedAnalysisCache(libCache))
-	if opts.Observer != nil {
-		checkerOpts = append(checkerOpts, core.WithObserver(opts.Observer))
-	}
-	// Per-run ESA stat scope: every worker's checker attributes its
-	// interpret-memo traffic here, so concurrent runs sharing the
-	// process-global memo (inevitable under ppserve) don't double-count
-	// each other's hits and misses into both -metrics expositions.
-	esaScope := esa.NewStatScope()
-	checkerOpts = append(checkerOpts, core.WithESAStatScope(esaScope))
-	attempt := AttemptOptions{
-		Timeout:      opts.PerAppTimeout,
-		MaxRetries:   opts.MaxRetries,
-		RetryBackoff: opts.RetryBackoff,
-		BackoffMax:   opts.RetryBackoffMax,
-		Jitter:       opts.RetryJitter,
-	}
+	pool := NewPool("eval", opts.Attempt, nil, opts.Observer, opts.SharedAnalysisCache, opts.CheckerOptions...)
 	idxCh := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			checker := core.NewChecker(checkerOpts...)
+			checker := pool.NewChecker()
 			for i := range idxCh {
-				sp := opts.Observer.Start(string(core.StageRun), jobs[i].name, "")
-				rep, outcome, retries := CheckApp(ctx, checker, jobs[i].name, jobs[i].run, attempt)
-				sp.End(runError(rep, outcome), false)
-				res.Reports[i] = rep
+				r := pool.Analyze(ctx, checker, jobs[i].Name, jobs[i].Run)
+				res.Reports[i] = r.Report
 				mu.Lock()
-				stats.Add(outcome, retries)
+				stats.Add(r.Outcome, r.Retries)
 				mu.Unlock()
 			}
 		}()
@@ -336,48 +275,20 @@ feed:
 	wg.Wait()
 	for i := range res.Reports {
 		if res.Reports[i] == nil {
-			res.Reports[i] = stubReport(jobs[i].name, ctx.Err())
+			res.Reports[i] = stubReport(jobs[i].Name, ctx.Err())
 			stats.Add(OutcomeSkipped, 0)
 		}
 	}
-	if opts.Observer != nil {
-		// Fold the run's cache economics into the exposition: the ESA
-		// interpret memo / vector pool (attributed per-run through the
-		// stat scope, so concurrent runs don't pollute each other) and
-		// the shared lib-policy cache (analyses performed must not
-		// exceed unique policy texts).
-		core.RecordESACacheCounters(opts.Observer, esaScope.Snapshot())
-		_, analyses := libCache.Stats()
-		opts.Observer.AddCounter("lib-policy-analyses", analyses)
-		opts.Observer.AddCounter("lib-policy-unique-texts", int64(libCache.Len()))
-	}
+	pool.Publish()
 	stats.Metrics = opts.Observer.Snapshot()
 	return res, stats, ctx.Err()
 }
 
-// runError maps a per-app outcome to the error recorded on its
-// corpus-run span: hard failures and skips carry the stub's StageRun
-// error, clean and degraded runs count as successes (degradation is
-// already visible on the individual stage spans).
-func runError(rep *core.Report, outcome Outcome) error {
-	if outcome != OutcomeFailed && outcome != OutcomeSkipped {
-		return nil
-	}
-	for _, e := range rep.Degraded {
-		if e.Stage == core.StageRun {
-			return e
-		}
-	}
-	return context.Canceled
-}
-
-// AttemptOptions bounds one app's analysis in CheckApp. It carries
-// the per-attempt subset of RunOptions, so a request-scoped caller
-// (ppserve) gets identical timeout/retry semantics to the corpus
-// runner.
+// AttemptOptions bounds one app's analysis in CheckApp. The batch,
+// stream, service and distributed tiers each carry one value of it, so
+// they share identical timeout/retry semantics.
 type AttemptOptions struct {
-	// Timeout bounds one analysis attempt (RunOptions.PerAppTimeout
-	// semantics); 0 means no bound.
+	// Timeout bounds one analysis attempt; 0 means no bound.
 	Timeout time.Duration
 	// MaxRetries is how many extra attempts a hard failure gets.
 	MaxRetries int
@@ -387,7 +298,10 @@ type AttemptOptions struct {
 	// BackoffMax caps the exponential growth; 0 means 32x the base.
 	BackoffMax time.Duration
 	// Jitter spreads each backoff uniformly over ±Jitter fraction of
-	// its nominal value (clamped to [0, 1]); 0 keeps it fixed.
+	// its nominal value (clamped to [0, 1]); 0 keeps it fixed. A fixed
+	// backoff synchronizes the retries of every worker that failed in
+	// the same burst, so under load they all hit the same contended
+	// resource again together; jitter decorrelates them.
 	Jitter float64
 }
 
@@ -443,8 +357,8 @@ func (o AttemptOptions) Exhausted(outcome Outcome, rep *core.Report, retries int
 	return outcome == OutcomeDegraded && rep != nil && rep.DegradedStage(core.StageRun)
 }
 
-// CheckApp analyzes one app with bounded retries — the request-scoped
-// entry point shared by the corpus runner and the ppserve service.
+// CheckApp analyzes one app with bounded retries — the attempt
+// contract behind Pool.Analyze.
 // Hard failures (a panic outside the pipeline's own recovery, or a
 // per-attempt timeout that produced nothing) are retried up to
 // MaxRetries with RetryBackoff between attempts; a degraded-but-

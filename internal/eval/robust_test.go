@@ -36,7 +36,7 @@ func TestRobustCorpusWithCorruption(t *testing.T) {
 	ctx := context.Background()
 	opts := DefaultRunOptions()
 
-	base, baseStats, err := EvaluateCorpusDirRobust(ctx, dir, opts)
+	base, baseStats, err := evaluateDir(ctx, dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestRobustCorpusWithCorruption(t *testing.T) {
 		t.Fatal("no apps corrupted")
 	}
 
-	res, stats, err := EvaluateCorpusDirRobust(ctx, dir, opts)
+	res, stats, err := evaluateDir(ctx, dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRobustPreCanceled(t *testing.T) {
 	ds := robustDataset(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, stats, err := EvaluateCorpusRobust(ctx, ds, DefaultRunOptions())
+	res, stats, err := RunJobs(ctx, DatasetJobs(ds), DefaultRunOptions())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -119,7 +119,7 @@ func TestRobustMidRunCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, stats, err := EvaluateCorpusRobust(ctx, ds, RunOptions{Workers: 2})
+	res, stats, err := RunJobs(ctx, DatasetJobs(ds), RunOptions{Workers: 2})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -150,20 +150,22 @@ func TestRobustPerAppTimeoutRetries(t *testing.T) {
 	ds := robustDataset(t)
 	ds.Apps = ds.Apps[:8]
 	opts := RunOptions{
-		Workers:       2,
-		PerAppTimeout: time.Nanosecond,
-		MaxRetries:    1,
-		RetryBackoff:  time.Millisecond,
+		Workers: 2,
+		Attempt: AttemptOptions{
+			Timeout:      time.Nanosecond,
+			MaxRetries:   1,
+			RetryBackoff: time.Millisecond,
+		},
 	}
-	res, stats, err := EvaluateCorpusRobust(context.Background(), ds, opts)
+	res, stats, err := RunJobs(context.Background(), DatasetJobs(ds), opts)
 	if err != nil {
 		t.Fatalf("parent context not canceled, err = %v", err)
 	}
 	if stats.Degraded != len(ds.Apps) || stats.Failed != 0 {
 		t.Fatalf("want %d degraded, 0 failed: %s", len(ds.Apps), stats.Render())
 	}
-	if stats.Retried != len(ds.Apps)*opts.MaxRetries {
-		t.Fatalf("want %d retries: %s", len(ds.Apps)*opts.MaxRetries, stats.Render())
+	if stats.Retried != len(ds.Apps)*opts.Attempt.MaxRetries {
+		t.Fatalf("want %d retries: %s", len(ds.Apps)*opts.Attempt.MaxRetries, stats.Render())
 	}
 	for _, rep := range res.Reports {
 		if rep == nil || !rep.Partial {
@@ -233,7 +235,7 @@ func TestConcurrentRunsESAStatAttribution(t *testing.T) {
 	ds := robustDataset(t)
 	ds.Apps = ds.Apps[:40]
 	run := func(obsv *obs.Observer) RunStats {
-		_, stats, err := EvaluateCorpusRobust(context.Background(), ds,
+		_, stats, err := RunJobs(context.Background(), DatasetJobs(ds),
 			RunOptions{Workers: 2, Observer: obsv})
 		if err != nil {
 			t.Error(err)

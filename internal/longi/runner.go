@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"ppchecker/internal/core"
 	"ppchecker/internal/eval"
@@ -17,12 +16,8 @@ import (
 type RunOptions struct {
 	// Workers is the analysis pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// PerAppTimeout bounds one version's analysis attempt; 0 = none.
-	PerAppTimeout time.Duration
-	// MaxRetries is how many extra attempts a failed version gets.
-	MaxRetries int
-	// RetryBackoff is the base pause before the first retry.
-	RetryBackoff time.Duration
+	// Attempt bounds each version's analysis (timeout and retry budget).
+	Attempt eval.AttemptOptions
 	// Observer, when non-nil, instruments the run.
 	Observer *obs.Observer
 }
@@ -91,9 +86,7 @@ func RunCorpus(ctx context.Context, e *Engine, corpus *synth.VersionedCorpus, op
 
 	res, estats, err := eval.RunJobs(ctx, jobs, eval.RunOptions{
 		Workers:        opts.Workers,
-		PerAppTimeout:  opts.PerAppTimeout,
-		MaxRetries:     opts.MaxRetries,
-		RetryBackoff:   opts.RetryBackoff,
+		Attempt:        opts.Attempt,
 		CheckerOptions: e.Config().CheckerOptions(),
 		Observer:       opts.Observer,
 	})

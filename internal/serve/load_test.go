@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ppchecker/internal/eval"
 	"ppchecker/internal/serve"
 )
 
@@ -24,7 +25,7 @@ func TestServeLoadSerial(t *testing.T) {
 		t.Skip("load test skipped in -short")
 	}
 	admitted := make(chan struct{}, 32)
-	srv := serve.New(serve.Options{Workers: 4, QueueDepth: 16, PerAppTimeout: 30 * time.Second,
+	srv := serve.New(serve.Options{Workers: 4, QueueDepth: 16, Attempt: eval.AttemptOptions{Timeout: 30 * time.Second},
 		AdmissionNotify: func(queued int) {
 			if queued > 0 {
 				select {

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -13,12 +12,10 @@ import (
 	"time"
 
 	"ppchecker/internal/core"
-	"ppchecker/internal/esa"
 	"ppchecker/internal/eval"
 	"ppchecker/internal/longi"
 	"ppchecker/internal/obs"
 	"ppchecker/internal/report"
-	"ppchecker/internal/stream"
 )
 
 // Options configures the analysis service.
@@ -32,13 +29,8 @@ type Options struct {
 	// across all requests; <= 0 means 4x workers. Admission beyond the
 	// bound is rejected with 429 rather than queued.
 	QueueDepth int
-	// PerAppTimeout bounds one analysis attempt, with
-	// eval.RunOptions.PerAppTimeout semantics; 0 means no bound.
-	PerAppTimeout time.Duration
-	// MaxRetries is how many extra attempts a hard failure gets.
-	MaxRetries int
-	// RetryBackoff is the pause before each retry.
-	RetryBackoff time.Duration
+	// Attempt bounds each app's analysis (timeout and retry budget).
+	Attempt eval.AttemptOptions
 	// MaxBodyBytes bounds a request body; <= 0 means 64 MiB.
 	MaxBodyBytes int64
 	// CheckerOptions configure the per-worker checkers (threshold,
@@ -48,12 +40,12 @@ type Options struct {
 	// Observer instruments the server; nil constructs a fresh one.
 	// The /metrics endpoint renders its snapshot.
 	Observer *obs.Observer
-	// Breaker configures the cross-request circuit breaker shared with
-	// the stream layer: a stage failing on Threshold consecutive apps
-	// trips into quarantine (retry budget withheld) and turns /healthz
-	// degraded. The zero value uses stream.DefaultBreakerConfig; a
-	// negative Threshold disables the breaker.
-	Breaker stream.BreakerConfig
+	// Breaker configures the cross-request circuit breaker: a stage
+	// failing on Threshold consecutive apps trips into quarantine
+	// (retry budget withheld) and turns /healthz degraded. The zero
+	// value uses eval.DefaultBreakerConfig; a negative Threshold
+	// disables the breaker.
+	Breaker eval.BreakerConfig
 	// Longi, when non-nil, enables /check-history backed by a
 	// server-lifetime longitudinal engine. The per-worker checkers are
 	// then derived from this config (CheckerOptions is ignored) so the
@@ -86,7 +78,7 @@ func (o Options) withDefaults() Options {
 		o.Observer = obs.New()
 	}
 	if o.Breaker.Threshold == 0 {
-		o.Breaker = stream.DefaultBreakerConfig()
+		o.Breaker = eval.DefaultBreakerConfig()
 	}
 	if o.LongiCacheEntries <= 0 {
 		o.LongiCacheEntries = 4096
@@ -94,45 +86,30 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// result is one finished analysis.
-type result struct {
-	rep     *core.Report
-	outcome eval.Outcome
-	retries int
-	// exhausted: the app spent its whole non-zero retry budget and
-	// still failed hard — a different signal than a one-shot failure.
-	exhausted bool
-	// quarantined: the breaker was open, so the app ran with its retry
-	// budget withheld.
-	quarantined bool
-}
-
 // job is one admitted app: the request context travels with it so a
 // canceled request is skipped cheaply instead of analyzed for nobody.
 type job struct {
 	ctx  context.Context
 	name string
-	app  *core.App
-	// run overrides the default CheckSafe analysis when non-nil —
-	// /check-history routes versions through the longitudinal engine
-	// this way while sharing the same worker pool and admission bound.
+	// run analyzes the app: CheckSafe, or for /check-history the
+	// longitudinal engine, sharing the same worker pool and admission
+	// bound.
 	run  func(ctx context.Context, c *core.Checker) (*core.Report, error)
-	done chan result // buffered(1): the worker's send never blocks
+	done chan eval.Result // buffered(1): the worker's send never blocks
 }
 
 // Server is the long-lived analysis service. Construct with New,
 // start with Start, stop with Shutdown. The server's cache state —
-// the shared library-policy AnalysisCache and the process-global ESA
-// interpret memo — lives for the server's whole lifetime and warms
-// monotonically across requests; this is safe precisely because the
-// caches re-arm poisoned entries instead of serving them (see
-// core.AnalysisCache.Get).
+// its pool's shared library-policy AnalysisCache and the
+// process-global ESA interpret memo — lives for the server's whole
+// lifetime and warms monotonically across requests; this is safe
+// precisely because the caches re-arm poisoned entries instead of
+// serving them (see core.AnalysisCache.Get).
 type Server struct {
-	opts     Options
-	libCache *core.AnalysisCache
-	esaScope *esa.StatScope
-	obs      *obs.Observer
-	breaker  *stream.Breaker
+	opts    Options
+	pool    *eval.Pool
+	obs     *obs.Observer
+	breaker *eval.Breaker
 
 	longiEng *longi.Engine // nil unless Options.Longi is set
 
@@ -151,16 +128,20 @@ type Server struct {
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:     opts,
-		libCache: core.NewAnalysisCache(),
-		esaScope: esa.NewStatScope(),
-		obs:      opts.Observer,
-		breaker:  stream.NewBreaker(opts.Breaker),
-		jobs:     make(chan *job, opts.QueueDepth),
+		opts:    opts,
+		obs:     opts.Observer,
+		breaker: eval.NewBreaker(opts.Breaker),
+		jobs:    make(chan *job, opts.QueueDepth),
 	}
+	checkerOpts := opts.CheckerOptions
 	if opts.Longi != nil {
 		s.longiEng = longi.NewEngine(longi.NewMemStore(opts.LongiCacheEntries), *opts.Longi)
+		// The artifact store keys by the longi config fingerprint, so the
+		// checkers must be built from that config and nothing else (the
+		// pool's shared caches never change analysis results).
+		checkerOpts = s.longiEng.Config().CheckerOptions()
 	}
+	s.pool = eval.NewPool("serve", opts.Attempt, s.breaker, s.obs, nil, checkerOpts...)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/check", s.handleCheck)
 	mux.HandleFunc("/check-batch", s.handleCheckBatch)
@@ -183,54 +164,16 @@ func New(opts Options) *Server {
 func (s *Server) Start(ln net.Listener) {
 	s.ln = ln
 	s.started = time.Now()
-	base := s.opts.CheckerOptions
-	if s.longiEng != nil {
-		// The artifact store keys by the longi config fingerprint, so the
-		// checkers must be built from that config and nothing else (the
-		// shared caches appended below never change analysis results).
-		base = s.longiEng.Config().CheckerOptions()
-	}
-	checkerOpts := append(append([]core.CheckerOption{}, base...),
-		core.WithSharedAnalysisCache(s.libCache),
-		core.WithObserver(s.obs),
-		core.WithESAStatScope(s.esaScope))
-	attempt := eval.AttemptOptions{
-		Timeout:      s.opts.PerAppTimeout,
-		MaxRetries:   s.opts.MaxRetries,
-		RetryBackoff: s.opts.RetryBackoff,
-	}
 	for w := 0; w < s.opts.Workers; w++ {
 		s.workers.Add(1)
 		go func() {
 			defer s.workers.Done()
-			checker := core.NewChecker(checkerOpts...)
+			checker := s.pool.NewChecker()
 			for j := range s.jobs {
-				quarantined := s.breaker.Quarantine()
-				att := attempt
-				if quarantined {
-					att.MaxRetries = 0
-					s.obs.AddCounter("serve-quarantined", 1)
-				}
-				run := j.run
-				if run == nil {
-					run = func(ctx context.Context, c *core.Checker) (*core.Report, error) {
-						return c.CheckSafe(ctx, j.app)
-					}
-				}
-				sp := s.obs.Start(string(core.StageRun), j.name, "")
-				rep, outcome, retries := eval.CheckApp(j.ctx, checker, j.name, run, att)
-				sp.End(spanError(rep, outcome), false)
-				if tripped := s.breaker.Observe(rep, outcome); len(tripped) > 0 {
-					s.obs.AddCounter("serve-breaker-trips", int64(len(tripped)))
-				}
-				exhausted := att.Exhausted(outcome, rep, retries)
-				if exhausted {
-					s.obs.AddCounter("serve-retry-exhaustions", 1)
-				}
-				s.obs.AddCounter("serve-requests-"+outcome.String(), 1)
+				res := s.pool.Analyze(j.ctx, checker, j.name, j.run)
+				s.obs.AddCounter("serve-requests-"+res.Outcome.String(), 1)
 				s.release(1)
-				j.done <- result{rep: rep, outcome: outcome, retries: retries,
-					exhausted: exhausted, quarantined: quarantined}
+				j.done <- res
 			}
 		}()
 	}
@@ -303,7 +246,12 @@ func (s *Server) QueueLen() int {
 // block. run may be nil (plain CheckSafe).
 func (s *Server) submit(ctx context.Context, name string, app *core.App,
 	run func(context.Context, *core.Checker) (*core.Report, error)) *job {
-	j := &job{ctx: ctx, name: name, app: app, run: run, done: make(chan result, 1)}
+	if run == nil {
+		run = func(ctx context.Context, c *core.Checker) (*core.Report, error) {
+			return c.CheckSafe(ctx, app)
+		}
+	}
+	j := &job{ctx: ctx, name: name, run: run, done: make(chan eval.Result, 1)}
 	s.jobs <- j
 	return j
 }
@@ -335,7 +283,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := <-s.submit(r.Context(), req.Name, app, nil).done
-	WriteJSON(w, statusFor(res.outcome), checkResponse(&req, res))
+	WriteJSON(w, statusFor(res.Outcome), checkResponse(&req, res))
 }
 
 // handleCheckBatch analyzes a list of bundles as one admission unit:
@@ -381,27 +329,10 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 		jobs[i] = s.submit(r.Context(), batch.Apps[i].Name, app, nil)
 	}
 	resp := BatchResponse{Apps: make([]CheckResponse, len(jobs))}
-	resp.Stats.Apps = len(jobs)
 	for i, j := range jobs {
 		res := <-j.done
 		resp.Apps[i] = checkResponse(&batch.Apps[i], res)
-		resp.Stats.Retried += res.retries
-		if res.exhausted {
-			resp.Stats.RetryExhaustions++
-		}
-		if res.quarantined {
-			resp.Stats.Quarantined++
-		}
-		switch res.outcome {
-		case eval.OutcomeChecked:
-			resp.Stats.Checked++
-		case eval.OutcomeDegraded:
-			resp.Stats.Degraded++
-		case eval.OutcomeFailed:
-			resp.Stats.Failed++
-		case eval.OutcomeSkipped:
-			resp.Stats.Skipped++
-		}
+		resp.Stats.add(res)
 	}
 	WriteJSON(w, http.StatusOK, resp)
 }
@@ -461,30 +392,14 @@ func (s *Server) handleCheckHistory(w http.ResponseWriter, r *http.Request) {
 			})
 	}
 	resp := HistoryResponse{Name: req.Name, Versions: make([]CheckResponse, len(jobs))}
-	resp.Stats.Apps = len(jobs)
 	reports := make([]*core.Report, len(jobs))
 	for i, j := range jobs {
 		res := <-j.done
 		resp.Versions[i] = checkResponse(&req.Versions[i], res)
 		resp.Versions[i].Name = j.name
-		resp.Stats.Retried += res.retries
-		if res.exhausted {
-			resp.Stats.RetryExhaustions++
-		}
-		if res.quarantined {
-			resp.Stats.Quarantined++
-		}
-		switch res.outcome {
-		case eval.OutcomeChecked:
-			resp.Stats.Checked++
-			reports[i] = res.rep
-		case eval.OutcomeDegraded:
-			resp.Stats.Degraded++
-			reports[i] = res.rep
-		case eval.OutcomeFailed:
-			resp.Stats.Failed++
-		case eval.OutcomeSkipped:
-			resp.Stats.Skipped++
+		resp.Stats.add(res)
+		if res.Outcome == eval.OutcomeChecked || res.Outcome == eval.OutcomeDegraded {
+			reports[i] = res.Report
 		}
 	}
 	hist := longi.History{
@@ -516,7 +431,7 @@ func (s *Server) Health() HealthResponse {
 	switch {
 	case s.draining.Load():
 		h.State = HealthDraining
-	case breakerState != stream.BreakerClosed || queued >= s.opts.QueueDepth:
+	case breakerState != eval.BreakerClosed || queued >= s.opts.QueueDepth:
 		h.State = HealthDegraded
 	}
 	return h
@@ -548,19 +463,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // publishCacheGauges refreshes the cache-economics counters from their
-// sources of truth: the server-lifetime ESA stat scope and the shared
-// library-policy cache (analyses performed must never exceed unique
-// policy texts seen across all requests).
+// sources of truth: the server-lifetime pool's ESA and library-policy
+// counters (see eval.Pool.Publish) and the longitudinal artifact store.
 func (s *Server) publishCacheGauges() {
-	d := s.esaScope.Snapshot()
-	s.obs.SetCounter("esa-interpret-hits", d.Hits)
-	s.obs.SetCounter("esa-interpret-misses", d.Misses)
-	s.obs.SetCounter("esa-interpret-evictions", d.Evictions)
-	s.obs.SetCounter("esa-vec-pool-gets", d.PoolGets)
-	s.obs.SetCounter("esa-vec-pool-allocs", d.PoolNews)
-	_, analyses := s.libCache.Stats()
-	s.obs.SetCounter("lib-policy-analyses", analyses)
-	s.obs.SetCounter("lib-policy-unique-texts", int64(s.libCache.Len()))
+	s.pool.Publish()
 	if s.longiEng != nil {
 		cs := s.longiEng.Stats()
 		s.obs.SetCounter("longi-artifact-hits", cs.Hits)
@@ -579,14 +485,14 @@ func (s *Server) Metrics() *obs.Snapshot {
 }
 
 // checkResponse shapes one finished analysis for the wire.
-func checkResponse(req *CheckRequest, res result) CheckResponse {
+func checkResponse(req *CheckRequest, res eval.Result) CheckResponse {
 	return CheckResponse{
 		Name:             req.Name,
-		Outcome:          res.outcome.String(),
-		Retries:          res.retries,
-		RetriesExhausted: res.exhausted,
-		Quarantined:      res.quarantined,
-		Report:           report.FromReport(res.rep),
+		Outcome:          res.Outcome.String(),
+		Retries:          res.Retries,
+		RetriesExhausted: res.Exhausted,
+		Quarantined:      res.Quarantined,
+		Report:           report.FromReport(res.Report),
 	}
 }
 
@@ -604,19 +510,3 @@ func statusFor(o eval.Outcome) int {
 		return http.StatusInternalServerError
 	}
 }
-
-// spanError mirrors the corpus runner's StageRun span contract: hard
-// failures and skips carry the stub's StageRun error; clean and
-// degraded analyses count as successes.
-func spanError(rep *core.Report, outcome eval.Outcome) error {
-	if outcome != eval.OutcomeFailed && outcome != eval.OutcomeSkipped {
-		return nil
-	}
-	for _, e := range rep.Degraded {
-		if e.Stage == core.StageRun {
-			return e
-		}
-	}
-	return errors.New(outcome.String())
-}
-

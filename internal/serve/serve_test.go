@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"ppchecker/internal/apk"
+	"ppchecker/internal/eval"
 	"ppchecker/internal/serve"
-	"ppchecker/internal/stream"
 	"ppchecker/internal/synth"
 )
 
@@ -392,11 +392,10 @@ func TestServeHealthz(t *testing.T) {
 // distinguishable on the wire.
 func TestServeRetryExhaustionAndQuarantine(t *testing.T) {
 	srv := startServer(t, serve.Options{
-		Workers:       1, // deterministic failure ordering
-		QueueDepth:    16,
-		PerAppTimeout: time.Nanosecond,
-		MaxRetries:    1,
-		Breaker:       stream.BreakerConfig{Threshold: 2, Cooldown: 50},
+		Workers:    1, // deterministic failure ordering
+		QueueDepth: 16,
+		Attempt:    eval.AttemptOptions{Timeout: time.Nanosecond, MaxRetries: 1},
+		Breaker:    eval.BreakerConfig{Threshold: 2, Cooldown: 50},
 	})
 	base := "http://" + srv.Addr()
 	ds := testDataset()

@@ -1,6 +1,6 @@
 // Package serve is the long-lived analysis service behind cmd/ppserve:
 // an HTTP front end over the robust single-app pipeline
-// (eval.CheckApp → core.CheckSafe) that keeps one shared
+// (eval.Pool → core.CheckSafe) that keeps one shared
 // core.AnalysisCache and the warm process-global ESA interpret memo
 // alive across every request for the whole server lifetime.
 //
@@ -34,8 +34,8 @@ import (
 
 	"ppchecker/internal/apk"
 	"ppchecker/internal/core"
+	"ppchecker/internal/eval"
 	"ppchecker/internal/report"
-	"ppchecker/internal/stream"
 )
 
 // WriteJSON writes v as the JSON response body with the given status.
@@ -153,6 +153,24 @@ type BatchStats struct {
 	Quarantined int `json:"quarantined,omitempty"`
 }
 
+// add folds one finished app into the stats.
+func (s *BatchStats) add(res eval.Result) {
+	var rs eval.RunStats
+	rs.Add(res.Outcome, res.Retries)
+	s.Apps++
+	s.Checked += rs.Checked
+	s.Degraded += rs.Degraded
+	s.Failed += rs.Failed
+	s.Skipped += rs.Skipped
+	s.Retried += rs.Retried
+	if res.Exhausted {
+		s.RetryExhaustions++
+	}
+	if res.Quarantined {
+		s.Quarantined++
+	}
+}
+
 // BatchResponse is the /check-batch output; Apps is index-aligned
 // with the request's list.
 type BatchResponse struct {
@@ -206,8 +224,8 @@ type HealthResponse struct {
 	// Breaker is the overall circuit-breaker state
 	// (closed/open/half-open); Stages lists every stage that has ever
 	// counted a failure.
-	Breaker string               `json:"breaker"`
-	Stages  []stream.StageStatus `json:"stages,omitempty"`
+	Breaker string             `json:"breaker"`
+	Stages  []eval.StageStatus `json:"stages,omitempty"`
 }
 
 // errorResponse is the JSON body of every non-2xx response.

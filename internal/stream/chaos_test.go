@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ppchecker/internal/core"
+	"ppchecker/internal/eval"
 	"ppchecker/internal/obs"
 )
 
@@ -29,11 +30,11 @@ func TestChaosZeroLossNoDuplicates(t *testing.T) {
 	src := NewChaosSource(NewFirehoseSource(17, n), plan)
 	observer := obs.New()
 	stats, err := Run(context.Background(), src, Options{
-		Workers:    3,
-		MaxRetries: 2,
-		Observer:   observer,
-		Journal:    j,
-		Replay:     replay,
+		Workers:  3,
+		Attempt:  eval.AttemptOptions{MaxRetries: 2},
+		Observer: observer,
+		Journal:  j,
+		Replay:   replay,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +97,7 @@ func TestChaosBreakerTripsAndQuarantines(t *testing.T) {
 	stats, err := Run(context.Background(), &poisonSource{n: 20}, Options{
 		Workers:  1, // deterministic failure ordering
 		Observer: observer,
-		Breaker:  NewBreaker(BreakerConfig{Threshold: 4, Cooldown: 50}),
+		Breaker:  eval.NewBreaker(eval.BreakerConfig{Threshold: 4, Cooldown: 50}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,9 +152,9 @@ func (s *failSource) Next(ctx context.Context) (*Item, error) {
 func TestChaosRetryExhaustion(t *testing.T) {
 	observer := obs.New()
 	stats, err := Run(context.Background(), &failSource{n: 3}, Options{
-		Workers:    1,
-		MaxRetries: 2,
-		Observer:   observer,
+		Workers:  1,
+		Attempt:  eval.AttemptOptions{MaxRetries: 2},
+		Observer: observer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +187,7 @@ func TestChaosResumeUnderFaults(t *testing.T) {
 	}
 	plan := FaultPlan{Seed: 1, PanicEvery: 6}
 	if _, err := Run(context.Background(), NewChaosSource(NewFirehoseSource(seed, cut), plan), Options{
-		Workers: 2, MaxRetries: 2, Journal: j, Replay: replay,
+		Workers: 2, Attempt: eval.AttemptOptions{MaxRetries: 2}, Journal: j, Replay: replay,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestChaosResumeUnderFaults(t *testing.T) {
 	}
 	defer j2.Close()
 	got, err := Run(context.Background(), NewChaosSource(NewFirehoseSource(seed, n), plan), Options{
-		Workers: 2, MaxRetries: 2, Journal: j2, Replay: replay2,
+		Workers: 2, Attempt: eval.AttemptOptions{MaxRetries: 2}, Journal: j2, Replay: replay2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package stream is the resilient streaming ingestion layer: it feeds
 // app bundles from a producer (directory walk, synthetic firehose)
-// through a bounded backpressure queue into the robust per-app
-// pipeline (eval.CheckApp), appending every completed app to a durable
+// through a bounded backpressure queue into the shared per-app
+// analysis contract (eval.Pool), appending every completed app to a durable
 // write-ahead checkpoint journal. A killed run resumes by replaying
 // the journal: finished apps are skipped and their outcomes folded
 // back into the stats, so an interrupted-and-resumed run ends with
@@ -13,9 +13,9 @@
 //	         recovery on reopen)
 //	Source   pull-based app producer (DirSource, DatasetSource,
 //	         synth.Firehose via FirehoseSource)
-//	Breaker  cross-app circuit breaker that trips a repeatedly failing
+//	Run      the worker-pool runner tying them together, with an
+//	         optional eval.Breaker that trips a repeatedly failing
 //	         stage into quarantine-and-continue mode
-//	Run      the worker-pool runner tying them together
 package stream
 
 import (

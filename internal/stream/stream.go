@@ -9,10 +9,8 @@ import (
 	"runtime"
 	"sync"
 	"syscall"
-	"time"
 
 	"ppchecker/internal/core"
-	"ppchecker/internal/esa"
 	"ppchecker/internal/eval"
 	"ppchecker/internal/obs"
 )
@@ -25,13 +23,8 @@ type Options struct {
 	// workers. A full queue blocks the producer (backpressure) rather
 	// than growing memory.
 	QueueDepth int
-	// PerAppTimeout, MaxRetries, RetryBackoff, RetryBackoffMax and
-	// RetryJitter have eval.RunOptions semantics.
-	PerAppTimeout   time.Duration
-	MaxRetries      int
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-	RetryJitter     float64
+	// Attempt bounds each app's analysis (timeout and retry budget).
+	Attempt eval.AttemptOptions
 	// CheckerOptions configure the per-worker checkers.
 	CheckerOptions []core.CheckerOption
 	// Observer instruments the run; the stream layer publishes its
@@ -47,7 +40,7 @@ type Options struct {
 	// matching items without re-analysis.
 	Replay *Replay
 	// Breaker is the cross-app circuit breaker; nil runs without one.
-	Breaker *Breaker
+	Breaker *eval.Breaker
 	// Drain, when non-nil, is the graceful-drain signal: once it is
 	// closed the producer stops pulling new items, the queue and every
 	// in-flight app run to completion and are checkpointed, and Run
@@ -66,7 +59,8 @@ type Options struct {
 	onStall func()
 }
 
-// Result is one completed (or replayed-over) app.
+// Result is one completed app: the pool's eval.Result with the item's
+// identity.
 type Result struct {
 	Name    string
 	Hash    string
@@ -142,25 +136,8 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 		stats.Replayed = len(opts.Replay.Done)
 	}
 
-	libCache := opts.SharedAnalysisCache
-	if libCache == nil {
-		libCache = core.NewAnalysisCache()
-	}
-	checkerOpts := append(append([]core.CheckerOption{}, opts.CheckerOptions...),
-		core.WithSharedAnalysisCache(libCache))
-	if opts.Observer != nil {
-		checkerOpts = append(checkerOpts, core.WithObserver(opts.Observer))
-	}
-	esaScope := esa.NewStatScope()
-	checkerOpts = append(checkerOpts, core.WithESAStatScope(esaScope))
-
-	attempt := eval.AttemptOptions{
-		Timeout:      opts.PerAppTimeout,
-		MaxRetries:   opts.MaxRetries,
-		RetryBackoff: opts.RetryBackoff,
-		BackoffMax:   opts.RetryBackoffMax,
-		Jitter:       opts.RetryJitter,
-	}
+	pool := eval.NewPool("stream", opts.Attempt, opts.Breaker, opts.Observer,
+		opts.SharedAnalysisCache, opts.CheckerOptions...)
 
 	queue := make(chan *Item, queueDepth)
 	var queued, highWater int // guarded by mu
@@ -266,45 +243,29 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 		workerWG.Add(1)
 		go func() {
 			defer workerWG.Done()
-			checker := core.NewChecker(checkerOpts...)
+			checker := pool.NewChecker()
 			for item := range queue {
 				mu.Lock()
 				queued--
 				mu.Unlock()
-				quarantined := opts.Breaker.Quarantine()
-				att := attempt
-				if quarantined {
-					att.MaxRetries = 0
-				}
 				// The app context: graceful drain lets in-flight apps
 				// finish (ctx cancellation still aborts them), so the
 				// analysis runs under ctx directly.
-				sp := opts.Observer.Start(string(core.StageRun), item.Name, "")
-				rep, outcome, retries := eval.CheckApp(ctx, checker, item.Name, item.Run, att)
-				sp.End(streamRunError(rep, outcome), false)
-
-				if tripped := opts.Breaker.Observe(rep, outcome); len(tripped) > 0 {
-					opts.Observer.AddCounter("stream-breaker-trips", int64(len(tripped)))
-				}
-
-				exhausted := att.Exhausted(outcome, rep, retries)
-				if exhausted {
-					opts.Observer.AddCounter("stream-retry-exhaustions", 1)
-				}
+				res := pool.Analyze(ctx, checker, item.Name, item.Run)
 
 				// Checkpoint before accounting: an app is only ever
 				// counted once it is journaled, so a crash between the
 				// two at worst re-analyzes (never double-counts) it.
 				// Skipped apps are deliberately not journaled — they
 				// produced nothing and must be re-analyzed on resume.
-				if opts.Journal != nil && outcome != eval.OutcomeSkipped {
+				if opts.Journal != nil && res.Outcome != eval.OutcomeSkipped {
 					err := opts.Journal.Append(Record{
 						App:         item.Name,
 						Hash:        item.Hash,
-						Outcome:     outcome.String(),
-						Retries:     retries,
-						Partial:     rep != nil && rep.Partial,
-						Quarantined: quarantined,
+						Outcome:     res.Outcome.String(),
+						Retries:     res.Retries,
+						Partial:     res.Report.Partial,
+						Quarantined: res.Quarantined,
 					})
 					if err != nil {
 						// Surface the durability loss the moment it
@@ -325,19 +286,19 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 				}
 
 				mu.Lock()
-				stats.Add(outcome, retries)
-				if quarantined {
+				stats.Add(res.Outcome, res.Retries)
+				if res.Quarantined {
 					stats.Quarantined++
 				}
-				if exhausted {
+				if res.Exhausted {
 					stats.RetryExhaustions++
 				}
 				mu.Unlock()
 
 				if opts.OnResult != nil {
 					opts.OnResult(Result{
-						Name: item.Name, Hash: item.Hash, Report: rep,
-						Outcome: outcome, Retries: retries, Quarantined: quarantined,
+						Name: item.Name, Hash: item.Hash, Report: res.Report,
+						Outcome: res.Outcome, Retries: res.Retries, Quarantined: res.Quarantined,
 					})
 				}
 			}
@@ -358,14 +319,8 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 
 	stats.QueueHighWater = highWater
 	stats.BreakerTrips = opts.Breaker.Trips()
-	if opts.Observer != nil {
-		core.RecordESACacheCounters(opts.Observer, esaScope.Snapshot())
-		_, analyses := libCache.Stats()
-		opts.Observer.AddCounter("lib-policy-analyses", analyses)
-		opts.Observer.AddCounter("lib-policy-unique-texts", int64(libCache.Len()))
-		opts.Observer.SetCounter("stream-apps-replayed", int64(stats.Replayed))
-		opts.Observer.SetCounter("stream-quarantined", int64(stats.Quarantined))
-	}
+	pool.Publish()
+	opts.Observer.SetCounter("stream-apps-replayed", int64(stats.Replayed))
 	stats.Metrics = opts.Observer.Snapshot()
 
 	switch {
@@ -386,21 +341,6 @@ func drainCh(ch <-chan struct{}) <-chan struct{} {
 		return neverDrain
 	}
 	return ch
-}
-
-// streamRunError mirrors the corpus runner's StageRun span contract.
-func streamRunError(rep *core.Report, outcome eval.Outcome) error {
-	if outcome != eval.OutcomeFailed && outcome != eval.OutcomeSkipped {
-		return nil
-	}
-	if rep != nil {
-		for _, e := range rep.Degraded {
-			if e.Stage == core.StageRun {
-				return e
-			}
-		}
-	}
-	return context.Canceled
 }
 
 // SignalDrain wires POSIX signals to the graceful-drain contract:

@@ -33,12 +33,12 @@ func TestRunFirehose(t *testing.T) {
 	observer := obs.New()
 	var results int64
 	stats, err := Run(context.Background(), NewFirehoseSource(42, n), Options{
-		Workers:    4,
-		Observer:   observer,
-		Journal:    j,
-		Replay:     replay,
-		MaxRetries: 1,
-		OnResult:   func(Result) { atomic.AddInt64(&results, 1) },
+		Workers:  4,
+		Observer: observer,
+		Journal:  j,
+		Replay:   replay,
+		Attempt:  eval.AttemptOptions{MaxRetries: 1},
+		OnResult: func(Result) { atomic.AddInt64(&results, 1) },
 	})
 	if err != nil {
 		t.Fatal(err)

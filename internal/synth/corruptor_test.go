@@ -56,8 +56,11 @@ func TestEveryFaultDegradesNeverCrashes(t *testing.T) {
 			if err := synth.NewCorruptor(7).CorruptBundle(appDir, fault); err != nil {
 				t.Fatal(err)
 			}
-			res, stats, err := eval.EvaluateCorpusDirRobust(
-				context.Background(), dir, eval.DefaultRunOptions())
+			jobs, err := eval.DirJobs(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, stats, err := eval.RunJobs(context.Background(), jobs, eval.DefaultRunOptions())
 			if err != nil {
 				t.Fatalf("run failed outright: %v", err)
 			}
