@@ -17,11 +17,11 @@
 // exactly like a single-process ppstream run.
 //
 // -shards N hosts N artifact shards at /shard/<i>; workers read the
-// shared library-policy and ESA-interpret caches through them, so a
-// policy analyzed by one worker is free for every other. By default
-// the shards live in memory; -shard-dir roots them on disk
+// shared library-policy analysis cache through them, so a policy
+// analyzed by one worker is free for every other. By default the
+// shards live in memory; -shard-dir roots them on disk
 // (longi.DirStore, temp+rename crash-safe), so a restarted or promoted
-// coordinator keeps the warm caches.
+// coordinator keeps the warm cache.
 //
 // -standby runs the process as a failover follower over the shared
 // -journal: it tails the journal, answers work endpoints with 503, and
@@ -72,7 +72,7 @@ func run() int {
 
 		leaseTTL       = flag.Duration("lease-ttl", 30*time.Second, "lease deadline before an app is reassigned (with renewing workers this bounds failure detection, not per-app latency)")
 		maxOutstanding = flag.Int("max-outstanding", 64, "max concurrently leased apps (backpressure on the source)")
-		shards         = flag.Int("shards", 2, "artifact shards hosted for the shared analysis caches (0 disables)")
+		shards         = flag.Int("shards", 2, "artifact shards hosted for the shared library-policy analysis cache (0 disables)")
 		shardDir       = flag.String("shard-dir", "", "root the shards on disk (longi.DirStore) instead of memory, so restarts and failovers keep warm caches")
 
 		standby       = flag.Bool("standby", false, "run as a failover follower: tail -journal, serve 503 until promoted (POST /promote or -primary death)")

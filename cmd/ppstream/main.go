@@ -90,7 +90,7 @@ func run() int {
 
 		worker      = flag.String("worker", "", "worker mode: pull leases from these comma-separated ppcoord URLs (primary first, standbys after)")
 		workerName  = flag.String("worker-name", "", "worker mode: name reported in leases (default host:pid)")
-		remoteCache = flag.Bool("remote-cache", true, "worker mode: read through the coordinator-hosted analysis caches")
+		remoteCache = flag.Bool("remote-cache", true, "worker mode: read library-policy analyses through the coordinator-hosted cache shards")
 		renew       = flag.Bool("renew", true, "worker mode: heartbeat held leases every TTL/3 so slow apps survive short lease TTLs")
 	)
 	flag.Parse()

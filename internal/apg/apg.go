@@ -85,9 +85,6 @@ type APG struct {
 
 	reachOnce sync.Once
 	reach     *graphdb.VisitSet
-
-	reachMapOnce sync.Once
-	reachMap     map[dex.MethodRef]bool
 }
 
 // Frozen returns the CSR view of the graph, freezing it on first use.

@@ -100,7 +100,7 @@ func TestCallEdges(t *testing.T) {
 	if !ok {
 		t.Fatal("onCreate node missing")
 	}
-	callees := p.G.Out(onCreate, EdgeCalls)
+	callees := p.Frozen().OutInto(nil, onCreate, EdgeCalls)
 	found := false
 	for _, id := range callees {
 		if p.G.Node(id).Prop("name") == "loadData" {
@@ -114,16 +114,15 @@ func TestCallEdges(t *testing.T) {
 
 func TestEdgeMinerCallback(t *testing.T) {
 	p := mustBuild(t, fixtureAPK(t), DefaultOptions())
-	reach := p.ReachableMethods()
 	// handleClick is reached only through the onClick callback edge —
 	// but onClick is itself a UI entry, so check the callback edge
 	// directly instead.
 	onCreate, _ := p.MethodNode(methodRef("Lcom/example/app/MainActivity;", "onCreate", "(Landroid/os/Bundle;)V"))
-	cbs := p.G.Out(onCreate, EdgeCallback)
+	cbs := p.Frozen().OutInto(nil, onCreate, EdgeCallback)
 	if len(cbs) != 1 || p.G.Node(cbs[0]).Prop("name") != "onClick" {
 		t.Fatalf("callback edges from onCreate = %v", cbs)
 	}
-	if !reach[methodRef("Lcom/example/app/ClickHandler;", "handleClick", "()V")] {
+	if !p.MethodReachable(methodRef("Lcom/example/app/ClickHandler;", "handleClick", "()V")) {
 		t.Fatal("handleClick unreachable")
 	}
 }
@@ -131,7 +130,7 @@ func TestEdgeMinerCallback(t *testing.T) {
 func TestICCEdge(t *testing.T) {
 	p := mustBuild(t, fixtureAPK(t), DefaultOptions())
 	onCreate, _ := p.MethodNode(methodRef("Lcom/example/app/MainActivity;", "onCreate", "(Landroid/os/Bundle;)V"))
-	iccs := p.G.Out(onCreate, EdgeICC)
+	iccs := p.Frozen().OutInto(nil, onCreate, EdgeICC)
 	foundStart := false
 	for _, id := range iccs {
 		if p.G.Node(id).Prop("name") == "onStartCommand" {
@@ -142,7 +141,7 @@ func TestICCEdge(t *testing.T) {
 		t.Fatalf("icc edges = %v", iccs)
 	}
 	// syncWork reached transitively through the ICC edge.
-	if !p.ReachableMethods()[methodRef("Lcom/example/app/SyncService;", "syncWork", "()V")] {
+	if !p.MethodReachable(methodRef("Lcom/example/app/SyncService;", "syncWork", "()V")) {
 		t.Fatal("syncWork unreachable through ICC")
 	}
 }
@@ -153,7 +152,7 @@ func TestICCDisabled(t *testing.T) {
 	// themselves must be absent.
 	p := mustBuild(t, fixtureAPK(t), Options{EdgeMiner: true, ICC: false})
 	onCreate, _ := p.MethodNode(methodRef("Lcom/example/app/MainActivity;", "onCreate", "(Landroid/os/Bundle;)V"))
-	if iccs := p.G.Out(onCreate, EdgeICC); len(iccs) != 0 {
+	if iccs := p.Frozen().OutInto(nil, onCreate, EdgeICC); len(iccs) != 0 {
 		t.Fatalf("icc edges with ICC disabled: %v", iccs)
 	}
 }
@@ -161,14 +160,14 @@ func TestICCDisabled(t *testing.T) {
 func TestEdgeMinerDisabled(t *testing.T) {
 	p := mustBuild(t, fixtureAPK(t), Options{EdgeMiner: false, ICC: true})
 	onCreate, _ := p.MethodNode(methodRef("Lcom/example/app/MainActivity;", "onCreate", "(Landroid/os/Bundle;)V"))
-	if cbs := p.G.Out(onCreate, EdgeCallback); len(cbs) != 0 {
+	if cbs := p.Frozen().OutInto(nil, onCreate, EdgeCallback); len(cbs) != 0 {
 		t.Fatalf("callback edges with EdgeMiner disabled: %v", cbs)
 	}
 }
 
 func TestDeadCodeUnreachable(t *testing.T) {
 	p := mustBuild(t, fixtureAPK(t), DefaultOptions())
-	if p.ReachableMethods()[methodRef("Lcom/example/app/MainActivity;", "deadCode", "()V")] {
+	if p.MethodReachable(methodRef("Lcom/example/app/MainActivity;", "deadCode", "()V")) {
 		t.Fatal("deadCode reported reachable")
 	}
 }
@@ -237,7 +236,7 @@ func TestThreadStartCallback(t *testing.T) {
 		},
 	}
 	p := mustBuild(t, apk.New(m, d), DefaultOptions())
-	if !p.ReachableMethods()[methodRef("Lcom/example/app/Worker;", "work", "()V")] {
+	if !p.MethodReachable(methodRef("Lcom/example/app/Worker;", "work", "()V")) {
 		t.Fatal("Worker.work unreachable through Thread.start callback")
 	}
 }
@@ -294,7 +293,7 @@ func TestResolveIntentThroughMove(t *testing.T) {
 	}
 	p := mustBuild(t, apk.New(m, d), DefaultOptions())
 	onCreate, _ := p.MethodNode(methodRef("Lcom/example/app/MainActivity;", "onCreate", "(Landroid/os/Bundle;)V"))
-	if iccs := p.G.Out(onCreate, EdgeICC); len(iccs) == 0 {
+	if iccs := p.Frozen().OutInto(nil, onCreate, EdgeICC); len(iccs) == 0 {
 		t.Fatal("icc edge missing through move chain")
 	}
 }
@@ -321,7 +320,7 @@ func TestIntentWithoutTargetIgnored(t *testing.T) {
 	}
 	p := mustBuild(t, apk.New(m, d), DefaultOptions())
 	onCreate, _ := p.MethodNode(methodRef("Lcom/example/app/MainActivity;", "onCreate", "(Landroid/os/Bundle;)V"))
-	if iccs := p.G.Out(onCreate, EdgeICC); len(iccs) != 0 {
+	if iccs := p.Frozen().OutInto(nil, onCreate, EdgeICC); len(iccs) != 0 {
 		t.Fatalf("icc edge for targetless intent: %v", iccs)
 	}
 }
@@ -384,7 +383,7 @@ func TestDataDependenceEdges(t *testing.T) {
 		t.Fatal("source or sink statement not found")
 	}
 	// The source must reach the sink over def-use edges alone.
-	path := p.G.Path(srcID, sinkID, []string{EdgeDU})
+	path := p.Frozen().Path(srcID, sinkID, []string{EdgeDU})
 	if path == nil {
 		t.Fatal("no du path from source to sink in the graph")
 	}

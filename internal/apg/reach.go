@@ -102,23 +102,6 @@ func (p *APG) MethodReachable(ref dex.MethodRef) bool {
 	return p.reachVisit().Has(id)
 }
 
-// ReachableMethods returns the reachable-method set as a map. It is
-// memoized and shared; callers must treat it as read-only (use
-// MethodReachable for single lookups).
-func (p *APG) ReachableMethods() map[dex.MethodRef]bool {
-	p.reachMapOnce.Do(func() {
-		reached := p.reachVisit()
-		out := make(map[dex.MethodRef]bool, reached.Len())
-		for ref, id := range p.methodNode {
-			if reached.Has(id) {
-				out[ref] = true
-			}
-		}
-		p.reachMap = out
-	})
-	return p.reachMap
-}
-
 // CallPath returns one call path (as method references) from an entry
 // point to the given method, or nil when the method is unreachable.
 func (p *APG) CallPath(to dex.MethodRef) []dex.MethodRef {

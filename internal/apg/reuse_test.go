@@ -25,7 +25,7 @@ func sensitiveSites(t *testing.T, p *apg.APG) []string {
 			continue
 		}
 		mid, _ := p.MethodNode(ref)
-		for _, sid := range f.Out(mid, apg.EdgeCode) {
+		for _, sid := range f.OutInto(nil, mid, apg.EdgeCode) {
 			n := f.Node(sid)
 			target := n.Prop("target")
 			if target == "" {

@@ -18,8 +18,9 @@ import (
 // The cache is concurrency-safe and single-flight: when several
 // workers ask for the same uncached text at once, one runs the
 // analysis and the rest block until its result is ready, then share
-// it. Entries are never evicted — the key space is the fixed library
-// inventory, bounded by construction.
+// it. It keeps at most libCacheCap completed entries and evicts the
+// oldest completed one beyond that: the texts come from the library
+// inventory, but a long-lived server takes them from its clients.
 //
 // Ownership contract: the analysis pool (eval.Pool) constructs one
 // cache per pool and hands it to every worker's Checker via
@@ -28,9 +29,17 @@ import (
 // the cached Analysis is whatever the first checker's analyzer
 // produced.
 type AnalysisCache struct {
-	entries sync.Map // policy text -> *cacheEntry
-	hits    atomic.Int64
-	misses  atomic.Int64
+	entries   sync.Map // policy text -> *cacheEntry
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
+
+	// completed holds the completed entries in completion order, as a
+	// ring once it reaches libCacheCap; from then on next indexes the
+	// oldest, which the next completion evicts and replaces.
+	completedMu sync.Mutex
+	completed   []completedEntry
+	next        int
 
 	// backing, when non-nil, is a remote read-through tier consulted
 	// on a local miss before computing, and written through (best
@@ -56,6 +65,17 @@ type AnalysisCache struct {
 type CacheBacking interface {
 	Load(key string) ([]byte, bool)
 	Store(key string, data []byte)
+}
+
+// libCacheCap bounds the completed entries an AnalysisCache keeps. It
+// sits far above the corpus's 81 distinct library policies, so a
+// corpus run never evicts; it exists so that policy texts a ppserve
+// client chooses cannot grow the server's heap without bound.
+const libCacheCap = 1024
+
+type completedEntry struct {
+	key string
+	e   *cacheEntry
 }
 
 // NewBackedAnalysisCache builds a cache with a remote read-through
@@ -136,6 +156,7 @@ func (c *AnalysisCache) Get(key string, compute func() *policy.Analysis) (*polic
 		}()
 		e.done = true
 		e.mu.Unlock()
+		c.admit(key, e)
 		if remote {
 			c.hits.Add(1)
 			return e.analysis, true
@@ -143,6 +164,24 @@ func (c *AnalysisCache) Get(key string, compute func() *policy.Analysis) (*polic
 		c.misses.Add(1)
 		return e.analysis, false
 	}
+}
+
+// admit records a completed entry, evicting the oldest completed one
+// when the cache is full. Only completed entries are ever evicted, so
+// an in-flight computation keeps its single-flight latch; a caller
+// still holding an evicted entry reads its finished value.
+func (c *AnalysisCache) admit(key string, e *cacheEntry) {
+	c.completedMu.Lock()
+	defer c.completedMu.Unlock()
+	if len(c.completed) < libCacheCap {
+		c.completed = append(c.completed, completedEntry{key, e})
+		return
+	}
+	old := c.completed[c.next]
+	c.entries.CompareAndDelete(old.key, old.e)
+	c.evictions.Add(1)
+	c.completed[c.next] = completedEntry{key, e}
+	c.next = (c.next + 1) % libCacheCap
 }
 
 // loadRemote asks the backing for a serialized analysis. Any failure —
@@ -194,7 +233,12 @@ func (c *AnalysisCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Len returns the number of unique policy texts seen.
+// Evictions returns how many completed entries were dropped to keep
+// the cache bounded. Analyses performed never exceed Len plus
+// Evictions.
+func (c *AnalysisCache) Evictions() int64 { return c.evictions.Load() }
+
+// Len returns the number of policy texts cached or being analyzed.
 func (c *AnalysisCache) Len() int {
 	n := 0
 	c.entries.Range(func(any, any) bool { n++; return true })
@@ -213,6 +257,4 @@ func RecordESACacheCounters(o *obs.Observer, d esa.CacheStats) {
 	o.SetCounter("esa-interpret-evictions", d.Evictions)
 	o.SetCounter("esa-vec-pool-gets", d.PoolGets)
 	o.SetCounter("esa-vec-pool-allocs", d.PoolNews)
-	o.SetCounter("esa-remote-hits", d.RemoteHits)
-	o.SetCounter("esa-remote-fails", d.RemoteFails)
 }

@@ -185,3 +185,70 @@ func TestSharedCacheAcrossCheckers(t *testing.T) {
 		t.Fatal("nil shared cache should keep a private cache")
 	}
 }
+
+// TestAnalysisCacheBounded: a flood of distinct texts (a ppserve
+// client choosing its library-policy texts) leaves at most libCacheCap
+// entries behind. The oldest completed text is the one evicted, and it
+// is computed again exactly once on its next request. A computation in
+// flight during the flood is never evicted: a second caller of its key
+// waits for it instead of computing again.
+func TestAnalysisCacheBounded(t *testing.T) {
+	cache := NewAnalysisCache()
+	computes := map[string]int{}
+	get := func(key string) bool {
+		_, cached := cache.Get(key, func() *policy.Analysis {
+			computes[key]++
+			return &policy.Analysis{}
+		})
+		return cached
+	}
+
+	started, release := make(chan struct{}), make(chan struct{})
+	var inflight atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cache.Get("in flight", func() *policy.Analysis {
+				if inflight.Add(1) == 1 {
+					close(started)
+				}
+				<-release
+				return &policy.Analysis{}
+			})
+		}()
+	}
+	<-started
+
+	const texts = libCacheCap + 100
+	for i := 0; i < texts; i++ {
+		get(fmt.Sprintf("policy %d", i))
+	}
+	close(release)
+	wg.Wait()
+	if n := inflight.Load(); n != 1 {
+		t.Fatalf("in-flight text computed %d times, want 1", n)
+	}
+	if n := cache.Len(); n > libCacheCap {
+		t.Fatalf("Len = %d after %d distinct texts, cap %d", n, texts, libCacheCap)
+	}
+	// The in-flight text completed last, so it too pushed one out.
+	if ev := cache.Evictions(); ev != texts+1-libCacheCap {
+		t.Fatalf("Evictions = %d, want %d", ev, texts+1-libCacheCap)
+	}
+	_, misses := cache.Stats()
+	if misses > int64(cache.Len())+cache.Evictions() {
+		t.Fatalf("%d analyses > %d cached + %d evicted", misses, cache.Len(), cache.Evictions())
+	}
+
+	if get("policy 0") || computes["policy 0"] != 2 {
+		t.Fatalf("evicted text: %d computes after re-request, want 2", computes["policy 0"])
+	}
+	if !get("policy 0") || computes["policy 0"] != 2 {
+		t.Fatalf("re-computed text not cached again: %d computes", computes["policy 0"])
+	}
+	if !get(fmt.Sprintf("policy %d", texts-1)) {
+		t.Fatal("newest text evicted")
+	}
+}

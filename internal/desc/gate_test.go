@@ -59,10 +59,10 @@ func TestGateInert(t *testing.T) {
 		"This game is really fun. Play offline. Location location.",
 		"Calendar events, schedule meetings, appointments and reminders.",
 		"Sign in with your Google account and sync across devices.",
-		"gps",            // single known word: gated, but also sub-support
-		"location gps",   // two known words
-		"the of and to",  // stopwords only
-		"",               // empty
+		"gps",           // single known word: gated, but also sub-support
+		"location gps",  // two known words
+		"the of and to", // stopwords only
+		"",              // empty
 		"Ödüllü uygulama. Konumunuzu takip eder.", // non-English
 	}
 	a := NewAnalyzer()

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"net/http"
 
 	"ppchecker/internal/longi"
 	"ppchecker/internal/obs"
@@ -35,16 +34,6 @@ func NewShardedStore(shards []longi.Store, names []string, observer *obs.Observe
 	return &ShardedStore{shards: shards, ring: NewRing(names, 0), observer: observer}, nil
 }
 
-// NewHTTPShardedStore wires a sharded store over remote shard URLs —
-// the worker-side constructor.
-func NewHTTPShardedStore(urls []string, client *http.Client, observer *obs.Observer) (*ShardedStore, error) {
-	shards := make([]longi.Store, len(urls))
-	for i, u := range urls {
-		shards[i] = longi.NewHTTPStore(u, client)
-	}
-	return NewShardedStore(shards, urls, observer)
-}
-
 // pick routes (stage, key) to its shard. The stage participates in the
 // routing key so different stages of the same content spread out.
 func (s *ShardedStore) pick(stage, key string) longi.Store {
@@ -75,26 +64,17 @@ func (s *ShardedStore) Put(stage, key string, data []byte) error {
 	return nil
 }
 
-// Artifact stage namespaces for the remote cache tiers the
-// coordinator hosts. Each tier keys the same store under its own
-// stage, so the two address spaces can never collide.
-const (
-	// libAnalysisStage holds serialized library-policy analyses (the
-	// remote tier behind core.AnalysisCache).
-	libAnalysisStage = "lib-analysis"
-	// esaInterpretStage holds serialized ESA concept vectors (the
-	// remote tier behind the esa interpret memo).
-	esaInterpretStage = "esa-interpret"
-)
+// libAnalysisStage is the artifact stage the coordinator-hosted
+// shards keep serialized library-policy analyses under (the remote
+// tier behind core.AnalysisCache).
+const libAnalysisStage = "lib-analysis"
 
 // Backing adapts a longi.Store (typically a ShardedStore) into the
-// core.CacheBacking / esa.VecBacking contract: texts are content-
-// addressed with longi.StageKey under the backing's stage, bound to a
-// namespace so caches filled by differently-configured checkers can
-// never alias.
+// core.CacheBacking contract: policy texts are content-addressed with
+// longi.StageKey under libAnalysisStage, bound to a namespace so caches
+// filled by differently-configured checkers can never alias.
 type Backing struct {
 	store     longi.Store
-	stage     string
 	namespace string
 }
 
@@ -103,32 +83,24 @@ type Backing struct {
 // (checker configuration); every worker sharing a shard set must use
 // the same namespace for the same configuration.
 func NewBacking(store longi.Store, namespace string) *Backing {
-	return &Backing{store: store, stage: libAnalysisStage, namespace: namespace}
-}
-
-// NewVecBacking builds the ESA-interpret cache backing over the same
-// store, keyed under its own stage. The KB is compiled into the
-// binary, so the namespace only needs to separate incompatible
-// deployments, same as the lib-policy tier.
-func NewVecBacking(store longi.Store, namespace string) *Backing {
-	return &Backing{store: store, stage: esaInterpretStage, namespace: namespace}
+	return &Backing{store: store, namespace: namespace}
 }
 
 func (b *Backing) key(text string) string {
-	return longi.StageKey(b.stage, []byte(b.namespace), []byte(text))
+	return longi.StageKey(libAnalysisStage, []byte(b.namespace), []byte(text))
 }
 
-// Load fetches the serialized artifact for a text; any error is a miss
+// Load fetches the serialized analysis for a text; any error is a miss
 // (the caller then computes locally).
 func (b *Backing) Load(text string) ([]byte, bool) {
-	data, hit, err := b.store.Get(b.stage, b.key(text))
+	data, hit, err := b.store.Get(libAnalysisStage, b.key(text))
 	if err != nil || !hit {
 		return nil, false
 	}
 	return data, true
 }
 
-// Store writes a computed artifact through, best effort.
+// Store writes a computed analysis through, best effort.
 func (b *Backing) Store(text string, data []byte) {
-	_ = b.store.Put(b.stage, b.key(text), data)
+	_ = b.store.Put(libAnalysisStage, b.key(text), data)
 }

@@ -17,13 +17,15 @@ func shardFixture(t *testing.T, n int) (*ShardedStore, []*httptest.Server, *obs.
 	t.Helper()
 	observer := obs.New()
 	servers := make([]*httptest.Server, n)
+	shards := make([]longi.Store, n)
 	urls := make([]string, n)
 	for i := range servers {
 		servers[i] = httptest.NewServer(longi.NewStoreHandler(longi.NewMemStore(0)))
 		t.Cleanup(servers[i].Close)
+		shards[i] = longi.NewHTTPStore(servers[i].URL, servers[i].Client())
 		urls[i] = servers[i].URL
 	}
-	s, err := NewHTTPShardedStore(urls, servers[0].Client(), observer)
+	s, err := NewShardedStore(shards, urls, observer)
 	if err != nil {
 		t.Fatal(err)
 	}

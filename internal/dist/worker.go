@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ppchecker/internal/core"
-	"ppchecker/internal/esa"
 	"ppchecker/internal/eval"
 	"ppchecker/internal/longi"
 	"ppchecker/internal/obs"
@@ -211,12 +210,6 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 			return WorkerStats{}, err
 		}
 		libCache = core.NewBackedAnalysisCache(NewBacking(sharded, opts.CacheNamespace))
-		// The ESA-interpret tier rides the same shard set under its own
-		// stage. The default index is process-global: overlapping
-		// RunWorker calls (in-process tests) race benignly — a cleared
-		// or swapped backing just degrades to local compute.
-		esa.Default().SetVecBacking(NewVecBacking(sharded, opts.CacheNamespace))
-		defer esa.Default().SetVecBacking(nil)
 	}
 
 	pool := eval.NewPool("dist", opts.Attempt, nil, opts.Observer, libCache, opts.CheckerOptions...)

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // DefaultThreshold is the similarity threshold the paper adopts.
@@ -28,14 +27,9 @@ type Index struct {
 	postings map[string][]posting
 
 	// memo caches InterpretVec results (sharded, bounded); scratch
-	// pools the dense accumulation buffers; cells counts both.
+	// pools the dense accumulation buffers.
 	memo    interpretMemo
 	scratch sync.Pool
-	cells   cacheCells
-
-	// backing is the optional remote interpret tier (see SetVecBacking
-	// in backing.go); zero value means none.
-	backing atomic.Pointer[vecBackingBox]
 }
 
 type posting struct {
@@ -171,9 +165,9 @@ func (x *Index) ClassifyWithSupportScoped(text string, sc *StatScope) (string, f
 	var terms []string
 	v, ok := x.memo.get(text)
 	if ok {
-		x.count(sc, func(c *cacheCells) { c.hits.Add(1) })
+		count(sc, func(c *cacheCells) { c.hits.Add(1) })
 	} else {
-		x.count(sc, func(c *cacheCells) { c.misses.Add(1) })
+		count(sc, func(c *cacheCells) { c.misses.Add(1) })
 		v, terms = x.missVec(text, sc)
 	}
 	best := top(v)

@@ -82,9 +82,9 @@ func CosineVec(a, b *ConceptVec) float64 {
 	return sim
 }
 
-// CacheStats is a point-in-time snapshot of an index's interpret-memo
-// and scratch-pool counters. Values are cumulative; Sub yields the
-// delta over a run.
+// CacheStats is a point-in-time snapshot of the interpret-memo and
+// scratch-pool counters, process-wide (AggregateCacheStats) or of one
+// StatScope. Values are cumulative; Sub yields the delta over a run.
 type CacheStats struct {
 	// Hits and Misses count interpret-memo lookups.
 	Hits, Misses int64
@@ -93,22 +93,16 @@ type CacheStats struct {
 	// PoolGets counts scratch-buffer checkouts; PoolNews the subset
 	// that allocated a fresh buffer.
 	PoolGets, PoolNews int64
-	// RemoteHits counts memo misses served by the remote tier (see
-	// VecBacking); RemoteFails counts remote payloads rejected as
-	// corrupt plus encode failures. Zero without a backing.
-	RemoteHits, RemoteFails int64
 }
 
 // Sub returns the element-wise difference s - prev.
 func (s CacheStats) Sub(prev CacheStats) CacheStats {
 	return CacheStats{
-		Hits:        s.Hits - prev.Hits,
-		Misses:      s.Misses - prev.Misses,
-		Evictions:   s.Evictions - prev.Evictions,
-		PoolGets:    s.PoolGets - prev.PoolGets,
-		PoolNews:    s.PoolNews - prev.PoolNews,
-		RemoteHits:  s.RemoteHits - prev.RemoteHits,
-		RemoteFails: s.RemoteFails - prev.RemoteFails,
+		Hits:      s.Hits - prev.Hits,
+		Misses:    s.Misses - prev.Misses,
+		Evictions: s.Evictions - prev.Evictions,
+		PoolGets:  s.PoolGets - prev.PoolGets,
+		PoolNews:  s.PoolNews - prev.PoolNews,
 	}
 }
 
@@ -124,18 +118,15 @@ func (s CacheStats) HitRate() float64 {
 type cacheCells struct {
 	hits, misses, evictions atomic.Int64
 	poolGets, poolNews      atomic.Int64
-	remoteHits, remoteFails atomic.Int64
 }
 
 func (c *cacheCells) snapshot() CacheStats {
 	return CacheStats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Evictions:   c.evictions.Load(),
-		PoolGets:    c.poolGets.Load(),
-		PoolNews:    c.poolNews.Load(),
-		RemoteHits:  c.remoteHits.Load(),
-		RemoteFails: c.remoteFails.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+		PoolGets:  c.poolGets.Load(),
+		PoolNews:  c.poolNews.Load(),
 	}
 }
 
@@ -157,11 +148,10 @@ func AggregateCacheStats() CacheStats { return globalCells.snapshot() }
 
 // StatScope is a per-run attribution handle for the ESA cache
 // counters. Counting sites accept an optional scope and add each
-// event to the index's own cells, the process-global cells, and the
-// scope — so a scope accumulates exactly the events caused by the
-// callers it was handed to, no matter how many other runs share the
-// process-global memo concurrently. A nil *StatScope is valid and
-// records nothing.
+// event to the process-global cells and the scope — so a scope
+// accumulates exactly the events caused by the callers it was handed
+// to, no matter how many other runs share the process-global memo
+// concurrently. A nil *StatScope is valid and records nothing.
 //
 // The corpus runner opens one scope per run and threads it to every
 // worker's checker; ppserve opens one for the server's lifetime.
@@ -181,10 +171,9 @@ func (s *StatScope) Snapshot() CacheStats {
 	return s.cells.snapshot()
 }
 
-// count applies one counting action to the index's cells, the
-// process-global cells, and (when non-nil) the per-run scope.
-func (x *Index) count(sc *StatScope, f func(*cacheCells)) {
-	f(&x.cells)
+// count applies one counting action to the process-global cells and
+// (when non-nil) the per-run scope.
+func count(sc *StatScope, f func(*cacheCells)) {
 	f(&globalCells)
 	if sc != nil {
 		f(&sc.cells)
@@ -269,9 +258,6 @@ func (mm *interpretMemo) len() int {
 	return n
 }
 
-// CacheStats returns this index's interpret-memo and pool counters.
-func (x *Index) CacheStats() CacheStats { return x.cells.snapshot() }
-
 // memoLen returns the number of memoized vectors (exported to tests
 // via the esa package only).
 func (x *Index) memoLen() int { return x.memo.len() }
@@ -291,13 +277,25 @@ func (x *Index) InterpretVec(text string) *ConceptVec {
 func (x *Index) InterpretVecScoped(text string, sc *StatScope) *ConceptVec {
 	if len(text) <= memoMaxKeyLen {
 		if v, ok := x.memo.get(text); ok {
-			x.count(sc, func(c *cacheCells) { c.hits.Add(1) })
+			count(sc, func(c *cacheCells) { c.hits.Add(1) })
 			return v
 		}
 	}
-	x.count(sc, func(c *cacheCells) { c.misses.Add(1) })
+	count(sc, func(c *cacheCells) { c.misses.Add(1) })
 	v, _ := x.missVec(text, sc)
 	return v
+}
+
+// missVec resolves an interpret-memo miss by a local build, memoizing
+// texts short enough to recur. It returns the terms it tokenized, so
+// ClassifyWithSupport can reuse them.
+func (x *Index) missVec(text string, sc *StatScope) (*ConceptVec, []string) {
+	terms := Terms(text)
+	v := x.buildVec(terms, sc)
+	if len(text) <= memoMaxKeyLen && x.memo.put(text, v) {
+		count(sc, func(c *cacheCells) { c.evictions.Add(1) })
+	}
+	return v, terms
 }
 
 // buildVec accumulates terms into a dense scratch buffer (the concept
@@ -306,10 +304,10 @@ func (x *Index) InterpretVecScoped(text string, sc *StatScope) *ConceptVec {
 // reference Interpret, so the per-concept weights are bit-identical to
 // the map path.
 func (x *Index) buildVec(terms []string, sc *StatScope) *ConceptVec {
-	x.count(sc, func(c *cacheCells) { c.poolGets.Add(1) })
+	count(sc, func(c *cacheCells) { c.poolGets.Add(1) })
 	sp, _ := x.scratch.Get().(*[]float64)
 	if sp == nil {
-		x.count(sc, func(c *cacheCells) { c.poolNews.Add(1) })
+		count(sc, func(c *cacheCells) { c.poolNews.Add(1) })
 		s := make([]float64, len(x.concepts))
 		sp = &s
 	}

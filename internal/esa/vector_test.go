@@ -161,14 +161,15 @@ func TestClassifyWithSupportSingleTokenization(t *testing.T) {
 // capacity under a flood of distinct keys, and evictions are counted.
 func TestInterpretMemoBound(t *testing.T) {
 	x := New(BuiltinKB())
+	sc := NewStatScope()
 	total := memoShards * memoShardCap
 	for i := 0; i < total+5000; i++ {
-		x.InterpretVec(fmt.Sprintf("location data variant %d", i))
+		x.InterpretVecScoped(fmt.Sprintf("location data variant %d", i), sc)
 	}
 	if n := x.memoLen(); n > total {
 		t.Fatalf("memo holds %d entries, cap %d", n, total)
 	}
-	if st := x.CacheStats(); st.Evictions == 0 {
+	if st := sc.Snapshot(); st.Evictions == 0 {
 		t.Fatalf("expected evictions after overflow, stats %+v", st)
 	}
 }

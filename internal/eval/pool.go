@@ -112,8 +112,8 @@ func runSpanErr(ctx context.Context, rep *core.Report, outcome Outcome) error {
 // Publish sets the observer's cache counters to the pool's totals so
 // far: the ESA interpret memo and vector pool as seen through the
 // pool's stat scope, and the shared library-policy cache (analyses
-// performed must never exceed unique policy texts). It sets rather
-// than adds, so a long-lived pool may publish on every scrape.
+// performed must never exceed cached texts plus evictions). It sets
+// rather than adds, so a long-lived pool may publish on every scrape.
 func (p *Pool) Publish() {
 	if p.obs == nil {
 		return
@@ -122,4 +122,5 @@ func (p *Pool) Publish() {
 	_, analyses := p.libCache.Stats()
 	p.obs.SetCounter("lib-policy-analyses", analyses)
 	p.obs.SetCounter("lib-policy-unique-texts", int64(p.libCache.Len()))
+	p.obs.SetCounter("lib-policy-evictions", p.libCache.Evictions())
 }

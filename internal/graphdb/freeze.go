@@ -4,15 +4,16 @@ import "sync"
 
 // Frozen is the compressed-sparse-row (CSR) view of a Graph produced by
 // Freeze. Node and edge labels are interned into int32 symbol tables,
-// adjacency is stored as contiguous edge arrays with per-node offset
-// slices (out- and in-side), and the per-label node lists are captured
-// ID-sorted. Property lookups scan, through Query(label).Where. A
-// Frozen view is immutable and safe for concurrent readers.
+// out-adjacency is stored as contiguous edge arrays with a per-node
+// offset slice, and the per-label node lists are captured ID-sorted.
+// Its read API is forward only: OutInto, OutDegree, ReachableVisit and
+// Path, plus node and label lookups. A Frozen view is immutable and
+// safe for concurrent readers.
 //
 // Freeze is a snapshot: mutations applied to the builder Graph after
 // Freeze are not reflected in the frozen view. Per-node edge runs keep
-// the builder's insertion order, so Out/In on the frozen view return
-// exactly the same sequences as the mutable methods.
+// the builder's insertion order, so OutInto returns exactly the
+// builder's out-edge sequence.
 type Frozen struct {
 	nodes []Node // shares the builder's backing array; index = NodeID-1
 
@@ -25,10 +26,10 @@ type Frozen struct {
 
 	// CSR adjacency: the out-edges of node id are
 	// outTo[outOff[id-1]:outOff[id]] with labels in the parallel
-	// outLab run; likewise for the in-side.
-	outOff, inOff []int32
-	outTo, inTo   []NodeID
-	outLab, inLab []int32
+	// outLab run.
+	outOff []int32
+	outTo  []NodeID
+	outLab []int32
 
 	byLabel map[string][]NodeID // snapshot of the builder's label lists
 
@@ -60,12 +61,10 @@ func (g *Graph) Freeze() *Frozen {
 		f.nodeLabels = f.nodeLabels[:0]
 		f.edgeLabels = f.edgeLabels[:0]
 		f.outTo, f.outLab = f.outTo[:0], f.outLab[:0]
-		f.inTo, f.inLab = f.inTo[:0], f.inLab[:0]
 	}
 	f.nodes = g.nodes[:n:n]
 	f.nodeLabel = resizeInt32(f.nodeLabel, n)
 	f.outOff = resizeInt32(f.outOff, n+1)
-	f.inOff = resizeInt32(f.inOff, n+1)
 	f.edgeCount = g.edgeCount
 	for i := range f.nodes {
 		label := f.nodes[i].Label
@@ -80,8 +79,6 @@ func (g *Graph) Freeze() *Frozen {
 	if cap(f.outTo) < g.edgeCount {
 		f.outTo = make([]NodeID, 0, g.edgeCount)
 		f.outLab = make([]int32, 0, g.edgeCount)
-		f.inTo = make([]NodeID, 0, g.edgeCount)
-		f.inLab = make([]int32, 0, g.edgeCount)
 	}
 	intern := func(label string) int32 {
 		id, ok := f.edgeLabelID[label]
@@ -92,18 +89,13 @@ func (g *Graph) Freeze() *Frozen {
 		}
 		return id
 	}
-	f.outOff[0], f.inOff[0] = 0, 0
+	f.outOff[0] = 0
 	for i := 0; i < n; i++ {
 		for _, e := range g.out[i] {
 			f.outTo = append(f.outTo, e.To)
 			f.outLab = append(f.outLab, intern(e.Label))
 		}
 		f.outOff[i+1] = int32(len(f.outTo))
-		for _, e := range g.in[i] {
-			f.inTo = append(f.inTo, e.From)
-			f.inLab = append(f.inLab, intern(e.Label))
-		}
-		f.inOff[i+1] = int32(len(f.inTo))
 	}
 	// Label lists are append-only in the builder, so capturing the
 	// slice headers (length-capped) is a stable snapshot even if the
@@ -196,20 +188,6 @@ func (f *Frozen) labelFallback(labels []string) map[int32]bool {
 	return m
 }
 
-// Out returns the targets of edges leaving id; label == "" matches
-// all. For label == "" the returned slice aliases the CSR arrays
-// (zero-copy) and must not be mutated; filtered lookups allocate.
-func (f *Frozen) Out(id NodeID, label string) []NodeID {
-	if f.node(id) == nil {
-		return nil
-	}
-	lo, hi := f.outOff[id-1], f.outOff[id]
-	if label == "" {
-		return f.outTo[lo:hi:hi]
-	}
-	return f.filter(nil, f.outTo, f.outLab, lo, hi, label)
-}
-
 // OutInto appends the targets of id's label-filtered out-edges to dst
 // and returns it, allocating only when dst lacks capacity.
 func (f *Frozen) OutInto(dst []NodeID, id NodeID, label string) []NodeID {
@@ -220,42 +198,13 @@ func (f *Frozen) OutInto(dst []NodeID, id NodeID, label string) []NodeID {
 	if label == "" {
 		return append(dst, f.outTo[lo:hi]...)
 	}
-	return f.filter(dst, f.outTo, f.outLab, lo, hi, label)
-}
-
-// In returns the sources of edges entering id; label == "" matches
-// all. The label == "" result aliases the CSR arrays.
-func (f *Frozen) In(id NodeID, label string) []NodeID {
-	if f.node(id) == nil {
-		return nil
-	}
-	lo, hi := f.inOff[id-1], f.inOff[id]
-	if label == "" {
-		return f.inTo[lo:hi:hi]
-	}
-	return f.filter(nil, f.inTo, f.inLab, lo, hi, label)
-}
-
-// InInto appends the sources of id's label-filtered in-edges to dst.
-func (f *Frozen) InInto(dst []NodeID, id NodeID, label string) []NodeID {
-	if f.node(id) == nil {
-		return dst
-	}
-	lo, hi := f.inOff[id-1], f.inOff[id]
-	if label == "" {
-		return append(dst, f.inTo[lo:hi]...)
-	}
-	return f.filter(dst, f.inTo, f.inLab, lo, hi, label)
-}
-
-func (f *Frozen) filter(dst []NodeID, to []NodeID, lab []int32, lo, hi int32, label string) []NodeID {
 	want, ok := f.edgeLabelID[label]
 	if !ok {
 		return dst
 	}
 	for i := lo; i < hi; i++ {
-		if lab[i] == want {
-			dst = append(dst, to[i])
+		if f.outLab[i] == want {
+			dst = append(dst, f.outTo[i])
 		}
 	}
 	return dst
@@ -356,17 +305,6 @@ func (f *Frozen) ReachableVisit(seeds []NodeID, labels []string) *VisitSet {
 		}
 	}
 	return v
-}
-
-// Reachable computes the forward closure as a map, mirroring
-// Graph.Reachable for drop-in compatibility.
-func (f *Frozen) Reachable(seeds []NodeID, labels []string) map[NodeID]bool {
-	v := f.ReachableVisit(seeds, labels)
-	seen := make(map[NodeID]bool, len(v.Order))
-	for _, id := range v.Order {
-		seen[id] = true
-	}
-	return seen
 }
 
 // Path returns one shortest path from from to to following edges whose

@@ -10,7 +10,8 @@ import (
 
 // randomGraph builds a random labelled graph: nLo..nHi nodes over a few
 // node labels, ~2 edges per node over a few edge labels, and properties
-// drawn from a small vocabulary so Where has collisions to find.
+// drawn from a small vocabulary so property scans have collisions to
+// find.
 func randomGraph(r *rand.Rand) (*Graph, []NodeID) {
 	g := New()
 	nodeLabels := []string{"class", "method", "stmt"}
@@ -35,29 +36,31 @@ func randomGraph(r *rand.Rand) (*Graph, []NodeID) {
 	return g, ids
 }
 
-// TestFrozenNeighborsDifferential: Out/In on the frozen view equal the
-// mutable graph exactly (order included) for every node and label,
-// including the unfiltered "" label and labels absent from the graph.
+// The four TestFrozen*Differential tests together are the
+// Graph-vs-Frozen differential over Frozen's whole read API: on random
+// graphs, every read must equal the oracle traversal (oracle_test.go)
+// over the builder.
+
+// TestFrozenNeighborsDifferential: OutInto equals the oracle Out
+// exactly (order included) and OutDegree its unfiltered length, for
+// every node and label, including the unfiltered "" label, a label
+// absent from the graph, and ids outside the graph.
 func TestFrozenNeighborsDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g, ids := randomGraph(r)
 		fz := g.Freeze()
 		labels := []string{"", "calls", "cfg", "du", "contains", "nosuch"}
+		prefix := []NodeID{-1}
 		for _, id := range append(ids, 0, NodeID(len(ids)+5)) {
 			for _, lab := range labels {
-				if !sameIDs(g.Out(id, lab), fz.Out(id, lab)) {
-					t.Logf("Out(%d,%q): %v vs %v", id, lab, g.Out(id, lab), fz.Out(id, lab))
+				want := g.Out(id, lab)
+				if got := fz.OutInto(nil, id, lab); !sameIDs(want, got) {
+					t.Logf("OutInto(%d,%q): %v vs %v", id, lab, want, got)
 					return false
 				}
-				if !sameIDs(g.In(id, lab), fz.In(id, lab)) {
-					t.Logf("In(%d,%q): %v vs %v", id, lab, g.In(id, lab), fz.In(id, lab))
-					return false
-				}
-				if !sameIDs(g.Out(id, lab), fz.OutInto(nil, id, lab)) {
-					return false
-				}
-				if !sameIDs(g.In(id, lab), fz.InInto(nil, id, lab)) {
+				// OutInto appends: an existing prefix survives.
+				if got := fz.OutInto(prefix, id, lab); got[0] != -1 || !sameIDs(want, got[1:]) {
 					return false
 				}
 			}
@@ -72,9 +75,9 @@ func TestFrozenNeighborsDifferential(t *testing.T) {
 	}
 }
 
-// TestFrozenReachableDifferential: frozen reachability (both the map
-// form and the VisitSet form) equals the mutable BFS closure for every
-// label-filter shape.
+// TestFrozenReachableDifferential: ReachableVisit equals the oracle
+// closure for every label-filter shape: Order holds each reached node
+// exactly once, seeds first, and Has answers membership for every id.
 func TestFrozenReachableDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -84,21 +87,19 @@ func TestFrozenReachableDifferential(t *testing.T) {
 		for _, labels := range filters {
 			seeds := []NodeID{ids[r.Intn(len(ids))], ids[r.Intn(len(ids))], 999}
 			want := g.Reachable(seeds, labels)
-			got := fz.Reachable(seeds, labels)
-			if !reflect.DeepEqual(want, got) {
-				t.Logf("Reachable(%v,%v): %v vs %v", seeds, labels, want, got)
-				return false
-			}
 			vs := fz.ReachableVisit(seeds, labels)
-			if vs.Len() != len(want) {
+			order := map[NodeID]bool{}
+			for _, id := range vs.Order {
+				order[id] = true
+			}
+			if vs.Len() != len(want) || len(vs.Order) != len(order) || !reflect.DeepEqual(order, want) {
+				t.Logf("ReachableVisit(%v,%v): %v vs %v", seeds, labels, vs.Order, want)
 				return false
 			}
-			for id := range want {
-				if !vs.Has(id) {
-					return false
-				}
+			if vs.Order[0] != seeds[0] {
+				return false
 			}
-			for _, id := range append(ids, 999) {
+			for _, id := range append(ids, 0, 999) {
 				if vs.Has(id) != want[id] {
 					return false
 				}
@@ -112,8 +113,8 @@ func TestFrozenReachableDifferential(t *testing.T) {
 }
 
 // TestFrozenPathDifferential: frozen path search returns exactly the
-// mutable graph's shortest path — both BFS implementations visit edges
-// in insertion order, so even tie-breaks agree.
+// oracle's shortest path — both BFS implementations visit edges in
+// insertion order, so even tie-breaks agree.
 func TestFrozenPathDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -140,8 +141,8 @@ func TestFrozenPathDifferential(t *testing.T) {
 	}
 }
 
-// TestFrozenLookupDifferential: node lookups, label lists, property
-// lookups, and the fluent Query API agree between the two views.
+// TestFrozenLookupDifferential: counts, label lists, nodes and their
+// properties agree between the builder and the frozen view.
 func TestFrozenLookupDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -155,34 +156,62 @@ func TestFrozenLookupDifferential(t *testing.T) {
 				return false
 			}
 		}
-		for _, label := range []string{"class", "method", "stmt", "nosuch"} {
+		for _, id := range append(ids, 0, 999) {
+			gn, fn := g.Node(id), fz.Node(id)
+			if gn != fn {
+				return false
+			}
+			if gn == nil {
+				continue
+			}
 			for _, key := range []string{"name", "kind", "nosuch"} {
-				for _, val := range []string{"a", "b", "c", ""} {
-					mw := g.Query(label).Where(key, val).Collect()
-					fw := fz.Query(label).Where(key, val).Collect()
-					if !sameIDs(mw, fw) {
-						t.Logf("Query(%q).Where(%q,%q): %v vs %v", label, key, val, mw, fw)
-						return false
-					}
+				if gn.Prop(key) != fn.Props.Get(key) {
+					return false
 				}
 			}
 		}
-		for _, id := range ids {
-			if g.Node(id) != fz.Node(id) {
-				return false
-			}
-		}
-		mq := g.Query("method").Where("name", "a").Out("calls").Collect()
-		fq := fz.Query("method").Where("name", "a").Out("calls").Collect()
-		if !sameIDs(mq, fq) {
-			return false
-		}
-		mq = g.QueryFrom(ids...).In("cfg").Collect()
-		fq = fz.QueryFrom(ids...).In("cfg").Collect()
-		return sameIDs(mq, fq)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFrozenManyEdgeLabels: with 64 or more distinct edge labels the
+// label bitmask cannot represent a filter, and ReachableVisit and Path
+// fall back to set-based filtering; they must still equal the oracle.
+func TestFrozenManyEdgeLabels(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	g := New()
+	const n, nLabels = 40, 80
+	ids := make([]NodeID, n)
+	for i := range ids {
+		ids[i] = g.AddNode("n", nil)
+	}
+	label := func(i int) string { return fmt.Sprintf("l%d", i) }
+	for i := 0; i < 4*n; i++ {
+		_ = g.AddEdge(ids[r.Intn(n)], ids[r.Intn(n)], label(r.Intn(nLabels)))
+	}
+	fz := g.Freeze()
+	for trial := 0; trial < 50; trial++ {
+		var labels []string
+		for k := 0; k < 1+r.Intn(40); k++ {
+			labels = append(labels, label(r.Intn(nLabels)))
+		}
+		from, to := ids[r.Intn(n)], ids[r.Intn(n)]
+		want := g.Reachable([]NodeID{from}, labels)
+		vs := fz.ReachableVisit([]NodeID{from}, labels)
+		if vs.Len() != len(want) {
+			t.Fatalf("ReachableVisit(%d,%v) reached %d, oracle %d", from, labels, vs.Len(), len(want))
+		}
+		for id := range want {
+			if !vs.Has(id) {
+				t.Fatalf("ReachableVisit(%d,%v) misses %d", from, labels, id)
+			}
+		}
+		if want, got := g.Path(from, to, labels), fz.Path(from, to, labels); !reflect.DeepEqual(want, got) {
+			t.Fatalf("Path(%d,%d,%v): %v vs %v", from, to, labels, want, got)
+		}
 	}
 }
 
@@ -207,11 +236,17 @@ func TestFreezeSnapshot(t *testing.T) {
 	if got := fz.NodesByLabel("m"); len(got) != 2 {
 		t.Fatalf("snapshot label list grew: %v", got)
 	}
-	if got := fz.Query("m").Where("name", "a").Collect(); len(got) != 1 || got[0] != a {
-		t.Fatalf("snapshot prop scan = %v", got)
+	var named []NodeID
+	for _, id := range fz.NodesByLabel("m") {
+		if fz.Node(id).Prop("name") == "a" {
+			named = append(named, id)
+		}
 	}
-	if got := fz.Reachable([]NodeID{b}, nil); len(got) != 1 {
-		t.Fatalf("snapshot reachability sees new edge: %v", got)
+	if len(named) != 1 || named[0] != a {
+		t.Fatalf("snapshot prop scan = %v", named)
+	}
+	if got := fz.ReachableVisit([]NodeID{b}, nil); got.Len() != 1 {
+		t.Fatalf("snapshot reachability sees new edge: %v", got.Order)
 	}
 	// The builder keeps working.
 	if got := g.Reachable([]NodeID{a}, nil); len(got) != 3 {
@@ -241,11 +276,8 @@ func TestPropsKV(t *testing.T) {
 	g := New()
 	id := g.AddNodeKV("x", "op", "invoke", "index", "3")
 	n := g.Node(id)
-	if n.Prop("op") != "invoke" || n.Prop("index") != "3" || n.Prop("nosuch") != "" {
+	if n.Prop("op") != "invoke" || n.Prop("index") != "3" || n.Prop("nosuch") != "" || len(n.Props) != 4 {
 		t.Fatalf("props = %v", n.Props)
-	}
-	if !n.Props.Has("op") || n.Props.Has("nosuch") || n.Props.Len() != 2 {
-		t.Fatalf("Has/Len wrong: %v", n.Props)
 	}
 	// AddNode's map form sorts keys for deterministic storage.
 	id2 := g.AddNode("x", map[string]string{"b": "2", "a": "1"})

@@ -2,15 +2,18 @@
 // paper stores the Android Property Graph in a graph database and
 // answers every static-analysis question as a graph query; this package
 // provides the same contract: labelled nodes with string properties,
-// labelled edges, traversals, reachability, and path search. Property
-// lookups are scans (Query(label).Where(key, value)): the APG's
-// queries always start from a label, and a per-value index would make
-// an arena-reused graph carry every value it has ever seen.
+// labelled edges, and forward traversal — out-neighbours, reachability
+// from a seed set, and path search. The paper's questions are all
+// forward (is an API reachable from an entry point, does data flow
+// from a source to a sink), so only out-edges are stored. Nodes are
+// found by label (NodesByLabel) and filtered by scanning their
+// properties: a per-value index would make an arena-reused graph carry
+// every value it has ever seen.
 //
 // The package has two layers. *Graph is the mutable build-time
-// representation: slice-backed adjacency keyed by dense sequential
+// representation: slice-backed out-adjacency keyed by dense sequential
 // NodeIDs, cheap to append to. Freeze compiles a Graph into a *Frozen
-// compressed-sparse-row view (see freeze.go) that answers the same
+// compressed-sparse-row view (see freeze.go) that answers the
 // traversal queries with contiguous arrays and interned labels; the
 // analysis passes build mutably and query frozen.
 package graphdb
@@ -40,19 +43,6 @@ func (p Props) Get(key string) string {
 	return ""
 }
 
-// Has reports whether key is present.
-func (p Props) Has(key string) bool {
-	for i := 0; i+1 < len(p); i += 2 {
-		if p[i] == key {
-			return true
-		}
-	}
-	return false
-}
-
-// Len returns the number of key/value pairs.
-func (p Props) Len() int { return len(p) / 2 }
-
 // Node is a labelled node with properties.
 type Node struct {
 	ID    NodeID
@@ -78,7 +68,6 @@ type Graph struct {
 	// object — Node pointers handed out point into this backing array.
 	nodes []Node
 	out   [][]Edge
-	in    [][]Edge
 	// byLabel is the only map keyed by node content; its keys are node
 	// labels (a handful per APG), so the keys Reset keeps are bounded by
 	// the label vocabulary, not by the graphs built so far.
@@ -127,10 +116,9 @@ func (g *Graph) node(id NodeID) *Node {
 func (g *Graph) Reset() {
 	clear(g.nodes) // release retained label/property strings
 	g.nodes = g.nodes[:0]
-	// Truncating the outer slices keeps the per-node edge runs in the
+	// Truncating the outer slice keeps the per-node edge runs in the
 	// backing array; growAdj reclaims their capacity one node at a time.
 	g.out = g.out[:0]
-	g.in = g.in[:0]
 	for label, ids := range g.byLabel {
 		g.byLabel[label] = ids[:0]
 	}
@@ -205,7 +193,6 @@ func (g *Graph) addNode(label string, kv []string) NodeID {
 	id := NodeID(len(g.nodes) + 1)
 	g.nodes = append(g.nodes, Node{ID: id, Label: label, Props: g.internProps(kv)})
 	g.out = growAdj(g.out)
-	g.in = growAdj(g.in)
 	g.byLabel[label] = append(g.byLabel[label], id)
 	return id
 }
@@ -230,9 +217,7 @@ func (g *Graph) AddEdge(from, to NodeID, label string) error {
 	if g.node(to) == nil {
 		return fmt.Errorf("graphdb: edge to unknown node %d", to)
 	}
-	e := Edge{From: from, To: to, Label: label}
-	g.out[from-1] = append(g.out[from-1], e)
-	g.in[to-1] = append(g.in[to-1], e)
+	g.out[from-1] = append(g.out[from-1], Edge{From: from, To: to, Label: label})
 	g.edgeCount++
 	return nil
 }
@@ -262,118 +247,10 @@ func (g *Graph) NodesByLabel(label string) []NodeID {
 	return append([]NodeID(nil), g.byLabel[label]...)
 }
 
-// Out returns the targets of edges leaving id; label == "" matches all.
-func (g *Graph) Out(id NodeID, label string) []NodeID {
-	if g.node(id) == nil {
-		return nil
-	}
-	var out []NodeID
-	for _, e := range g.out[id-1] {
-		if label == "" || e.Label == label {
-			out = append(out, e.To)
-		}
-	}
-	return out
-}
-
-// In returns the sources of edges entering id; label == "" matches all.
-func (g *Graph) In(id NodeID, label string) []NodeID {
-	if g.node(id) == nil {
-		return nil
-	}
-	var out []NodeID
-	for _, e := range g.in[id-1] {
-		if label == "" || e.Label == label {
-			out = append(out, e.From)
-		}
-	}
-	return out
-}
-
 // OutEdges returns copies of the outgoing edges of id.
 func (g *Graph) OutEdges(id NodeID) []Edge {
 	if g.node(id) == nil {
 		return nil
 	}
 	return append([]Edge(nil), g.out[id-1]...)
-}
-
-// Reachable computes the forward closure from the seed set following
-// edges whose label is in labels (nil = all labels).
-func (g *Graph) Reachable(seeds []NodeID, labels []string) map[NodeID]bool {
-	allow := labelSet(labels)
-	seen := map[NodeID]bool{}
-	queue := make([]NodeID, 0, len(seeds))
-	for _, s := range seeds {
-		if g.node(s) != nil && !seen[s] {
-			seen[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, e := range g.out[cur-1] {
-			if allow != nil && !allow[e.Label] {
-				continue
-			}
-			if !seen[e.To] {
-				seen[e.To] = true
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return seen
-}
-
-// Path returns one shortest path from from to to following edges whose
-// label is in labels (nil = all), or nil when unreachable.
-func (g *Graph) Path(from, to NodeID, labels []string) []NodeID {
-	if g.node(from) == nil || g.node(to) == nil {
-		return nil
-	}
-	allow := labelSet(labels)
-	prev := map[NodeID]NodeID{from: from}
-	queue := []NodeID{from}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == to {
-			break
-		}
-		for _, e := range g.out[cur-1] {
-			if allow != nil && !allow[e.Label] {
-				continue
-			}
-			if _, seen := prev[e.To]; !seen {
-				prev[e.To] = cur
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	if _, ok := prev[to]; !ok {
-		return nil
-	}
-	var path []NodeID
-	for cur := to; ; cur = prev[cur] {
-		path = append(path, cur)
-		if cur == from {
-			break
-		}
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
-}
-
-func labelSet(labels []string) map[string]bool {
-	if labels == nil {
-		return nil
-	}
-	m := make(map[string]bool, len(labels))
-	for _, l := range labels {
-		m[l] = true
-	}
-	return m
 }

@@ -9,8 +9,8 @@ import (
 
 // TestFrozenConcurrentReads hammers one frozen view from many
 // goroutines at once. Frozen is a read-only snapshot, so every query —
-// label scans, adjacency (including the caller-buffer OutInto/InInto
-// forms), property lookup, reachability, and the pooled-BFS Path — must
+// label scans, adjacency (OutInto into a caller buffer, OutDegree),
+// property lookup, reachability, and the pooled-BFS Path — must
 // be safe to run concurrently and return the same answer every
 // goroutine, every iteration. Run under -race via deflake_stress.sh.
 func TestFrozenConcurrentReads(t *testing.T) {
@@ -20,8 +20,8 @@ func TestFrozenConcurrentReads(t *testing.T) {
 
 	// Reference answers computed single-threaded.
 	wantMethods := f.NodesByLabel("method")
-	wantOut := f.Out(ids[0], "")
-	wantReach := f.Reachable(ids[:1], nil)
+	wantOut := f.OutInto(nil, ids[0], "")
+	wantReach := f.ReachableVisit(ids[:1], nil).Order
 	wantPath := f.Path(ids[0], ids[len(ids)-1], nil)
 
 	const goroutines = 8
@@ -43,7 +43,7 @@ func TestFrozenConcurrentReads(t *testing.T) {
 					errs <- "OutInto diverged"
 					return
 				}
-				if got := f.Reachable(ids[:1], nil); !reflect.DeepEqual(got, wantReach) {
+				if got := f.ReachableVisit(ids[:1], nil).Order; !reflect.DeepEqual(got, wantReach) {
 					errs <- "Reachable diverged"
 					return
 				}

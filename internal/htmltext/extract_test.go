@@ -134,17 +134,17 @@ func TestNumericReferenceValidation(t *testing.T) {
 		{"&#65;", "A"},
 		{"&#x41;", "A"},
 		{"&#X41;", "A"},
-		{"&#xD800;", " "},    // high surrogate → RuneError → dropped to space
-		{"&#xDFFF;", " "},    // low surrogate
-		{"&#55296;", " "},    // 0xD800 in decimal
-		{"&#x110000;", " "},  // beyond the Unicode range
-		{"&#x10FFFF;", " "},  // max valid code point, non-ASCII → space
-		{"&#xFFFD;", " "},    // RuneError itself, non-ASCII → space
-		{"&#xŁ1;", ""},       // U+0141: byte-truncation would alias hex 'A'
-		{"&#１2;", ""},        // U+FF11 fullwidth ONE must not parse as a digit
-		{"&#x;", ""},         // no digits
-		{"&#;", ""},          // no digits
-		{"&#xG;", ""},        // bad digit
+		{"&#xD800;", " "},   // high surrogate → RuneError → dropped to space
+		{"&#xDFFF;", " "},   // low surrogate
+		{"&#55296;", " "},   // 0xD800 in decimal
+		{"&#x110000;", " "}, // beyond the Unicode range
+		{"&#x10FFFF;", " "}, // max valid code point, non-ASCII → space
+		{"&#xFFFD;", " "},   // RuneError itself, non-ASCII → space
+		{"&#xŁ1;", ""},      // U+0141: byte-truncation would alias hex 'A'
+		{"&#１2;", ""},       // U+FF11 fullwidth ONE must not parse as a digit
+		{"&#x;", ""},        // no digits
+		{"&#;", ""},         // no digits
+		{"&#xG;", ""},       // bad digit
 	}
 	for _, c := range cases {
 		got, _ := parseEntity(c.in, 0)

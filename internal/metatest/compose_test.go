@@ -71,7 +71,7 @@ func TestCorruptedThenTransformed(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				recorrupted, err := synth.NewCorruptor(int64(appIdx)*100 + 2).CorruptPolicy(clean, fault)
+				recorrupted, err := synth.NewCorruptor(int64(appIdx)*100+2).CorruptPolicy(clean, fault)
 				if err != nil {
 					t.Fatal(err)
 				}

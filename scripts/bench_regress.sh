@@ -25,7 +25,8 @@
 #     timing rows: those depend on the host that recorded them.
 #
 # The gated set is the observability- and performance-critical path:
-# the end-to-end CheckSafe pair (uninstrumented vs observed — their
+# APG construction (its allocs/op pin the per-app graph build), the
+# end-to-end CheckSafe pair (uninstrumented vs observed — their
 # ratio is the observer overhead), the frozen-CSR graph query mix and
 # the Aho-Corasick lexicon screen (the two hot substrates under the
 # pipeline), the ESA Similarity benches (warm = memoized vector path,
@@ -40,7 +41,7 @@ rev=$(git rev-parse --short HEAD 2>/dev/null || echo dev)
 out="BENCH_${rev}.json"
 baseline=testdata/bench_baseline.json
 tol="${BENCH_TOLERANCE:-0.20}"
-timed='CheckSafe|GraphQueryThroughput|LexiconMatch|Similarity(Warm|Cold|ReferenceMap)|Span(Nil|Metrics|JSONL)'
+timed='APGBuild|CheckSafe|GraphQueryThroughput|LexiconMatch|Similarity(Warm|Cold|ReferenceMap)|Span(Nil|Metrics|JSONL)'
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
