@@ -309,6 +309,19 @@ func BenchmarkPolicyAnalysis(b *testing.B) {
 	}
 }
 
+// BenchmarkPolicyAnalysisCold is the policy pipeline with every
+// sentence lookup missing the analyzer's sentence memo: a fresh
+// analyzer per iteration, rotating over the corpus's policies. It
+// prices the memo on text without repeats, which no warm benchmark
+// sees.
+func BenchmarkPolicyAnalysisCold(b *testing.B) {
+	apps := paperCorpus(b).Apps
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		policy.NewAnalyzer().AnalyzeHTML(apps[i%len(apps)].App.PolicyHTML)
+	}
+}
+
 // BenchmarkDependencyParse measures the rule-based parser.
 func BenchmarkDependencyParse(b *testing.B) {
 	sentence := "we will provide your information to third party companies to improve service"

@@ -39,9 +39,9 @@ type App struct {
 
 // Checker runs the full pipeline. Construct with NewChecker; the zero
 // value is not usable. A Checker itself is not safe for concurrent
-// use, but its caches (the shared AnalysisCache and the ESA interpret
-// memo) are, so many checkers — one per corpus worker — may share
-// them.
+// use, but its caches (the shared AnalysisCache, the policy
+// analyzer's sentence memo and the ESA interpret memo) are, so many
+// checkers — one per corpus worker — may share them.
 type Checker struct {
 	policyAnalyzer *policy.Analyzer
 	descAnalyzer   *desc.Analyzer
@@ -78,7 +78,8 @@ type Checker struct {
 type CheckerOption func(*Checker)
 
 // WithPolicyAnalyzer substitutes the policy analyzer (e.g. one built on
-// a mined pattern set for the Fig. 12 sweep).
+// a mined pattern set for the Fig. 12 sweep). Analyzers are safe for
+// concurrent use, and checkers sharing one share its sentence memo.
 func WithPolicyAnalyzer(a *policy.Analyzer) CheckerOption {
 	return func(c *Checker) { c.policyAnalyzer = a }
 }
@@ -151,6 +152,22 @@ func WithConstraintAnalysis() CheckerOption {
 	return func(c *Checker) {
 		c.policyAnalyzer = policy.NewAnalyzer(policy.WithConstraintAnalysis(true))
 	}
+}
+
+// PolicyAnalyzerFor returns the policy analyzer a checker built with
+// opts analyzes policies with: the one WithPolicyAnalyzer passes, a
+// new one for an extension option, or a new default one. The analysis
+// pool builds it once and passes it to every worker's checker, so the
+// workers share its sentence memo.
+func PolicyAnalyzerFor(opts ...CheckerOption) *policy.Analyzer {
+	c := &Checker{}
+	for _, o := range opts {
+		o(c)
+	}
+	if c.policyAnalyzer == nil {
+		return policy.NewAnalyzer()
+	}
+	return c.policyAnalyzer
 }
 
 // NewChecker builds a checker with the paper's defaults.

@@ -6,6 +6,7 @@ import (
 
 	"ppchecker/internal/apk"
 	"ppchecker/internal/dex"
+	"ppchecker/internal/esa"
 	"ppchecker/internal/sensitive"
 	"ppchecker/internal/verbs"
 )
@@ -353,5 +354,23 @@ func TestLibPolicyCacheConsistency(t *testing.T) {
 		} else if len(r.Inconsistent) != first {
 			t.Fatalf("run %d found %d, first found %d", i, len(r.Inconsistent), first)
 		}
+	}
+}
+
+// TestSharedResourceInterpretsEachOnce: comparing every app resource
+// with every lib resource interprets each phrase once per call, not
+// each lib phrase once per app phrase.
+func TestSharedResourceInterpretsEachOnce(t *testing.T) {
+	sc := esa.NewStatScope()
+	c := NewChecker(WithESAStatScope(sc))
+	appRes := []string{"weather forecast", "music playlist", "font size"}
+	libRes := []string{"advertising identifier", "crash reports", "purchase history", "camera photos"}
+	before := sc.Snapshot()
+	if res, ok := c.sharedResource(appRes, libRes); ok {
+		t.Fatalf("unrelated phrases share %q; pick phrases below the threshold", res)
+	}
+	d := sc.Snapshot().Sub(before)
+	if n := d.Hits + d.Misses; n > int64(len(appRes)+len(libRes)) {
+		t.Fatalf("%d interpret lookups for %d app and %d lib resources", n, len(appRes), len(libRes))
 	}
 }

@@ -65,14 +65,19 @@ func (c *Checker) detectInconsistent(app *App, r *Report) {
 }
 
 // sharedResource returns the first app resource matching any lib
-// resource under the ESA threshold. Each side is interpreted once per
-// call (and once per process for recurring phrases, via the memo)
-// instead of once per pair.
+// resource under the ESA threshold. Each side is interpreted at most
+// once per call (and once per process for recurring phrases, via the
+// memo) instead of once per pair: a lib resource's vector is kept from
+// its first comparison.
 func (c *Checker) sharedResource(appRes, libRes []string) (string, bool) {
+	lvs := make([]*esa.ConceptVec, len(libRes))
 	for _, ar := range appRes {
 		av := c.index.InterpretVecScoped(ar, c.esaScope)
-		for _, lr := range libRes {
-			if esa.CosineVec(av, c.index.InterpretVecScoped(lr, c.esaScope)) >= c.threshold {
+		for j, lr := range libRes {
+			if lvs[j] == nil {
+				lvs[j] = c.index.InterpretVecScoped(lr, c.esaScope)
+			}
+			if esa.CosineVec(av, lvs[j]) >= c.threshold {
 				return ar, true
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"ppchecker/internal/core"
 	"ppchecker/internal/esa"
 	"ppchecker/internal/obs"
+	"ppchecker/internal/policy"
 )
 
 // Pool is the per-app analysis contract every tier shares: the
@@ -19,6 +20,7 @@ type Pool struct {
 	breaker     *Breaker
 	obs         *obs.Observer
 	libCache    *core.AnalysisCache
+	analyzer    *policy.Analyzer
 	esaScope    *esa.StatScope
 	// Counter names, built once so Analyze allocates nothing of its own.
 	quarantined, trips, exhaustions string
@@ -40,24 +42,28 @@ type Result struct {
 }
 
 // NewPool builds a pool. Its checkers share cache (a new one when nil),
-// the observer and a per-pool ESA stat scope, so pools sharing the
-// process-global ESA memo (inevitable under ppserve) never count each
-// other's interpret-memo traffic. name prefixes the pool's quarantine,
-// breaker and retry counters ("stream" gives stream-breaker-trips). A
-// nil breaker never quarantines.
+// one policy analyzer (so each distinct policy sentence is analyzed
+// once per pool), the observer and a per-pool ESA stat scope, so pools
+// sharing the process-global ESA memo (inevitable under ppserve) never
+// count each other's interpret-memo traffic. name prefixes the pool's
+// quarantine, breaker and retry counters ("stream" gives
+// stream-breaker-trips). A nil breaker never quarantines.
 func NewPool(name string, attempt AttemptOptions, breaker *Breaker, o *obs.Observer,
 	cache *core.AnalysisCache, checkerOpts ...core.CheckerOption) *Pool {
 	if cache == nil {
 		cache = core.NewAnalysisCache()
 	}
+	analyzer := core.PolicyAnalyzerFor(checkerOpts...)
 	scope := esa.NewStatScope()
 	return &Pool{
 		checkerOpts: append(append([]core.CheckerOption{}, checkerOpts...),
-			core.WithSharedAnalysisCache(cache), core.WithObserver(o), core.WithESAStatScope(scope)),
+			core.WithPolicyAnalyzer(analyzer), core.WithSharedAnalysisCache(cache),
+			core.WithObserver(o), core.WithESAStatScope(scope)),
 		attempt:     attempt,
 		breaker:     breaker,
 		obs:         o,
 		libCache:    cache,
+		analyzer:    analyzer,
 		esaScope:    scope,
 		quarantined: name + "-quarantined",
 		trips:       name + "-breaker-trips",
@@ -111,9 +117,11 @@ func runSpanErr(ctx context.Context, rep *core.Report, outcome Outcome) error {
 
 // Publish sets the observer's cache counters to the pool's totals so
 // far: the ESA interpret memo and vector pool as seen through the
-// pool's stat scope, and the shared library-policy cache (analyses
-// performed must never exceed cached texts plus evictions). It sets
-// rather than adds, so a long-lived pool may publish on every scrape.
+// pool's stat scope, the shared library-policy cache (analyses
+// performed must never exceed cached texts plus evictions) and the
+// shared analyzer's sentence memo (hits plus misses is the sentences
+// analyzed). It sets rather than adds, so a long-lived pool may
+// publish on every scrape.
 func (p *Pool) Publish() {
 	if p.obs == nil {
 		return
@@ -123,4 +131,8 @@ func (p *Pool) Publish() {
 	p.obs.SetCounter("lib-policy-analyses", analyses)
 	p.obs.SetCounter("lib-policy-unique-texts", int64(p.libCache.Len()))
 	p.obs.SetCounter("lib-policy-evictions", p.libCache.Evictions())
+	ms := p.analyzer.MemoStats()
+	p.obs.SetCounter("policy-sentence-hits", ms.Hits)
+	p.obs.SetCounter("policy-sentence-misses", ms.Misses)
+	p.obs.SetCounter("policy-sentence-evictions", ms.Evictions)
 }

@@ -66,6 +66,17 @@ func GuardText(text string) error {
 // resources stay attached to their governing verb. All letters are
 // lowercased at the end, exactly as the paper does.
 func SplitSentences(text string) []string {
+	out := SplitSentencesCased(text)
+	for i, s := range out {
+		out[i] = strings.ToLower(s)
+	}
+	return out
+}
+
+// SplitSentencesCased is SplitSentences without the final lowercasing:
+// the sentences keep the text's casing (and alias it). A caller that
+// memoizes per sentence keys on these and lowercases only on a miss.
+func SplitSentencesCased(text string) []string {
 	raw := rawSplit(text)
 	merged := mergeEnumerations(raw)
 	out := make([]string, 0, len(merged))
@@ -77,7 +88,7 @@ func SplitSentences(text string) []string {
 		if len(s) > MaxSentenceBytes {
 			s = s[:MaxSentenceBytes]
 		}
-		out = append(out, strings.ToLower(s))
+		out = append(out, s)
 		if len(out) >= MaxSentences {
 			break
 		}

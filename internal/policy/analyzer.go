@@ -107,10 +107,13 @@ func (a *Analysis) PositiveSet(c verbs.Category) []string {
 }
 
 // Analyzer runs the pipeline. The zero value is not usable; construct
-// with NewAnalyzer.
+// with NewAnalyzer. An Analyzer is safe for concurrent use: its
+// sentence memo is shared by every caller, so one analyzer per pool of
+// workers analyzes each distinct sentence once.
 type Analyzer struct {
 	matcher     *patterns.Matcher
 	constraints bool
+	memo        sentenceMemo
 }
 
 // Option configures an Analyzer.
@@ -146,27 +149,27 @@ func (a *Analyzer) AnalyzeHTML(html string) *Analysis {
 	return a.AnalyzeText(htmltext.Extract(html))
 }
 
-// AnalyzeText analyzes plain policy text.
+// AnalyzeText analyzes plain policy text. Each sentence's analysis
+// depends on the sentence alone, so it comes from the analyzer's
+// sentence memo when the sentence was seen before; only the sentence
+// positions and the resource sets are built per text.
 func (a *Analyzer) AnalyzeText(text string) *Analysis {
-	res := &Analysis{Sentences: nlp.SplitSentences(text)}
-	// One pooled parse buffer serves every sentence: nothing a
+	// The cased sentences are overwritten in place by their lowercase
+	// forms as they are analyzed.
+	res := &Analysis{Sentences: nlp.SplitSentencesCased(text)}
+	// One pooled parse buffer serves every missed sentence: nothing a
 	// statement retains aliases the parse (resources, targets and
 	// constraints are extracted as fresh strings).
 	pb := nlp.GetParseBuffer()
 	defer pb.Release()
-	for i, sent := range res.Sentences {
-		if isDisclaimer(sent) {
+	for i, raw := range res.Sentences {
+		e := a.sentence(raw, pb)
+		res.Sentences[i] = e.lower
+		if e.disclaimer {
 			res.Disclaimer = true
 		}
-		// A sentence that cannot realize any pattern yields no
-		// statements (analyzeSentence would return nil on the empty
-		// match set), so the dependency parse is skipped outright.
-		if !a.matcher.CouldMatch(sent) {
-			continue
-		}
-		parse := pb.Parse(sent)
-		sts := a.analyzeSentence(i, sent, parse)
-		for _, st := range sts {
+		for _, st := range e.statements {
+			st.Index = i
 			res.Statements = append(res.Statements, st)
 			res.record(st)
 		}
@@ -175,10 +178,26 @@ func (a *Analyzer) AnalyzeText(text string) *Analysis {
 	return res
 }
 
+// analyzeRaw runs Steps 2–6 on one cased sentence: lowercase it, test
+// for a disclaimer and, when the sentence could realize a pattern,
+// parse it and extract its statements (Index 0).
+func (a *Analyzer) analyzeRaw(raw string, pb *nlp.ParseBuffer) sentenceEntry {
+	sent := strings.ToLower(raw)
+	e := sentenceEntry{lower: sent, disclaimer: isDisclaimer(sent)}
+	// A sentence that cannot realize any pattern yields no statements
+	// (analyzeSentence would return nil on the empty match set), so the
+	// dependency parse is skipped outright.
+	if a.matcher.CouldMatch(sent) {
+		e.statements = a.analyzeSentence(sent, pb.Parse(sent))
+	}
+	return e
+}
+
 // analyzeSentence applies Steps 4–6 to one parsed sentence. A sentence
 // may yield several statements when verbs are conjoined ("we collect,
-// use and share X").
-func (a *Analyzer) analyzeSentence(idx int, sent string, parse *nlp.Parse) []Statement {
+// use and share X"). Every statement has Index 0; the caller stamps the
+// sentence position.
+func (a *Analyzer) analyzeSentence(sent string, parse *nlp.Parse) []Statement {
 	ms := a.matcher.MatchParse(parse)
 	if len(ms) == 0 {
 		return nil
@@ -244,7 +263,6 @@ func (a *Analyzer) analyzeSentence(idx int, sent string, parse *nlp.Parse) []Sta
 			continue
 		}
 		out = append(out, Statement{
-			Index:       idx,
 			Sentence:    sent,
 			Category:    cat,
 			Negative:    neg,
@@ -260,7 +278,7 @@ func (a *Analyzer) analyzeSentence(idx int, sent string, parse *nlp.Parse) []Sta
 	// still counts as useful but contributes no resources.
 	if len(out) == 0 {
 		out = append(out, Statement{
-			Index: idx, Sentence: sent, Category: verbs.None,
+			Sentence: sent, Category: verbs.None,
 			Negative: neg, MainVerb: mainVerb, Executor: executor,
 			Constraints: constraints,
 		})

@@ -95,7 +95,8 @@ func TestPrefilterAnalysisEquivalent(t *testing.T) {
 			if isDisclaimerRef(sent) {
 				want.Disclaimer = true
 			}
-			for _, st := range a.analyzeSentence(i, sent, nlp.ParseSentence(sent)) {
+			for _, st := range a.analyzeSentence(sent, nlp.ParseSentence(sent)) {
+				st.Index = i
 				want.Statements = append(want.Statements, st)
 				want.record(st)
 			}

@@ -26,8 +26,10 @@
 #
 # The gated set is the observability- and performance-critical path:
 # APG construction (its allocs/op pin the per-app graph build), the
-# end-to-end CheckSafe pair (uninstrumented vs observed — their
-# ratio is the observer overhead), the frozen-CSR graph query mix and
+# end-to-end CheckSafe benches (uninstrumented vs observed — their
+# ratio is the observer overhead — and the corpus rotation, whose
+# allocs/op pin the warm per-app cost), the policy pipeline with every
+# sentence missing the analyzer's memo, the frozen-CSR graph query mix and
 # the Aho-Corasick lexicon screen (the two hot substrates under the
 # pipeline), the ESA Similarity benches (warm = memoized vector path,
 # cold = fresh interpretation, reference = legacy map path), the obs
@@ -41,7 +43,7 @@ rev=$(git rev-parse --short HEAD 2>/dev/null || echo dev)
 out="BENCH_${rev}.json"
 baseline=testdata/bench_baseline.json
 tol="${BENCH_TOLERANCE:-0.20}"
-timed='APGBuild|CheckSafe|GraphQueryThroughput|LexiconMatch|Similarity(Warm|Cold|ReferenceMap)|Span(Nil|Metrics|JSONL)'
+timed='APGBuild|CheckSafe|PolicyAnalysisCold|GraphQueryThroughput|LexiconMatch|Similarity(Warm|Cold|ReferenceMap)|Span(Nil|Metrics|JSONL)'
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
