@@ -28,7 +28,6 @@ import (
 	"ppchecker/internal/obs"
 	"ppchecker/internal/policy"
 	"ppchecker/internal/sensitive"
-	"ppchecker/internal/static"
 	"ppchecker/internal/synth"
 	"ppchecker/internal/taint"
 	"ppchecker/internal/verbs"
@@ -140,15 +139,13 @@ func BenchmarkSummary(b *testing.B) {
 // benchAblationStatic measures raw code-incomplete detections under a
 // static-analysis option variation; more raw detections than the
 // paper's 195 means extra false positives.
-func benchAblationStatic(b *testing.B, mutate func(*static.Options)) float64 {
+func benchAblationStatic(b *testing.B, cfg core.Config) float64 {
 	b.Helper()
 	ds := paperCorpus(b)
-	opts := static.DefaultOptions()
-	mutate(&opts)
 	b.ResetTimer()
 	var raw int
 	for i := 0; i < b.N; i++ {
-		res := eval.EvaluateCorpus(ds, core.WithStaticOptions(opts))
+		res := eval.EvaluateCorpus(ds, cfg.CheckerOptions()...)
 		raw = res.Summary().DetectedViaCode
 	}
 	return float64(raw)
@@ -158,7 +155,7 @@ func benchAblationStatic(b *testing.B, mutate func(*static.Options)) float64 {
 // filter: unreachable sensitive calls are then counted, inflating raw
 // detections.
 func BenchmarkAblationReachability(b *testing.B) {
-	raw := benchAblationStatic(b, func(o *static.Options) { o.Reachability = false })
+	raw := benchAblationStatic(b, core.Config{DisableReachability: true})
 	b.ReportMetric(raw, "raw-code-detections")
 }
 
@@ -166,14 +163,14 @@ func BenchmarkAblationReachability(b *testing.B) {
 // paper's delta over Slavin et al.): URI-only collections vanish,
 // deflating detections.
 func BenchmarkAblationURIs(b *testing.B) {
-	raw := benchAblationStatic(b, func(o *static.Options) { o.URIAnalysis = false })
+	raw := benchAblationStatic(b, core.Config{DisableURIAnalysis: true})
 	b.ReportMetric(raw, "raw-code-detections")
 }
 
 // BenchmarkAblationEdgeMiner turns off implicit callback edges:
 // callback-only code becomes unreachable.
 func BenchmarkAblationEdgeMiner(b *testing.B) {
-	raw := benchAblationStatic(b, func(o *static.Options) { o.APG.EdgeMiner = false })
+	raw := benchAblationStatic(b, core.Config{DisableEdgeMiner: true})
 	b.ReportMetric(raw, "raw-code-detections")
 }
 
@@ -184,7 +181,7 @@ func BenchmarkAblationDisclaimer(b *testing.B) {
 	b.ResetTimer()
 	var tab eval.TableIV
 	for i := 0; i < b.N; i++ {
-		tab = eval.EvaluateCorpus(ds, core.WithDisclaimerHandling(false)).ComputeTableIV()
+		tab = eval.EvaluateCorpus(ds, core.Config{DisableDisclaimers: true}.CheckerOptions()...).ComputeTableIV()
 	}
 	b.ReportMetric(float64(tab.CUR.FP), "cur-fp")
 	b.ReportMetric(100*tab.CUR.Precision(), "cur-precision-%")
@@ -197,7 +194,7 @@ func BenchmarkAblationESAThreshold(b *testing.B) {
 	b.ResetTimer()
 	var tab eval.TableIV
 	for i := 0; i < b.N; i++ {
-		tab = eval.EvaluateCorpus(ds, core.WithESAThreshold(0.85)).ComputeTableIV()
+		tab = eval.EvaluateCorpus(ds, core.Config{Threshold: 0.85}.CheckerOptions()...).ComputeTableIV()
 	}
 	b.ReportMetric(100*tab.CUR.Precision(), "cur-precision-at-0.85-%")
 	b.ReportMetric(100*tab.CUR.Recall(), "cur-recall-at-0.85-%")
@@ -213,7 +210,7 @@ func BenchmarkExtensionSynonymVerbs(b *testing.B) {
 	b.ResetTimer()
 	var tab eval.TableIV
 	for i := 0; i < b.N; i++ {
-		tab = eval.EvaluateCorpus(ds, core.WithSynonymExpansion()).ComputeTableIV()
+		tab = eval.EvaluateCorpus(ds, core.Config{SynonymExpansion: true}.CheckerOptions()...).ComputeTableIV()
 	}
 	b.ReportMetric(100*tab.CUR.Recall(), "cur-recall-%")
 	b.ReportMetric(100*tab.Disclose.Recall(), "disclose-recall-%")
@@ -228,7 +225,7 @@ func BenchmarkExtensionConstraints(b *testing.B) {
 	b.ResetTimer()
 	var tab eval.TableIV
 	for i := 0; i < b.N; i++ {
-		tab = eval.EvaluateCorpus(ds, core.WithConstraintAnalysis()).ComputeTableIV()
+		tab = eval.EvaluateCorpus(ds, core.Config{ConstraintAnalysis: true}.CheckerOptions()...).ComputeTableIV()
 	}
 	b.ReportMetric(100*tab.CUR.Precision(), "cur-precision-%")
 	b.ReportMetric(100*tab.CUR.Recall(), "cur-recall-%")

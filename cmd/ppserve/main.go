@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"ppchecker/internal/eval"
-	"ppchecker/internal/longi"
 	"ppchecker/internal/obs"
 	"ppchecker/internal/serve"
 )
@@ -89,7 +88,7 @@ func run() int {
 		Observer:   obs.New(obsOpts...),
 	}
 	if *longiFlag {
-		srvOpts.Longi = &longi.Config{}
+		srvOpts.History = true
 		srvOpts.LongiCacheEntries = *longiCache
 	}
 	srv := serve.New(srvOpts)

@@ -13,10 +13,8 @@ import (
 	"ppchecker/internal/desc"
 	"ppchecker/internal/esa"
 	"ppchecker/internal/obs"
-	"ppchecker/internal/patterns"
 	"ppchecker/internal/policy"
 	"ppchecker/internal/sensitive"
-	"ppchecker/internal/static"
 )
 
 // App is the input bundle for one app: everything Fig. 4 of the paper
@@ -46,9 +44,7 @@ type Checker struct {
 	policyAnalyzer *policy.Analyzer
 	descAnalyzer   *desc.Analyzer
 	index          *esa.Index
-	threshold      float64
-	staticOpts     static.Options
-	disclaimers    bool
+	cfg            Config
 
 	// libCache memoizes lib-policy analyses by policy text; the same 81
 	// library policies recur across the whole corpus. By default each
@@ -74,30 +70,17 @@ type Checker struct {
 	esaScope *esa.StatScope
 }
 
-// CheckerOption configures a Checker.
+// CheckerOption configures a Checker: its Config (see
+// Config.CheckerOptions) or its execution wiring, which never changes
+// results.
 type CheckerOption func(*Checker)
 
-// WithPolicyAnalyzer substitutes the policy analyzer (e.g. one built on
-// a mined pattern set for the Fig. 12 sweep). Analyzers are safe for
+// WithPolicyAnalyzer substitutes the policy analyzer the checker's
+// Config would build (e.g. one built on a mined pattern set for the
+// Fig. 12 sweep, or a pool's shared one). Analyzers are safe for
 // concurrent use, and checkers sharing one share its sentence memo.
 func WithPolicyAnalyzer(a *policy.Analyzer) CheckerOption {
 	return func(c *Checker) { c.policyAnalyzer = a }
-}
-
-// WithESAThreshold overrides the similarity threshold (default 0.67).
-func WithESAThreshold(t float64) CheckerOption {
-	return func(c *Checker) { c.threshold = t }
-}
-
-// WithStaticOptions overrides the static-analysis options.
-func WithStaticOptions(o static.Options) CheckerOption {
-	return func(c *Checker) { c.staticOpts = o }
-}
-
-// WithDisclaimerHandling toggles the §IV-C disclaimer rule (default
-// on); the ablation bench turns it off.
-func WithDisclaimerHandling(on bool) CheckerOption {
-	return func(c *Checker) { c.disclaimers = on }
 }
 
 // WithObserver attaches an observability sink: every pipeline stage
@@ -136,53 +119,23 @@ func WithESAStatScope(sc *esa.StatScope) CheckerOption {
 	}
 }
 
-// WithSynonymExpansion enables the §VI extension that adds synonym
-// verbs ("display", "check", ...) to the category lists, recovering
-// the paper's reported false negatives.
-func WithSynonymExpansion() CheckerOption {
-	return func(c *Checker) {
-		c.policyAnalyzer = policy.NewAnalyzer(policy.WithMatcher(patterns.ExtendedMatcher()))
+// NewChecker builds a checker with the paper's defaults; options set
+// its Config (Config.CheckerOptions) and its execution wiring. It
+// builds the configured policy analyzer and a private library-policy
+// cache only when no shared one was injected.
+func NewChecker(opts ...CheckerOption) *Checker {
+	c := &Checker{
+		descAnalyzer: desc.NewAnalyzer(),
+		index:        esa.Default(),
 	}
-}
-
-// WithConstraintAnalysis enables the §VI extension that models
-// consent-style constraints ("without your consent") when analyzing
-// policies.
-func WithConstraintAnalysis() CheckerOption {
-	return func(c *Checker) {
-		c.policyAnalyzer = policy.NewAnalyzer(policy.WithConstraintAnalysis(true))
-	}
-}
-
-// PolicyAnalyzerFor returns the policy analyzer a checker built with
-// opts analyzes policies with: the one WithPolicyAnalyzer passes, a
-// new one for an extension option, or a new default one. The analysis
-// pool builds it once and passes it to every worker's checker, so the
-// workers share its sentence memo.
-func PolicyAnalyzerFor(opts ...CheckerOption) *policy.Analyzer {
-	c := &Checker{}
 	for _, o := range opts {
 		o(c)
 	}
 	if c.policyAnalyzer == nil {
-		return policy.NewAnalyzer()
+		c.policyAnalyzer = c.cfg.PolicyAnalyzer()
 	}
-	return c.policyAnalyzer
-}
-
-// NewChecker builds a checker with the paper's defaults.
-func NewChecker(opts ...CheckerOption) *Checker {
-	c := &Checker{
-		policyAnalyzer: policy.NewAnalyzer(),
-		descAnalyzer:   desc.NewAnalyzer(),
-		index:          esa.Default(),
-		threshold:      esa.DefaultThreshold,
-		staticOpts:     static.DefaultOptions(),
-		disclaimers:    true,
-		libCache:       NewAnalysisCache(),
-	}
-	for _, o := range opts {
-		o(c)
+	if c.libCache == nil {
+		c.libCache = NewAnalysisCache()
 	}
 	if c.esaScope != nil {
 		c.descAnalyzer = c.descAnalyzer.WithESAStatScope(c.esaScope)
@@ -196,6 +149,9 @@ func NewChecker(opts ...CheckerOption) *Checker {
 	}
 	return c
 }
+
+// Config returns the checker's configuration.
+func (c *Checker) Config() Config { return c.cfg }
 
 // Check runs the three detectors over one app and returns the report.
 // It is CheckSafe without a deadline: well-formed input produces the
@@ -234,7 +190,7 @@ func (c *Checker) vec(phrase string) *esa.ConceptVec {
 func (c *Checker) similarTo(info string, set []string) bool {
 	iv := c.vec(info)
 	for _, s := range set {
-		if esa.CosineVec(iv, c.index.InterpretVecScoped(s, c.esaScope)) >= c.threshold {
+		if esa.CosineVec(iv, c.index.InterpretVecScoped(s, c.esaScope)) >= c.cfg.threshold() {
 			return true
 		}
 	}

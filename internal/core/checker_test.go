@@ -206,7 +206,7 @@ func TestDisclaimerSuppressesInconsistency(t *testing.T) {
 		t.Fatalf("disclaimer ignored: %+v", r.Inconsistent)
 	}
 	// Ablation: with disclaimer handling off, the conflict resurfaces.
-	r = NewChecker(WithDisclaimerHandling(false)).Check(app)
+	r = NewChecker(Config{DisableDisclaimers: true}.CheckerOptions()...).Check(app)
 	if len(r.Inconsistent) != 1 {
 		t.Fatalf("ablation found %d inconsistencies", len(r.Inconsistent))
 	}
@@ -309,7 +309,7 @@ func TestThresholdOption(t *testing.T) {
 		t.Fatalf("default threshold found %d conflicts", len(r.Inconsistent))
 	}
 	// Absurdly strict threshold: the paraphrase no longer matches.
-	if r := NewChecker(WithESAThreshold(0.999)).Check(app); len(r.Inconsistent) != 0 {
+	if r := NewChecker(Config{Threshold: 0.999}.CheckerOptions()...).Check(app); len(r.Inconsistent) != 0 {
 		t.Fatalf("strict threshold still found conflicts: %+v", r.Inconsistent)
 	}
 }

@@ -27,7 +27,7 @@ func TestSynonymExpansionRecoversDisplayFN(t *testing.T) {
 		t.Fatalf("default config detected the display sentence: %+v", r.Inconsistent)
 	}
 	// Synonym expansion: "display" joins the disclose verbs.
-	r = NewChecker(WithSynonymExpansion()).Check(app)
+	r = NewChecker(Config{SynonymExpansion: true}.CheckerOptions()...).Check(app)
 	if len(r.Inconsistent) != 1 || !r.Inconsistent[0].Disclose() {
 		t.Fatalf("synonym expansion missed the conflict: %+v", r.Inconsistent)
 	}
@@ -47,7 +47,7 @@ func TestSynonymExpansionCheckVerb(t *testing.T) {
 	if r := NewChecker().Check(app); len(r.Inconsistent) != 0 {
 		t.Fatalf("default config detected check-verb sentence: %+v", r.Inconsistent)
 	}
-	r := NewChecker(WithSynonymExpansion()).Check(app)
+	r := NewChecker(Config{SynonymExpansion: true}.CheckerOptions()...).Check(app)
 	if len(r.Inconsistent) != 1 || r.Inconsistent[0].Category != verbs.Collect {
 		t.Fatalf("synonym expansion missed the check conflict: %+v", r.Inconsistent)
 	}
@@ -74,7 +74,7 @@ func TestConstraintAnalysisConsentException(t *testing.T) {
 		t.Fatalf("default config did not flag the consent sentence: %+v", r.Inconsistent)
 	}
 	// Extension: the denial becomes a conditional permission.
-	r = NewChecker(WithConstraintAnalysis()).Check(app)
+	r = NewChecker(Config{ConstraintAnalysis: true}.CheckerOptions()...).Check(app)
 	if len(r.Inconsistent) != 0 {
 		t.Fatalf("constraint analysis kept the conflict: %+v", r.Inconsistent)
 	}
@@ -105,7 +105,7 @@ func TestConstraintAnalysisPlainNegationUnchanged(t *testing.T) {
 			"Unity3d": `<p>We may share your personal information with our partners.</p>`,
 		},
 	}
-	r := NewChecker(WithConstraintAnalysis()).Check(app)
+	r := NewChecker(Config{ConstraintAnalysis: true}.CheckerOptions()...).Check(app)
 	if len(r.Inconsistent) != 1 {
 		t.Fatalf("plain denial no longer conflicts: %+v", r.Inconsistent)
 	}

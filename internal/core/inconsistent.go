@@ -17,7 +17,7 @@ func (c *Checker) detectInconsistent(app *App, r *Report) {
 	if len(r.Libs) == 0 || len(app.LibPolicies) == 0 {
 		return
 	}
-	if c.disclaimers && r.Policy.Disclaimer {
+	if !c.cfg.DisableDisclaimers && r.Policy.Disclaimer {
 		return
 	}
 	libNames := make([]string, 0, len(r.Libs))
@@ -77,7 +77,7 @@ func (c *Checker) sharedResource(appRes, libRes []string) (string, bool) {
 			if lvs[j] == nil {
 				lvs[j] = c.index.InterpretVecScoped(lr, c.esaScope)
 			}
-			if esa.CosineVec(av, lvs[j]) >= c.threshold {
+			if esa.CosineVec(av, lvs[j]) >= c.cfg.threshold() {
 				return ar, true
 			}
 		}

@@ -69,7 +69,7 @@ func (c *Checker) negatedSentenceFor(r *Report, cat verbs.Category, info string)
 			continue
 		}
 		for _, res := range st.Resources {
-			if esa.CosineVec(iv, c.index.InterpretVecScoped(res, c.esaScope)) >= c.threshold {
+			if esa.CosineVec(iv, c.index.InterpretVecScoped(res, c.esaScope)) >= c.cfg.threshold() {
 				return st.Sentence, true
 			}
 		}

@@ -111,7 +111,7 @@ func (c *Checker) CheckMemo(ctx context.Context, app *App, memo StageMemo) (*Rep
 			ar := arenaPool.Get().(*arena)
 			var p *apg.APG
 			okStatic := c.stage(ctx, r, StageStatic, func() error {
-				res, pg, err := static.CollectWith(ctx, app.APK, c.staticOpts, &ar.build)
+				res, pg, err := static.CollectWith(ctx, app.APK, c.cfg.staticOptions(), &ar.build)
 				if err != nil {
 					return err
 				}

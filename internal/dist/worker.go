@@ -42,10 +42,10 @@ type WorkerOptions struct {
 
 	// Attempt bounds each app's analysis (timeout and retry budget).
 	Attempt eval.AttemptOptions
-	// CheckerOptions configure the per-goroutine checkers. Every
-	// worker sharing a coordinator must use an equivalent
-	// configuration, or the shared remote cache would alias results.
-	CheckerOptions []core.CheckerOption
+	// Config is the per-goroutine checkers' configuration. Every
+	// worker sharing a coordinator must use the same configuration, or
+	// the shared remote cache would alias results.
+	Config core.Config
 	// Observer instruments the worker's checkers and dist counters.
 	Observer *obs.Observer
 
@@ -212,7 +212,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 		libCache = core.NewBackedAnalysisCache(NewBacking(sharded, opts.CacheNamespace))
 	}
 
-	pool := eval.NewPool("dist", opts.Attempt, nil, opts.Observer, libCache, opts.CheckerOptions...)
+	pool := eval.NewPool("dist", opts.Attempt, nil, opts.Observer, libCache, opts.Config)
 
 	var (
 		stats    WorkerStats

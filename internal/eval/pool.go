@@ -41,22 +41,23 @@ type Result struct {
 	Quarantined bool
 }
 
-// NewPool builds a pool. Its checkers share cache (a new one when nil),
-// one policy analyzer (so each distinct policy sentence is analyzed
-// once per pool), the observer and a per-pool ESA stat scope, so pools
-// sharing the process-global ESA memo (inevitable under ppserve) never
-// count each other's interpret-memo traffic. name prefixes the pool's
+// NewPool builds a pool whose checkers have configuration cfg. They
+// share cache (a new one when nil), one policy analyzer built from cfg
+// (so each distinct policy sentence is analyzed once per pool), the
+// observer and a per-pool ESA stat scope, so pools sharing the
+// process-global ESA memo (inevitable under ppserve) never count each
+// other's interpret-memo traffic. name prefixes the pool's
 // quarantine, breaker and retry counters ("stream" gives
 // stream-breaker-trips). A nil breaker never quarantines.
 func NewPool(name string, attempt AttemptOptions, breaker *Breaker, o *obs.Observer,
-	cache *core.AnalysisCache, checkerOpts ...core.CheckerOption) *Pool {
+	cache *core.AnalysisCache, cfg core.Config) *Pool {
 	if cache == nil {
 		cache = core.NewAnalysisCache()
 	}
-	analyzer := core.PolicyAnalyzerFor(checkerOpts...)
+	analyzer := cfg.PolicyAnalyzer()
 	scope := esa.NewStatScope()
 	return &Pool{
-		checkerOpts: append(append([]core.CheckerOption{}, checkerOpts...),
+		checkerOpts: append(cfg.CheckerOptions(),
 			core.WithPolicyAnalyzer(analyzer), core.WithSharedAnalysisCache(cache),
 			core.WithObserver(o), core.WithESAStatScope(scope)),
 		attempt:     attempt,

@@ -58,8 +58,8 @@ type RunOptions struct {
 	// Attempt bounds each app's analysis: per-attempt timeout and the
 	// retry budget with its backoff schedule.
 	Attempt AttemptOptions
-	// CheckerOptions configure the per-worker checkers.
-	CheckerOptions []core.CheckerOption
+	// Config is the per-worker checkers' configuration.
+	Config core.Config
 	// Observer, when non-nil, instruments the run: every worker's
 	// checker reports stage spans to it, each app gets a corpus-run
 	// span covering its whole analysis (retries included), and the
@@ -247,7 +247,7 @@ func RunJobs(ctx context.Context, jobs []Job, opts RunOptions) (*CorpusResult, R
 		mu sync.Mutex
 		wg sync.WaitGroup
 	)
-	pool := NewPool("eval", opts.Attempt, nil, opts.Observer, opts.SharedAnalysisCache, opts.CheckerOptions...)
+	pool := NewPool("eval", opts.Attempt, nil, opts.Observer, opts.SharedAnalysisCache, opts.Config)
 	idxCh := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -22,7 +22,7 @@ type ThresholdPoint struct {
 func RunThresholdSweep(ds *synth.Dataset, thresholds []float64) []ThresholdPoint {
 	out := make([]ThresholdPoint, 0, len(thresholds))
 	for _, th := range thresholds {
-		res := EvaluateCorpus(ds, core.WithESAThreshold(th))
+		res := EvaluateCorpus(ds, core.Config{Threshold: th}.CheckerOptions()...)
 		tab := res.ComputeTableIV()
 		out = append(out, ThresholdPoint{Threshold: th, CUR: tab.CUR, Disclose: tab.Disclose})
 	}

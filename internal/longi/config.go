@@ -1,80 +1,7 @@
 package longi
 
-import (
-	"encoding/json"
-
-	"ppchecker/internal/core"
-	"ppchecker/internal/esa"
-	"ppchecker/internal/static"
-)
+import "ppchecker/internal/core"
 
 // Config is the checker configuration the engine fingerprints into
-// every stage key. It deliberately covers only the knobs that change
-// analysis *results*; observers, caches, and stat scopes are
-// execution details and stay out of the fingerprint. The zero value is
-// the paper-default configuration.
-//
-// Fields are phrased so that the zero value means "default" (disable
-// flags instead of enable flags where the default is on): two callers
-// that mean the same configuration must produce the same fingerprint.
-type Config struct {
-	// Threshold overrides the ESA similarity threshold; 0 means the
-	// default.
-	Threshold float64 `json:"threshold"`
-	// SynonymExpansion switches the policy analyzer to the extended
-	// verb matcher.
-	SynonymExpansion bool `json:"synonym_expansion"`
-	// ConstraintAnalysis enables conditional-statement analysis.
-	ConstraintAnalysis bool `json:"constraint_analysis"`
-	// DisableDisclaimers turns off disclaimer suppression (on by
-	// default).
-	DisableDisclaimers bool `json:"disable_disclaimers"`
-	// DisableURIAnalysis / DisableReachability turn off the static
-	// ablations that default to on.
-	DisableURIAnalysis  bool `json:"disable_uri_analysis"`
-	DisableReachability bool `json:"disable_reachability"`
-}
-
-// Fingerprint returns the canonical byte form of the configuration,
-// mixed into every stage key so artifacts computed under one
-// configuration can never satisfy another. Thresholds are normalized
-// (0 → the concrete default) before encoding, so spelling the default
-// explicitly does not split the cache.
-func (c Config) Fingerprint() []byte {
-	norm := c
-	if norm.Threshold == 0 {
-		norm.Threshold = esa.DefaultThreshold
-	}
-	// Struct field order is fixed at compile time, so this marshal is
-	// canonical.
-	b, err := json.Marshal(norm)
-	if err != nil {
-		// A flat struct of bools and a float cannot fail to marshal.
-		panic("longi: config fingerprint: " + err.Error())
-	}
-	return b
-}
-
-// CheckerOptions translates the configuration into core checker
-// options. Shared caches, observers, and stat scopes are appended by
-// the caller; they do not affect results and are not fingerprinted.
-func (c Config) CheckerOptions() []core.CheckerOption {
-	var opts []core.CheckerOption
-	if c.SynonymExpansion {
-		opts = append(opts, core.WithSynonymExpansion())
-	}
-	if c.ConstraintAnalysis {
-		opts = append(opts, core.WithConstraintAnalysis())
-	}
-	if c.Threshold != 0 {
-		opts = append(opts, core.WithESAThreshold(c.Threshold))
-	}
-	if c.DisableDisclaimers {
-		opts = append(opts, core.WithDisclaimerHandling(false))
-	}
-	so := static.DefaultOptions()
-	so.URIAnalysis = !c.DisableURIAnalysis
-	so.Reachability = !c.DisableReachability
-	opts = append(opts, core.WithStaticOptions(so))
-	return opts
-}
+// every stage key (see core.Config).
+type Config = core.Config

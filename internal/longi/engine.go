@@ -1,9 +1,11 @@
 package longi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -98,7 +100,8 @@ func (s CacheStats) HitRate() float64 {
 // stateless apart from the store handle, the config fingerprint, and
 // atomic counters, so one engine serves any number of concurrent
 // workers; per-worker state (analyzers) lives in the core.Checker each
-// caller passes in, which must be built from Config.CheckerOptions().
+// caller passes in, whose Config must be the engine's (CheckVersion
+// refuses any other).
 type Engine struct {
 	store Store
 	cfg   Config
@@ -146,12 +149,20 @@ func (e *Engine) Stats() CacheStats {
 // complete, successful computations — so a version that degraded under
 // a timeout or an exhausted retry budget leaves no trace to poison
 // later runs.
+//
+// A checker configured differently from the engine is refused before
+// any artifact is read or written: its results would be stored under,
+// and served for, a configuration that never computed them.
 func (e *Engine) CheckVersion(ctx context.Context, checker *core.Checker, app *core.App) (*core.Report, error) {
 	if app == nil {
 		return nil, errors.New("longi: nil app")
 	}
 	if checker == nil {
 		return nil, errors.New("longi: nil checker")
+	}
+	if cfg := checker.Config(); cfg != e.cfg && !bytes.Equal(cfg.Fingerprint(), e.fp) {
+		return nil, fmt.Errorf("longi: checker config %s does not match engine config %s",
+			cfg.Fingerprint(), e.fp)
 	}
 	r, err := checker.CheckMemo(ctx, app, e.memo(ctx, app))
 	r.Timings = nil

@@ -85,10 +85,10 @@ func RunCorpus(ctx context.Context, e *Engine, corpus *synth.VersionedCorpus, op
 	}
 
 	res, estats, err := eval.RunJobs(ctx, jobs, eval.RunOptions{
-		Workers:        opts.Workers,
-		Attempt:        opts.Attempt,
-		CheckerOptions: e.Config().CheckerOptions(),
-		Observer:       opts.Observer,
+		Workers:  opts.Workers,
+		Attempt:  opts.Attempt,
+		Config:   e.Config(),
+		Observer: opts.Observer,
 	})
 	if err != nil {
 		return nil, err

@@ -22,9 +22,9 @@ import (
 // inputs and the checker configuration are unchanged, exactly the
 // invalidation rule the artifact store itself uses.
 //
-// The stream's workers must be built from the same configuration as
-// the engine: pass engine.Config().CheckerOptions() as the stream's
-// CheckerOptions.
+// The stream's workers must have the engine's configuration: pass
+// engine.Config() as the stream's Config (CheckVersion refuses any
+// other).
 type VersionSource struct {
 	eng  *Engine
 	fh   *synth.VersionedFirehose

@@ -22,10 +22,10 @@ func collectResults(t *testing.T, eng *Engine, apps int64, j *stream.Journal, rp
 	got := map[string][]byte{}
 	var mu sync.Mutex // OnResult fires from concurrent workers
 	stats, err := stream.Run(context.Background(), src, stream.Options{
-		Workers:        4,
-		CheckerOptions: eng.Config().CheckerOptions(),
-		Journal:        j,
-		Replay:         rp,
+		Workers: 4,
+		Config:  eng.Config(),
+		Journal: j,
+		Replay:  rp,
 		OnResult: func(r stream.Result) {
 			if r.Report == nil {
 				return // replayed-over items carry no report

@@ -40,7 +40,7 @@ func NewHarness(corpusSeed int64, numApps int) (*Harness, error) {
 		NumApps:    numApps,
 		ds:         ds,
 		base:       core.NewChecker(),
-		syn:        core.NewChecker(core.WithSynonymExpansion()),
+		syn:        core.NewChecker(core.Config{SynonymExpansion: true}.CheckerOptions()...),
 	}, nil
 }
 

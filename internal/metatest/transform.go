@@ -96,9 +96,9 @@ type Transform struct {
 	// are excluded from All() and from the invariance sweep.
 	Planted bool
 	// NeedsSynonyms marks transforms whose invariant only holds under a
-	// checker built with core.WithSynonymExpansion (replacement verbs
-	// drawn from verbs.ExtendedLemmas are invisible to the default
-	// matcher).
+	// checker whose core.Config sets SynonymExpansion (replacement
+	// verbs drawn from verbs.ExtendedLemmas are invisible to the
+	// default matcher).
 	NeedsSynonyms bool
 	Doc           string
 	Apply         func(html string, rng *rand.Rand) (string, bool)

@@ -83,7 +83,8 @@ var corePools = map[verbs.Category][]string{
 }
 
 // extPools additionally draw from verbs.ExtendedLemmas — the §VI
-// synonym lists — and are only sound under core.WithSynonymExpansion.
+// synonym lists — and are only sound under a checker whose core.Config
+// sets SynonymExpansion.
 var extPools = map[verbs.Category][]string{
 	verbs.Collect:  {"collect", "gather", "check", "view", "inspect"},
 	verbs.Use:      {"use", "process", "evaluate", "examine"},

@@ -148,8 +148,9 @@ func isAbbrevBefore(text string, i int) bool {
 		return true
 	}
 	// Single letters followed by '.' are usually initialisms (e.g. the
-	// 'e' and 'g' of a split "e. g.").
-	return len(word) == 1
+	// 'e' and 'g' of a split "e. g."); a single digit ends a sentence
+	// ("version 2.").
+	return len(word) == 1 && !isDigit(word[0])
 }
 
 // mergeEnumerations appends each sentence to its predecessor when the

@@ -1,6 +1,7 @@
 package nlp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -93,5 +94,27 @@ func TestSplitSentencesEnumerationImperativeEndsRun(t *testing.T) {
 	}
 	if got[1] != "please read this policy carefully." {
 		t.Errorf("sentence 1 = %q", got[1])
+	}
+}
+
+// TestSplitSentencesSingleCharacterBeforePeriod: a lone letter before
+// '.' is an initialism ("e. g."), but a lone digit ends a sentence.
+func TestSplitSentencesSingleCharacterBeforePeriod(t *testing.T) {
+	for _, tc := range []struct {
+		text string
+		want []string
+	}{
+		{"We updated it in version 2. We collect your location.",
+			[]string{"we updated it in version 2.", "we collect your location."}},
+		{"We share data with partners, e. g. advertisers. We collect your location.",
+			[]string{"we share data with partners, e. g. advertisers.", "we collect your location."}},
+		{"See section No. 5 of this policy. We collect your location.",
+			[]string{"see section no. 5 of this policy.", "we collect your location."}},
+		{"This policy has 3 parts. We collect your location.",
+			[]string{"this policy has 3 parts.", "we collect your location."}},
+	} {
+		if got := SplitSentences(tc.text); !slices.Equal(got, tc.want) {
+			t.Errorf("SplitSentences(%q) = %q, want %q", tc.text, got, tc.want)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"testing"
 
-	"ppchecker/internal/longi"
 	"ppchecker/internal/serve"
 	"ppchecker/internal/synth"
 )
@@ -25,7 +24,7 @@ func historyRequest(t testing.TB, va synth.VersionedApp) serve.HistoryRequest {
 // drift findings, and that a repeated post is served from the
 // server-lifetime artifact store without changing the answer.
 func TestServeCheckHistory(t *testing.T) {
-	srv := startServer(t, serve.Options{Workers: 2, Longi: &longi.Config{}})
+	srv := startServer(t, serve.Options{Workers: 2, History: true})
 	fh := synth.NewVersionedFirehose(51, 5)
 
 	// Find an app whose history has planted drift.
@@ -94,7 +93,7 @@ func TestServeCheckHistory(t *testing.T) {
 	}
 }
 
-// TestServeCheckHistoryDisabled: without Options.Longi the endpoint
+// TestServeCheckHistoryDisabled: without Options.History the endpoint
 // answers 501, and an empty chain is 400.
 func TestServeCheckHistoryDisabled(t *testing.T) {
 	srv := startServer(t, serve.Options{Workers: 1})
@@ -104,7 +103,7 @@ func TestServeCheckHistoryDisabled(t *testing.T) {
 		t.Fatalf("disabled endpoint status = %d, body %s", resp.StatusCode, body)
 	}
 
-	srv2 := startServer(t, serve.Options{Workers: 1, Longi: &longi.Config{}})
+	srv2 := startServer(t, serve.Options{Workers: 1, History: true})
 	resp2, body2 := postJSON(t, "http://"+srv2.Addr()+"/check-history", serve.HistoryRequest{Name: "x"})
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty chain status = %d, body %s", resp2.StatusCode, body2)

@@ -33,10 +33,11 @@ type Options struct {
 	Attempt eval.AttemptOptions
 	// MaxBodyBytes bounds a request body; <= 0 means 64 MiB.
 	MaxBodyBytes int64
-	// CheckerOptions configure the per-worker checkers (threshold,
-	// extensions, ...). The shared cache, observer and stat scope are
-	// appended by the server.
-	CheckerOptions []core.CheckerOption
+	// Config is the per-worker checkers' configuration (threshold,
+	// extensions, ...), and the /check-history engine's: both are built
+	// from this one value, so the artifact store's config fingerprint
+	// always matches the checkers that fill it.
+	Config core.Config
 	// Observer instruments the server; nil constructs a fresh one.
 	// The /metrics endpoint renders its snapshot.
 	Observer *obs.Observer
@@ -46,12 +47,9 @@ type Options struct {
 	// value uses eval.DefaultBreakerConfig; a negative Threshold
 	// disables the breaker.
 	Breaker eval.BreakerConfig
-	// Longi, when non-nil, enables /check-history backed by a
-	// server-lifetime longitudinal engine. The per-worker checkers are
-	// then derived from this config (CheckerOptions is ignored) so the
-	// artifact store's config fingerprint always matches the checkers
-	// that fill it.
-	Longi *longi.Config
+	// History enables /check-history backed by a server-lifetime
+	// longitudinal engine.
+	History bool
 	// LongiCacheEntries bounds the in-memory artifact store backing
 	// /check-history; <= 0 means 4096 artifacts.
 	LongiCacheEntries int
@@ -111,7 +109,7 @@ type Server struct {
 	obs     *obs.Observer
 	breaker *eval.Breaker
 
-	longiEng *longi.Engine // nil unless Options.Longi is set
+	longiEng *longi.Engine // nil unless Options.History is set
 
 	jobs    chan *job
 	mu      sync.Mutex // guards queued
@@ -133,15 +131,10 @@ func New(opts Options) *Server {
 		breaker: eval.NewBreaker(opts.Breaker),
 		jobs:    make(chan *job, opts.QueueDepth),
 	}
-	checkerOpts := opts.CheckerOptions
-	if opts.Longi != nil {
-		s.longiEng = longi.NewEngine(longi.NewMemStore(opts.LongiCacheEntries), *opts.Longi)
-		// The artifact store keys by the longi config fingerprint, so the
-		// checkers must be built from that config and nothing else (the
-		// pool's shared caches never change analysis results).
-		checkerOpts = s.longiEng.Config().CheckerOptions()
+	if opts.History {
+		s.longiEng = longi.NewEngine(longi.NewMemStore(opts.LongiCacheEntries), opts.Config)
 	}
-	s.pool = eval.NewPool("serve", opts.Attempt, s.breaker, s.obs, nil, checkerOpts...)
+	s.pool = eval.NewPool("serve", opts.Attempt, s.breaker, s.obs, nil, opts.Config)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/check", s.handleCheck)
 	mux.HandleFunc("/check-batch", s.handleCheckBatch)
@@ -349,7 +342,7 @@ func (s *Server) handleCheckHistory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.longiEng == nil {
-		WriteError(w, http.StatusNotImplemented, "longitudinal analysis is not enabled (Options.Longi)")
+		WriteError(w, http.StatusNotImplemented, "longitudinal analysis is not enabled (Options.History)")
 		return
 	}
 	if s.draining.Load() {

@@ -10,7 +10,7 @@
 //	POST /check-batch    a list of bundles in, per-app reports + counts out
 //	POST /check-history  one app's release chain in, per-version reports
 //	                     plus cross-version drift findings out (requires
-//	                     Options.Longi; unchanged sections of consecutive
+//	                     Options.History; unchanged sections of consecutive
 //	                     versions are served from the server-lifetime
 //	                     artifact store instead of re-analyzed)
 //	GET  /healthz        health state machine (JSON: ok/degraded/draining

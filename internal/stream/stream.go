@@ -25,8 +25,8 @@ type Options struct {
 	QueueDepth int
 	// Attempt bounds each app's analysis (timeout and retry budget).
 	Attempt eval.AttemptOptions
-	// CheckerOptions configure the per-worker checkers.
-	CheckerOptions []core.CheckerOption
+	// Config is the per-worker checkers' configuration.
+	Config core.Config
 	// Observer instruments the run; the stream layer publishes its
 	// queue/backpressure/breaker/journal counters to it.
 	Observer *obs.Observer
@@ -137,7 +137,7 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 	}
 
 	pool := eval.NewPool("stream", opts.Attempt, opts.Breaker, opts.Observer,
-		opts.SharedAnalysisCache, opts.CheckerOptions...)
+		opts.SharedAnalysisCache, opts.Config)
 
 	queue := make(chan *Item, queueDepth)
 	var queued, highWater int // guarded by mu

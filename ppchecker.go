@@ -59,6 +59,11 @@ type (
 	Checker = core.Checker
 	// CheckerOption configures a Checker.
 	CheckerOption = core.CheckerOption
+	// Config describes every result-changing checker knob: the ESA
+	// threshold, the §VI extensions (synonym verbs, consent
+	// constraints) and the ablations; its zero value is the paper
+	// default. Apply one with NewChecker(cfg.CheckerOptions()...).
+	Config = core.Config
 	// Via tells which evidence stream produced a finding.
 	Via = core.Via
 	// IncompleteFinding is a missed-information record.
@@ -125,22 +130,6 @@ type (
 // set, ESA threshold 0.67, reachability + URI analysis + EdgeMiner +
 // ICC enabled, disclaimer handling on).
 func NewChecker(opts ...CheckerOption) *Checker { return core.NewChecker(opts...) }
-
-// WithESAThreshold overrides the resource-similarity threshold.
-func WithESAThreshold(t float64) CheckerOption { return core.WithESAThreshold(t) }
-
-// WithDisclaimerHandling toggles the third-party disclaimer rule.
-func WithDisclaimerHandling(on bool) CheckerOption { return core.WithDisclaimerHandling(on) }
-
-// WithSynonymExpansion enables the synonym-verb extension (§VI of the
-// paper): verbs like "display" and "check" join the category lists,
-// recovering the published system's false negatives.
-func WithSynonymExpansion() CheckerOption { return core.WithSynonymExpansion() }
-
-// WithConstraintAnalysis enables the consent-constraint extension (§VI
-// of the paper): "we will not share X without your consent" is treated
-// as a conditional permission rather than a denial.
-func WithConstraintAnalysis() CheckerOption { return core.WithConstraintAnalysis() }
 
 // WithObserver instruments the checker: every pipeline stage and
 // detector reports a span (counts, latency histogram, optional trace)

@@ -221,11 +221,11 @@ func TestPublicExtensionOptions(t *testing.T) {
 	if len(base.Policy.NotDisclose) == 0 {
 		t.Fatal("base analysis missing NotDisclose")
 	}
-	ext := NewChecker(WithConstraintAnalysis()).Check(app)
+	ext := NewChecker(Config{ConstraintAnalysis: true}.CheckerOptions()...).Check(app)
 	if len(ext.Policy.NotDisclose) != 0 {
 		t.Fatalf("constraint analysis kept NotDisclose: %v", ext.Policy.NotDisclose)
 	}
-	syn := NewChecker(WithSynonymExpansion()).Check(&App{
+	syn := NewChecker(Config{SynonymExpansion: true}.CheckerOptions()...).Check(&App{
 		Name:       "com.example.syn",
 		PolicyHTML: "<p>We will not display any of your personal information.</p>",
 	})
