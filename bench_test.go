@@ -18,8 +18,10 @@ import (
 
 	"ppchecker/internal/actrie"
 	"ppchecker/internal/apg"
+	"ppchecker/internal/apk"
 	"ppchecker/internal/autoppg"
 	"ppchecker/internal/core"
+	"ppchecker/internal/dex"
 	"ppchecker/internal/esa"
 	"ppchecker/internal/eval"
 	"ppchecker/internal/graphdb"
@@ -28,6 +30,7 @@ import (
 	"ppchecker/internal/obs"
 	"ppchecker/internal/policy"
 	"ppchecker/internal/sensitive"
+	"ppchecker/internal/static"
 	"ppchecker/internal/synth"
 	"ppchecker/internal/taint"
 	"ppchecker/internal/verbs"
@@ -400,6 +403,75 @@ func BenchmarkTaintAnalysis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		taint.Analyze(p)
 	}
+}
+
+// BenchmarkStaticLargeImage runs APG build, collection scan and taint
+// over one image of n one-method classes chained by calls, with a
+// source at the head of the chain and a sink at its tail, through the
+// reusable scratch a worker holds. Every invoke, entry point and
+// worklist visit resolves a method, so a resolution that scans the
+// classes makes the whole pass quadratic in n; ns/op should grow about
+// fourfold from 1,000 to 4,000 classes.
+func BenchmarkStaticLargeImage(b *testing.B) {
+	for _, n := range []int{1000, 4000} {
+		b.Run(fmt.Sprintf("classes=%d", n), func(b *testing.B) {
+			a := chainAPK(n)
+			ctx := context.Background()
+			var ss static.Scratch
+			var ts taint.Scratch
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, p, err := static.CollectWith(ctx, a, static.DefaultOptions(), &ss)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Leaks, err = static.TaintLeaksWith(ctx, p, &ts); err != nil || len(res.Leaks) != 1 {
+					b.Fatalf("leaks %d, err %v; want one leak", len(res.Leaks), err)
+				}
+			}
+		})
+	}
+}
+
+// chainAPK builds an app of n classes: C0's onCreate (the launcher
+// activity's entry) reads the device id and passes it to C1.run, each
+// Ci.run passes it on to Ci+1.run, and the last one logs it.
+func chainAPK(n int) *apk.APK {
+	class := func(i int) dex.TypeDesc { return dex.TypeDesc(fmt.Sprintf("Lcom/chain/app/C%d;", i)) }
+	run := func(i int) dex.MethodRef {
+		return dex.MethodRef{Class: class(i), Name: "run", Sig: "(Ljava/lang/String;)V"}
+	}
+	ret := dex.Instr{Op: dex.OpReturnVoid, A: -1, B: -1}
+	d := &dex.Dex{}
+	for i := 0; i < n; i++ {
+		cls := &dex.Class{Name: class(i), Super: "Ljava/lang/Object;"}
+		switch {
+		case i == 0:
+			cls.Super = "Landroid/app/Activity;"
+			cls.AddMethod(&dex.Method{Name: "onCreate", Sig: "(Landroid/os/Bundle;)V", NumRegs: 3, Code: []dex.Instr{
+				{Op: dex.OpInvokeVirtual, A: 2, B: -1, Args: []int{0},
+					Method: dex.MethodRef{Class: "Landroid/telephony/TelephonyManager;", Name: "getDeviceId", Sig: "()Ljava/lang/String;"}},
+				{Op: dex.OpInvokeStatic, A: -1, B: -1, Args: []int{2}, Method: run(1)},
+				ret,
+			}})
+		case i < n-1:
+			cls.AddMethod(&dex.Method{Name: "run", Sig: run(i).Sig, Static: true, NumRegs: 1, Code: []dex.Instr{
+				{Op: dex.OpInvokeStatic, A: -1, B: -1, Args: []int{0}, Method: run(i + 1)},
+				ret,
+			}})
+		default:
+			cls.AddMethod(&dex.Method{Name: "run", Sig: run(i).Sig, Static: true, NumRegs: 2, Code: []dex.Instr{
+				{Op: dex.OpInvokeStatic, A: -1, B: -1, Args: []int{1, 0},
+					Method: dex.MethodRef{Class: "Landroid/util/Log;", Name: "d", Sig: "(Ljava/lang/String;Ljava/lang/String;)I"}},
+				ret,
+			}})
+		}
+		d.Classes = append(d.Classes, cls)
+	}
+	m := &apk.Manifest{Package: "com.chain.app"}
+	m.Permissions = []apk.Permission{{Name: sensitive.PermPhoneState}}
+	m.Application.Activities = []apk.Component{{Name: "com.chain.app.C0"}}
+	return apk.New(m, d)
 }
 
 // BenchmarkCorpusGeneration measures dataset generation itself.

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 
 	"ppchecker/internal/apk"
@@ -64,23 +63,24 @@ const (
 // ErrTooLarge marks a build aborted by a size guard.
 var ErrTooLarge = errors.New("apg: input exceeds analysis size limits")
 
-// APG is the built graph plus lookup maps. After construction the
-// graph is compiled to its frozen CSR view (Frozen); all traversal
-// queries — reachability, path search, icc-edge lookups — run against
-// that view, while G stays available as the mutable builder.
+// APG is the built graph plus its method table. After construction
+// the graph is compiled to its frozen CSR view (Frozen); all traversal
+// queries — reachability, path search — run against that view, while
+// G stays available as the mutable builder. The method table gives
+// every method the image defines or invokes one MethodID, and the
+// analyses key their per-method state on it.
 type APG struct {
 	G   *graphdb.Graph
 	APK *apk.APK
 
-	methodNode map[dex.MethodRef]graphdb.NodeID
-	classNode  map[dex.TypeDesc]graphdb.NodeID
-	opts       Options
+	mt   *methodTable
+	opts Options
 
 	frozenOnce sync.Once
 	frozen     *graphdb.Frozen
 
 	entriesOnce sync.Once
-	entries     []dex.MethodRef
+	entries     []MethodID
 	entrySeeds  []graphdb.NodeID
 
 	reachOnce sync.Once
@@ -125,15 +125,15 @@ type BuildScratch struct {
 	kv      []string // statement property pairs; graphdb copies them out
 
 	// Arena state reused across builds when the caller owns the
-	// scratch: the graph database itself plus the APG lookup maps. A
+	// scratch: the graph database itself plus the method table. A
 	// caller-provided scratch must outlive the APG built from it, and
 	// the next build from the same scratch invalidates that APG (its
-	// graph storage is reset in place). The internal pool cannot make
-	// that guarantee — pooled scratches are recycled before the APG is
-	// discarded — so the pool path allocates these fresh per build.
-	graph      *graphdb.Graph
-	methodNode map[dex.MethodRef]graphdb.NodeID
-	classNode  map[dex.TypeDesc]graphdb.NodeID
+	// graph storage and method table are reset in place). The internal
+	// pool cannot make that guarantee — pooled scratches are recycled
+	// before the APG is discarded — so the pool path allocates these
+	// fresh per build.
+	graph   *graphdb.Graph
+	methods *methodTable
 }
 
 var buildScratchPool = sync.Pool{New: func() any { return new(BuildScratch) }}
@@ -157,30 +157,31 @@ func BuildCtxWith(ctx context.Context, a *apk.APK, opts Options, s *BuildScratch
 	if a == nil || a.Dex == nil {
 		return nil, errors.New("apg: nil apk or bytecode")
 	}
-	p := &APG{APK: a, opts: opts}
+	var p *APG
 	if s != nil {
-		// Caller-owned scratch: reuse the whole graph arena (see
-		// BuildScratch). Reset reclaims the node, adjacency and
-		// frozen-view storage of the previous build.
+		// Caller-owned scratch: reuse the whole graph arena and method
+		// table (see BuildScratch). Reset reclaims the node, adjacency
+		// and frozen-view storage of the previous build.
 		if s.graph == nil {
 			s.graph = graphdb.New()
-			s.methodNode = make(map[dex.MethodRef]graphdb.NodeID, 64)
-			s.classNode = make(map[dex.TypeDesc]graphdb.NodeID, 16)
+			s.methods = new(methodTable)
 		}
 		s.graph.Reset()
-		clear(s.methodNode)
-		clear(s.classNode)
-		p.G, p.methodNode, p.classNode = s.graph, s.methodNode, s.classNode
+		p = &APG{G: s.graph, mt: s.methods}
 	} else {
 		s = buildScratchPool.Get().(*BuildScratch)
 		defer buildScratchPool.Put(s)
-		nm := 0
-		for _, cls := range a.Dex.Classes {
-			nm += len(cls.Methods)
-		}
-		p.G = graphdb.New()
-		p.methodNode = make(map[dex.MethodRef]graphdb.NodeID, nm)
-		p.classNode = make(map[dex.TypeDesc]graphdb.NodeID, len(a.Dex.Classes))
+		// One allocation holds the APG and the method table it owns.
+		owned := new(struct {
+			APG
+			mt methodTable
+		})
+		p = &owned.APG
+		p.G, p.mt = graphdb.New(), &owned.mt
+	}
+	p.APK, p.opts = a, opts
+	if err := p.mt.build(ctx, a.Dex); err != nil {
+		return nil, err
 	}
 	if err := p.addStructure(ctx, s); err != nil {
 		return nil, err
@@ -205,9 +206,11 @@ func BuildCtxWith(ctx context.Context, a *apk.APK, opts Options, s *BuildScratch
 }
 
 // addStructure inserts class, method and statement nodes with
-// contains/code/cfg edges.
+// contains/code/cfg edges. The method table has already checked the
+// size guards and branch targets.
 func (p *APG) addStructure(ctx context.Context, s *BuildScratch) error {
-	totalStmts := 0
+	defs := p.mt.defs
+	k := 0
 	for _, cls := range p.APK.Dex.Classes {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -215,40 +218,32 @@ func (p *APG) addStructure(ctx context.Context, s *BuildScratch) error {
 		cid := p.G.AddNodeKV(LabelClass,
 			"name", string(cls.Name),
 			"super", string(cls.Super))
-		p.classNode[cls.Name] = cid
 		for _, m := range cls.Methods {
-			if len(m.Code) > MaxMethodCode {
-				return fmt.Errorf("%w: method %s has %d instructions (limit %d)",
-					ErrTooLarge, m.Ref(), len(m.Code), MaxMethodCode)
-			}
-			totalStmts += len(m.Code)
-			if totalStmts > maxTotalStmts {
-				return fmt.Errorf("%w: image exceeds %d statements", ErrTooLarge, maxTotalStmts)
-			}
+			d := defs[k]
+			k++
 			mid := p.G.AddNodeKV(LabelMethod,
 				"class", string(cls.Name),
 				"name", m.Name,
 				"sig", m.Sig)
-			p.methodNode[m.Ref()] = mid
+			p.mt.rows[d.ID].node = mid
 			if err := p.G.AddEdge(cid, mid, EdgeContains); err != nil {
 				return fmt.Errorf("apg: %w", err)
 			}
-			refStr := m.Ref().String()
+			refStr := p.mt.smali(d.ID)
 			// statement nodes and intra-method CFG
 			if cap(s.stmtIDs) < len(m.Code) {
 				s.stmtIDs = make([]graphdb.NodeID, len(m.Code))
 			}
 			stmtIDs := s.stmtIDs[:len(m.Code)]
 			for i, ins := range m.Code {
-				isInvoke := ins.Op == dex.OpInvokeVirtual || ins.Op == dex.OpInvokeStatic
 				// AddNodeKV copies the pairs into the graph's property
 				// arena, so one scratch buffer serves every statement.
 				kv := append(s.kv[:0], "index", itoaSmall(i), "method", refStr, "op", ins.Op.String())
 				if ins.Str != "" {
 					kv = append(kv, "str", ins.Str)
 				}
-				if isInvoke {
-					kv = append(kv, "target", ins.Method.String())
+				if callee := d.Calls[i]; callee >= 0 {
+					kv = append(kv, "target", p.mt.smali(callee))
 				}
 				stmtIDs[i] = p.G.AddNodeKV(LabelStmt, kv...)
 				s.kv = kv[:0]
@@ -259,10 +254,6 @@ func (p *APG) addStructure(ctx context.Context, s *BuildScratch) error {
 			for i, ins := range m.Code {
 				switch ins.Op {
 				case dex.OpGoto, dex.OpIfZ:
-					if ins.Target < 0 || ins.Target >= len(stmtIDs) {
-						return fmt.Errorf("apg: method %s: instruction %d: branch target %d outside [0,%d)",
-							m.Ref(), i, ins.Target, len(stmtIDs))
-					}
 					if err := p.G.AddEdge(stmtIDs[i], stmtIDs[ins.Target], EdgeCFG); err != nil {
 						return fmt.Errorf("apg: %w", err)
 					}
@@ -285,6 +276,11 @@ func (p *APG) addStructure(ctx context.Context, s *BuildScratch) error {
 				return err
 			}
 		}
+	}
+	// Every row gets its string now, so the table is read-only once
+	// the build returns.
+	for id := range p.mt.rows {
+		p.mt.smali(MethodID(id))
 	}
 	return nil
 }
@@ -358,28 +354,31 @@ func regsUsed(ins dex.Instr) []int {
 // addCallEdges resolves every invoke to a defined method (through the
 // superclass chain, class-hierarchy style) and adds calls edges.
 func (p *APG) addCallEdges() error {
-	return p.eachInvoke(func(caller *dex.Method, i int, ins dex.Instr) error {
-		target := p.APK.Dex.Lookup(ins.Method)
-		if target == nil {
+	return p.eachInvoke(func(caller Def, i int, ins dex.Instr) error {
+		target, ok := p.Resolve(caller.Calls[i])
+		if !ok {
 			return nil
 		}
-		if err := p.G.AddEdge(p.methodNode[caller.Ref()], p.methodNode[target.Ref()], EdgeCalls); err != nil {
-			return fmt.Errorf("apg: %w", err)
-		}
-		return nil
+		return p.addMethodEdge(caller.ID, target.ID, EdgeCalls)
 	})
+}
+
+// addMethodEdge links the nodes of two defined methods.
+func (p *APG) addMethodEdge(from, to MethodID, label string) error {
+	if err := p.G.AddEdge(p.mt.rows[from].node, p.mt.rows[to].node, label); err != nil {
+		return fmt.Errorf("apg: %w", err)
+	}
+	return nil
 }
 
 // eachInvoke visits every invoke instruction in the app, stopping at
 // the first error the visitor returns.
-func (p *APG) eachInvoke(f func(m *dex.Method, idx int, ins dex.Instr) error) error {
-	for _, cls := range p.APK.Dex.Classes {
-		for _, m := range cls.Methods {
-			for i, ins := range m.Code {
-				if ins.Op == dex.OpInvokeVirtual || ins.Op == dex.OpInvokeStatic {
-					if err := f(m, i, ins); err != nil {
-						return err
-					}
+func (p *APG) eachInvoke(f func(caller Def, idx int, ins dex.Instr) error) error {
+	for _, d := range p.mt.defs {
+		for i, callee := range d.Calls {
+			if callee >= 0 {
+				if err := f(d, i, d.Method.Code[i]); err != nil {
+					return err
 				}
 			}
 		}
@@ -389,17 +388,18 @@ func (p *APG) eachInvoke(f func(m *dex.Method, idx int, ins dex.Instr) error) er
 
 // MethodNode returns the node of a method reference.
 func (p *APG) MethodNode(ref dex.MethodRef) (graphdb.NodeID, bool) {
-	id, ok := p.methodNode[ref]
-	return id, ok
+	id, ok := p.mt.index[ref]
+	if !ok || p.mt.rows[id].node == 0 {
+		return 0, false
+	}
+	return p.mt.rows[id].node, true
 }
 
 // Methods returns all defined method references in deterministic order.
 func (p *APG) Methods() []dex.MethodRef {
-	var out []dex.MethodRef
-	for _, cls := range p.APK.Dex.Classes {
-		for _, m := range cls.Methods {
-			out = append(out, m.Ref())
-		}
+	out := make([]dex.MethodRef, len(p.mt.defs))
+	for k, d := range p.mt.defs {
+		out[k] = d.Method.Ref()
 	}
 	return out
 }
@@ -432,11 +432,4 @@ func regType(m *dex.Method, idx, reg int) (typeDesc dex.TypeDesc, constStr strin
 		}
 	}
 	return "", ""
-}
-
-// classHasPrefix reports whether a class descriptor's dotted name
-// starts with the app's package name — the paper's test for "the app
-// is the caller of this API".
-func classHasPrefix(cls dex.TypeDesc, pkg string) bool {
-	return strings.HasPrefix(cls.ClassName(), pkg)
 }

@@ -400,3 +400,41 @@ func mustBuild(t *testing.T, a *apk.APK, opts Options) *APG {
 	}
 	return p
 }
+
+// TestSuperclassCycleTerminates: an image whose classes extend each
+// other in a cycle (dex.Verify does not reject one) builds instead of
+// walking the cycle forever. Resolving a method neither class defines,
+// testing a registration's receiver for a subclass and looking up the
+// callback all walk the superclass chain.
+func TestSuperclassCycleTerminates(t *testing.T) {
+	d, err := dex.Assemble(`
+.class Lcom/example/cyc/A; extends Lcom/example/cyc/B;
+.method onCreate(Landroid/os/Bundle;)V regs=4
+    invoke-virtual {v0}, Lcom/example/cyc/A;->missing()V
+    new-instance v1, Lcom/example/cyc/B;
+    invoke-virtual {v0, v1}, Lcom/example/cyc/A;->setOnClickListener(Landroid/view/View$OnClickListener;)V
+    return-void
+.end method
+.end class
+.class Lcom/example/cyc/B; extends Lcom/example/cyc/A;
+.method helper()V regs=1
+    return-void
+.end method
+.end class
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &apk.Manifest{Package: "com.example.cyc"}
+	m.Application.Activities = []apk.Component{{Name: "com.example.cyc.A"}}
+	p, err := Build(apk.New(m, d), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.MethodReachable(dex.MethodRef{Class: "Lcom/example/cyc/A;", Name: "onCreate", Sig: "(Landroid/os/Bundle;)V"}) {
+		t.Error("entry point not reachable")
+	}
+	if p.MethodReachable(dex.MethodRef{Class: "Lcom/example/cyc/B;", Name: "helper", Sig: "()V"}) {
+		t.Error("uncalled method reachable")
+	}
+}

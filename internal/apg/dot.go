@@ -41,10 +41,9 @@ func (p *APG) WriteDot(w io.Writer) error {
 		byClass[m.class] = append(byClass[m.class], m)
 	}
 	entries := map[graphdb.NodeID]bool{}
-	for _, e := range p.Entries() {
-		if id, ok := p.methodNode[e]; ok {
-			entries[id] = true
-		}
+	p.entryIDs()
+	for _, id := range p.entrySeeds {
+		entries[id] = true
 	}
 	for ci, cls := range classes {
 		fmt.Fprintf(w, "  subgraph cluster_%d {\n    label=%q;\n", ci, cls)

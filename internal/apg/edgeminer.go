@@ -1,8 +1,6 @@
 package apg
 
 import (
-	"fmt"
-
 	"ppchecker/internal/dex"
 )
 
@@ -61,15 +59,20 @@ func (p *APG) lookupRegistration(ref dex.MethodRef) (Registration, bool) {
 	return Registration{}, false
 }
 
-// isSubclassOf walks the defined class hierarchy.
+// isSubclassOf walks the defined class hierarchy; a superclass cycle
+// ends the walk.
 func (p *APG) isSubclassOf(cls, super dex.TypeDesc) bool {
-	for c := p.APK.Dex.Class(cls); c != nil; c = p.APK.Dex.Class(c.Super) {
+	classes := p.APK.Dex.Classes
+	ci, ok := p.mt.classes[cls]
+	for steps := 0; ok && steps <= len(classes); steps++ {
+		c := classes[ci]
 		if c.Super == super {
 			return true
 		}
 		if c.Super == "" {
 			return false
 		}
+		ci, ok = p.mt.classes[c.Super]
 	}
 	return false
 }
@@ -77,7 +80,7 @@ func (p *APG) isSubclassOf(cls, super dex.TypeDesc) bool {
 // addCallbackEdges adds method→callback edges for every registration
 // site whose listener type can be resolved to a defined class.
 func (p *APG) addCallbackEdges() error {
-	return p.eachInvoke(func(caller *dex.Method, idx int, ins dex.Instr) error {
+	return p.eachInvoke(func(caller Def, idx int, ins dex.Instr) error {
 		reg, ok := p.lookupRegistration(ins.Method)
 		if !ok {
 			return nil
@@ -85,34 +88,34 @@ func (p *APG) addCallbackEdges() error {
 		if reg.ListenerArg >= len(ins.Args) {
 			return nil
 		}
-		listenerType, _ := regType(caller, idx, ins.Args[reg.ListenerArg])
+		listenerType, _ := regType(caller.Method, idx, ins.Args[reg.ListenerArg])
 		if listenerType == "" {
 			// Receiver-position registrations on a defined subclass:
 			// fall back to the static type of the invoke.
 			listenerType = ins.Method.Class
 		}
 		cb := p.findCallback(listenerType, reg.Callback)
-		if cb == nil {
+		if cb < 0 {
 			return nil
 		}
-		if err := p.G.AddEdge(p.methodNode[caller.Ref()], p.methodNode[cb.Ref()], EdgeCallback); err != nil {
-			return fmt.Errorf("apg: %w", err)
-		}
-		return nil
+		return p.addMethodEdge(caller.ID, p.mt.defs[cb].ID, EdgeCallback)
 	})
 }
 
 // findCallback resolves the callback implementation on the listener
-// class, walking up the superclass chain.
-func (p *APG) findCallback(cls dex.TypeDesc, name string) *dex.Method {
-	for c := p.APK.Dex.Class(cls); c != nil; {
-		if m := c.Method(name, ""); m != nil {
-			return m
+// class, walking up the superclass chain, to its defs index (-1 when
+// none).
+func (p *APG) findCallback(cls dex.TypeDesc, name string) int32 {
+	classes := p.APK.Dex.Classes
+	ci, ok := p.mt.classes[cls]
+	for steps := 0; ok && steps <= len(classes); steps++ {
+		if k := p.mt.firstNamed(ci, name); k >= 0 {
+			return k
 		}
-		if c.Super == "" {
-			return nil
+		if classes[ci].Super == "" {
+			return -1
 		}
-		c = p.APK.Dex.Class(c.Super)
+		ci, ok = p.mt.classes[classes[ci].Super]
 	}
-	return nil
+	return -1
 }

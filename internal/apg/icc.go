@@ -33,34 +33,41 @@ var intentEntryByKind = map[apk.ComponentKind][]string{
 
 // addICCEdges finds launcher invocations, traces the intent register to
 // its component target, and wires the launching method to the target's
-// entries.
+// entries. Each launcher also records its targets in the method table
+// (ICCTargets), in edge order.
 func (p *APG) addICCEdges() error {
 	if p.APK.Manifest == nil {
 		return fmt.Errorf("apg: nil manifest")
 	}
-	components := p.APK.Manifest.Components()
-	return p.eachInvoke(func(caller *dex.Method, idx int, ins dex.Instr) error {
+	var components []apk.DeclaredComponent // listed at the first launch
+	return p.eachInvoke(func(caller Def, idx int, ins dex.Instr) error {
 		argPos, ok := iccLaunchers[ins.Method.Name]
 		if !ok || argPos >= len(ins.Args) {
 			return nil
 		}
-		targetClass := p.resolveIntentTarget(caller, idx, ins.Args[argPos])
+		targetClass := p.resolveIntentTarget(caller.Method, idx, ins.Args[argPos])
 		if targetClass == "" {
 			return nil
+		}
+		if components == nil {
+			components = p.APK.Manifest.Components()
 		}
 		for _, comp := range components {
 			if comp.Name != targetClass {
 				continue
 			}
-			cls := p.APK.Dex.Class(dex.ObjectType(comp.Name))
-			if cls == nil {
+			ci, ok := p.mt.componentClass(comp.Name)
+			if !ok {
 				continue
 			}
 			for _, entry := range intentEntryByKind[comp.Kind] {
-				if m := cls.Method(entry, ""); m != nil {
-					if err := p.G.AddEdge(p.methodNode[caller.Ref()], p.methodNode[m.Ref()], EdgeICC); err != nil {
-						return fmt.Errorf("apg: %w", err)
+				if k := p.mt.firstNamed(ci, entry); k >= 0 {
+					target := p.mt.defs[k].ID
+					if err := p.addMethodEdge(caller.ID, target, EdgeICC); err != nil {
+						return err
 					}
+					row := &p.mt.rows[caller.ID]
+					row.icc = append(row.icc, target)
 				}
 			}
 		}

@@ -1,7 +1,7 @@
 package apg
 
 import (
-	"sort"
+	"slices"
 
 	"ppchecker/internal/apk"
 	"ppchecker/internal/dex"
@@ -31,47 +31,52 @@ var uiCallbackNames = map[string]bool{
 	"onProgressChanged": true,
 }
 
-// Entries returns the entry-point methods of the app. The result is
-// computed once per APG and shared; callers must not mutate it.
+// Entries returns the entry-point methods of the app, in smali-string
+// order.
 func (p *APG) Entries() []dex.MethodRef {
+	ids := p.entryIDs()
+	out := make([]dex.MethodRef, len(ids))
+	for i, id := range ids {
+		out[i] = p.Ref(id)
+	}
+	return out
+}
+
+// entryIDs returns the entry-point identities, computed once per APG.
+func (p *APG) entryIDs() []MethodID {
 	p.entriesOnce.Do(p.computeEntries)
 	return p.entries
 }
 
 func (p *APG) computeEntries() {
-	var out []dex.MethodRef
-	seen := map[dex.MethodRef]bool{}
-	add := func(m *dex.Method) {
-		if m == nil || seen[m.Ref()] {
-			return
+	var out []MethodID
+	add := func(k int32) {
+		if k >= 0 {
+			out = append(out, p.mt.defs[k].ID)
 		}
-		seen[m.Ref()] = true
-		out = append(out, m.Ref())
 	}
 	// Component life-cycle entries.
 	for _, comp := range p.APK.Manifest.Components() {
-		cls := p.APK.Dex.Class(dex.ObjectType(comp.Name))
-		if cls == nil {
+		ci, ok := p.mt.componentClass(comp.Name)
+		if !ok {
 			continue
 		}
 		for _, name := range lifecycleByKind[comp.Kind] {
-			add(cls.Method(name, ""))
+			add(p.mt.firstNamed(ci, name))
 		}
 	}
 	// UI callbacks anywhere in the app.
-	for _, cls := range p.APK.Dex.Classes {
-		for _, m := range cls.Methods {
-			if uiCallbackNames[m.Name] {
-				add(m)
-			}
+	for k, d := range p.mt.defs {
+		if uiCallbackNames[d.Method.Name] {
+			add(int32(k))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	// Sorting brings a method found twice next to itself.
+	slices.SortFunc(out, p.Compare)
+	out = slices.Compact(out)
 	p.entries = out
-	for _, e := range out {
-		if id, ok := p.methodNode[e]; ok {
-			p.entrySeeds = append(p.entrySeeds, id)
-		}
+	for _, id := range out {
+		p.entrySeeds = append(p.entrySeeds, p.mt.rows[id].node)
 	}
 }
 
@@ -83,7 +88,7 @@ var reachEdgeLabels = []string{EdgeCalls, EdgeCallback, EdgeICC}
 // share the result.
 func (p *APG) reachVisit() *graphdb.VisitSet {
 	p.reachOnce.Do(func() {
-		p.Entries()
+		p.entryIDs()
 		p.reach = p.Frozen().ReachableVisit(p.entrySeeds, reachEdgeLabels)
 	})
 	return p.reach
@@ -95,26 +100,20 @@ func (p *APG) reachVisit() *graphdb.VisitSet {
 // not feasible paths from entry points"). The underlying closure is
 // computed once per APG; lookups are O(1).
 func (p *APG) MethodReachable(ref dex.MethodRef) bool {
-	id, ok := p.methodNode[ref]
-	if !ok {
-		return false
-	}
-	return p.reachVisit().Has(id)
+	id, ok := p.mt.index[ref]
+	return ok && p.Reachable(id)
 }
 
 // CallPath returns one call path (as method references) from an entry
 // point to the given method, or nil when the method is unreachable.
 func (p *APG) CallPath(to dex.MethodRef) []dex.MethodRef {
-	toID, ok := p.methodNode[to]
+	toID, ok := p.MethodNode(to)
 	if !ok {
 		return nil
 	}
 	f := p.Frozen()
-	for _, e := range p.Entries() {
-		fromID, ok := p.methodNode[e]
-		if !ok {
-			continue
-		}
+	p.entryIDs()
+	for _, fromID := range p.entrySeeds {
 		nodes := f.Path(fromID, toID, reachEdgeLabels)
 		if nodes == nil {
 			continue

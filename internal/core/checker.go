@@ -45,6 +45,9 @@ type Checker struct {
 	descAnalyzer   *desc.Analyzer
 	index          *esa.Index
 	cfg            Config
+	// foreignAnalyzer marks a policy analyzer, injected with
+	// WithPolicyAnalyzer, whose settings differ from the one cfg builds.
+	foreignAnalyzer bool
 
 	// libCache memoizes lib-policy analyses by policy text; the same 81
 	// library policies recur across the whole corpus. By default each
@@ -131,8 +134,10 @@ func NewChecker(opts ...CheckerOption) *Checker {
 	for _, o := range opts {
 		o(c)
 	}
-	if c.policyAnalyzer == nil {
-		c.policyAnalyzer = c.cfg.PolicyAnalyzer()
+	if configured := c.cfg.PolicyAnalyzer(); c.policyAnalyzer == nil {
+		c.policyAnalyzer = configured
+	} else {
+		c.foreignAnalyzer = !c.policyAnalyzer.SameSettings(configured)
 	}
 	if c.libCache == nil {
 		c.libCache = NewAnalysisCache()
@@ -152,6 +157,14 @@ func NewChecker(opts ...CheckerOption) *Checker {
 
 // Config returns the checker's configuration.
 func (c *Checker) Config() Config { return c.cfg }
+
+// DescribedByConfig reports whether Config describes everything about
+// the checker that changes findings. It does not when WithPolicyAnalyzer
+// supplied an analyzer set up otherwise than Config.PolicyAnalyzer
+// builds one (mined patterns, for one): such a checker's findings are
+// not the ones its Config fingerprints. A pool's shared analyzer, built
+// from the same Config, keeps the checker described.
+func (c *Checker) DescribedByConfig() bool { return !c.foreignAnalyzer }
 
 // Check runs the three detectors over one app and returns the report.
 // It is CheckSafe without a deadline: well-formed input produces the

@@ -10,7 +10,7 @@ import (
 // detectIncomplete implements Algorithms 1 and 2: information implied
 // by the description or observed in code that the policy's positive
 // sets do not cover.
-func (c *Checker) detectIncomplete(app *App, r *Report) {
+func (c *Checker) detectIncomplete(app *App, r *Report, code codeInfos) {
 	ppInfos := r.Policy.All()
 
 	// Algorithm 1: through the description.
@@ -31,30 +31,17 @@ func (c *Checker) detectIncomplete(app *App, r *Report) {
 	if r.Static == nil {
 		return
 	}
-	retained := map[sensitive.Info]bool{}
-	for _, info := range r.Static.RetainedInfo() {
-		retained[info] = true
-	}
-	codeInfos := map[sensitive.Info]bool{}
-	for _, info := range r.Static.CollectedInfo() {
-		codeInfos[info] = true
-	}
-	for info := range retained {
-		codeInfos[info] = true
-	}
-	ordered := make([]sensitive.Info, 0, len(codeInfos))
-	for info := range codeInfos {
-		ordered = append(ordered, info)
-	}
+	ordered := make([]sensitive.Info, 0, len(code.collected)+len(code.retained))
+	ordered = append(append(ordered, code.collected...), code.retained...)
 	slices.Sort(ordered)
-	for _, info := range ordered {
+	for _, info := range slices.Compact(ordered) {
 		if c.similarTo(string(info), ppInfos) {
 			continue
 		}
 		r.Incomplete = append(r.Incomplete, IncompleteFinding{
 			Via:      ViaCode,
 			Info:     info,
-			Retained: retained[info],
+			Retained: slices.Contains(code.retained, info),
 			Sources:  sourcesFor(r, info),
 		})
 	}

@@ -9,7 +9,7 @@ import (
 // detectIncorrect implements Algorithms 3 and 4: negative policy
 // statements ("we will not collect/store X") contradicted by the
 // description or by observed code behaviour.
-func (c *Checker) detectIncorrect(app *App, r *Report) {
+func (c *Checker) detectIncorrect(app *App, r *Report, code codeInfos) {
 	// Algorithm 3: through the description — information the
 	// description implies but a negative sentence denies.
 	if r.Desc != nil {
@@ -34,7 +34,7 @@ func (c *Checker) detectIncorrect(app *App, r *Report) {
 	// Algorithm 4a: NotCollect (and NotUse — accessing is using, which
 	// is how the paper's zoho.mail false positive arises) vs
 	// Collect_code.
-	for _, info := range r.Static.CollectedInfo() {
+	for _, info := range code.collected {
 		for _, cat := range []verbs.Category{verbs.Collect, verbs.Use} {
 			if sentence, ok := c.negatedSentenceFor(r, cat, string(info)); ok {
 				r.Incorrect = append(r.Incorrect, IncorrectFinding{
@@ -47,7 +47,7 @@ func (c *Checker) detectIncorrect(app *App, r *Report) {
 		}
 	}
 	// Algorithm 4b: NotRetain vs Retain_code.
-	for _, info := range r.Static.RetainedInfo() {
+	for _, info := range code.retained {
 		if sentence, ok := c.negatedSentenceFor(r, verbs.Retain, string(info)); ok {
 			r.Incorrect = append(r.Incorrect, IncorrectFinding{
 				Via: ViaCode, Info: info, Category: verbs.Retain,

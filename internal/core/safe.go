@@ -182,6 +182,11 @@ func memoUnit(memo StageMemo, unit Stage, r *Report, compute func() bool) bool {
 	return true
 }
 
+// timedStages is how many stages one CheckMemo call can run (extract,
+// policy, description, static, taint, libdetect, detectors), so
+// Report.Timings is sized once.
+const timedStages = 7
+
 // stage runs one pipeline stage behind panic recovery and a
 // cancellation check, recording any failure on the report. It reports
 // whether the stage completed successfully. Every executed stage is
@@ -195,6 +200,9 @@ func (c *Checker) stage(ctx context.Context, r *Report, s Stage, fn func() error
 	sp := c.obs.Start(string(s), r.App, "")
 	err, recovered := runRecovered(fn)
 	d := sp.End(err, recovered)
+	if r.Timings == nil {
+		r.Timings = make([]StageTiming, 0, timedStages)
+	}
 	r.Timings = append(r.Timings, StageTiming{Stage: s, Duration: d})
 	if err != nil {
 		r.AddDegraded(&StageError{Stage: s, App: r.App, Err: err, Recovered: recovered})

@@ -1,6 +1,9 @@
 package core
 
-import "ppchecker/internal/desc"
+import (
+	"ppchecker/internal/desc"
+	"ppchecker/internal/sensitive"
+)
 
 // substages.go exposes single pipeline stages as standalone
 // computations for callers that time or replay one stage in isolation.
@@ -21,7 +24,17 @@ func (c *Checker) DescStage(description string) *desc.Result {
 // report's finding slices — the StageDetect computation. r.Policy must
 // be non-nil. Each detector gets its own sub-span.
 func (c *Checker) DetectStage(app *App, r *Report) {
-	c.detectorSpan(r, SpanDetectIncomplete, func() { c.detectIncomplete(app, r) })
-	c.detectorSpan(r, SpanDetectIncorrect, func() { c.detectIncorrect(app, r) })
+	var code codeInfos
+	if r.Static != nil {
+		code = codeInfos{collected: r.Static.CollectedInfo(), retained: r.Static.RetainedInfo()}
+	}
+	c.detectorSpan(r, SpanDetectIncomplete, func() { c.detectIncomplete(app, r, code) })
+	c.detectorSpan(r, SpanDetectIncorrect, func() { c.detectIncorrect(app, r, code) })
 	c.detectorSpan(r, SpanDetectInconsistent, func() { c.detectInconsistent(app, r) })
+}
+
+// codeInfos holds Collect_code and Retain_code, each sorted, computed
+// once per report for the detectors that read them.
+type codeInfos struct {
+	collected, retained []sensitive.Info
 }

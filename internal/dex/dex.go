@@ -26,6 +26,29 @@ func (t TypeDesc) ClassName() string {
 	return strings.ReplaceAll(s[1:len(s)-1], "/", ".")
 }
 
+// ClassNameHasPrefix reports strings.HasPrefix(t.ClassName(), prefix)
+// without building the dotted name.
+func (t TypeDesc) ClassNameHasPrefix(prefix string) bool {
+	s := string(t)
+	if len(s) < 2 || s[0] != 'L' || s[len(s)-1] != ';' {
+		return strings.HasPrefix(s, prefix)
+	}
+	s = s[1 : len(s)-1]
+	if len(s) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		c := s[i]
+		if c == '/' {
+			c = '.'
+		}
+		if c != prefix[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // ObjectType builds an object descriptor from a dotted or slashed
 // class name.
 func ObjectType(name string) TypeDesc {
@@ -44,6 +67,38 @@ type MethodRef struct {
 // "Lcom/a/B;->name(Ljava/lang/String;)V".
 func (m MethodRef) String() string {
 	return string(m.Class) + "->" + m.Name + m.Sig
+}
+
+// Compare orders references as their String forms order, returning
+// -1, 0 or +1, without building either string.
+func (m MethodRef) Compare(o MethodRef) int {
+	a := [4]string{string(m.Class), "->", m.Name, m.Sig}
+	b := [4]string{string(o.Class), "->", o.Name, o.Sig}
+	ai, bi := 0, 0 // current part of each side
+	as, bs := a[0], b[0]
+	for {
+		for as == "" && ai < 3 {
+			ai++
+			as = a[ai]
+		}
+		for bs == "" && bi < 3 {
+			bi++
+			bs = b[bi]
+		}
+		switch {
+		case as == "" && bs == "":
+			return 0
+		case as == "":
+			return -1
+		case bs == "":
+			return 1
+		}
+		n := min(len(as), len(bs))
+		if c := strings.Compare(as[:n], bs[:n]); c != 0 {
+			return c
+		}
+		as, bs = as[n:], bs[n:]
+	}
 }
 
 // ParseMethodRef parses smali notation produced by String.

@@ -3,6 +3,7 @@ package dex
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -350,5 +351,45 @@ func TestDecodeBitFlips(t *testing.T) {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xFF
 		_, _ = Decode(mut)
+	}
+}
+
+// TestMethodRefCompareMatchesString: Compare orders references exactly
+// as their smali strings order, including references whose parts split
+// the same string differently.
+func TestMethodRefCompareMatchesString(t *testing.T) {
+	refs := []MethodRef{
+		{},
+		{Class: "La;", Name: "b", Sig: "()V"},
+		{Class: "La;", Name: "b", Sig: "(I)V"},
+		{Class: "La;", Name: "bc", Sig: "()V"},
+		{Class: "La;-", Name: ">b", Sig: "()V"},
+		{Class: "La;", Name: "", Sig: "b()V"},
+		{Class: "La", Name: "b", Sig: "()V"},
+		{Class: "Lab;", Name: "b", Sig: "()V"},
+		{Class: "", Name: "La;->b", Sig: "()V"},
+		{Class: "Landroid/util/Log;", Name: "d", Sig: "(Ljava/lang/String;Ljava/lang/String;)I"},
+		{Class: "Landroid/util/Log;", Name: "e", Sig: "(Ljava/lang/String;Ljava/lang/String;)I"},
+	}
+	for _, a := range refs {
+		for _, b := range refs {
+			if got, want := a.Compare(b), strings.Compare(a.String(), b.String()); got != want {
+				t.Errorf("%q.Compare(%q) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestClassNameHasPrefixMatchesClassName: the prefix test agrees with
+// strings.HasPrefix over the built dotted name.
+func TestClassNameHasPrefixMatchesClassName(t *testing.T) {
+	types := []TypeDesc{"Lcom/a/B;", "Lcom/ab/C;", "Lcom;", "L;", "I", "[Lcom/a/B;", "com/a/B", "Lcom.a/B;"}
+	prefixes := []string{"", "com", "com.a", "com.a.B", "com.a.B.", "com/a", "com.ab", "I", "[L", "Lcom"}
+	for _, ty := range types {
+		for _, p := range prefixes {
+			if got, want := ty.ClassNameHasPrefix(p), strings.HasPrefix(ty.ClassName(), p); got != want {
+				t.Errorf("%q.ClassNameHasPrefix(%q) = %v, want %v", ty, p, got, want)
+			}
+		}
 	}
 }

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"ppchecker/internal/core"
+	"ppchecker/internal/eval"
+	"ppchecker/internal/patterns"
+	"ppchecker/internal/policy"
 	"ppchecker/internal/synth"
 	"ppchecker/internal/verbs"
 )
@@ -71,5 +74,34 @@ func TestCheckVersionRefusesForeignConfig(t *testing.T) {
 	same := core.NewChecker(Config{Threshold: 0.67}.CheckerOptions()...)
 	if _, err := NewEngine(store, Config{}).CheckVersion(context.Background(), same, ga.App); err != nil {
 		t.Fatalf("explicit default threshold refused: %v", err)
+	}
+}
+
+// TestCheckVersionRefusesForeignAnalyzer: a checker whose policy
+// analyzer was injected with settings its Config does not describe (a
+// mined pattern set, here the synonym matcher on a default config) is
+// refused before the store is touched, even though its Config matches
+// the engine's. A pool's checkers share an analyzer built from the
+// pool's Config and are accepted.
+func TestCheckVersionRefusesForeignAnalyzer(t *testing.T) {
+	ga, err := synth.NewFirehose(7).App(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewMemStore(0)
+	eng := NewEngine(store, Config{})
+	mined := core.NewChecker(append(eng.Config().CheckerOptions(),
+		core.WithPolicyAnalyzer(policy.NewAnalyzer(policy.WithMatcher(patterns.ExtendedMatcher()))))...)
+	if r, err := eng.CheckVersion(context.Background(), mined, ga.App); err == nil || r != nil {
+		t.Fatalf("foreign policy analyzer: report %v, err %v; want a refusal", r, err)
+	}
+	if s := eng.Stats(); s != (CacheStats{}) || store.Len() != 0 {
+		t.Fatalf("refused version touched the store: stats %+v, %d artifacts", s, store.Len())
+	}
+
+	cfg := Config{SynonymExpansion: true}
+	pooled := eval.NewPool("longi", eval.AttemptOptions{}, nil, nil, nil, cfg).NewChecker()
+	if _, err := NewEngine(store, cfg).CheckVersion(context.Background(), pooled, ga.App); err != nil {
+		t.Fatalf("pool-built checker refused: %v", err)
 	}
 }

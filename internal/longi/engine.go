@@ -150,15 +150,19 @@ func (e *Engine) Stats() CacheStats {
 // a timeout or an exhausted retry budget leaves no trace to poison
 // later runs.
 //
-// A checker configured differently from the engine is refused before
-// any artifact is read or written: its results would be stored under,
-// and served for, a configuration that never computed them.
+// A checker configured differently from the engine, or one whose
+// policy analyzer its Config does not describe, is refused before any
+// artifact is read or written: its results would be stored under, and
+// served for, a configuration that never computed them.
 func (e *Engine) CheckVersion(ctx context.Context, checker *core.Checker, app *core.App) (*core.Report, error) {
 	if app == nil {
 		return nil, errors.New("longi: nil app")
 	}
 	if checker == nil {
 		return nil, errors.New("longi: nil checker")
+	}
+	if !checker.DescribedByConfig() {
+		return nil, errors.New("longi: checker's policy analyzer is not the one its config builds")
 	}
 	if cfg := checker.Config(); cfg != e.cfg && !bytes.Equal(cfg.Fingerprint(), e.fp) {
 		return nil, fmt.Errorf("longi: checker config %s does not match engine config %s",

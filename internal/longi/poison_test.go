@@ -121,10 +121,14 @@ func TestPanickingStageNeverPoisonsStore(t *testing.T) {
 	eng := NewEngine(store, Config{})
 	// A policy analyzer without a pattern matcher panics on the first
 	// sentence it screens: a real analyzer fault inside policy-nlp.
+	// CheckVersion refuses a checker its Config does not describe, so
+	// the faulty checker runs against the engine's store-backed memo
+	// directly, the path CheckVersion takes once it has accepted one.
 	faulty := core.NewChecker(append(eng.Config().CheckerOptions(),
 		core.WithPolicyAnalyzer(policy.NewAnalyzer(policy.WithMatcher(nil))))...)
 	checker := core.NewChecker(eng.Config().CheckerOptions()...)
-	rep, err := eng.CheckVersion(context.Background(), faulty, ga.App)
+	ctx := context.Background()
+	rep, err := faulty.CheckMemo(ctx, ga.App, eng.memo(ctx, ga.App))
 	if err != nil {
 		t.Fatal(err)
 	}

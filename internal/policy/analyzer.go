@@ -144,6 +144,13 @@ func NewAnalyzer(opts ...Option) *Analyzer {
 	return a
 }
 
+// SameSettings reports whether a and b select and read sentences
+// alike: the same pattern matcher and the same constraint analysis.
+// Their sentence memos may differ.
+func (a *Analyzer) SameSettings(b *Analyzer) bool {
+	return a.matcher == b.matcher && a.constraints == b.constraints
+}
+
 // AnalyzeHTML extracts text from an HTML policy and analyzes it.
 func (a *Analyzer) AnalyzeHTML(html string) *Analysis {
 	return a.AnalyzeText(htmltext.Extract(html))

@@ -56,6 +56,9 @@ type API struct {
 	Ref        dex.MethodRef
 	Info       Info
 	Permission string // "" when no permission guards the API
+	// Source is Ref in smali notation, formatted once when the table is
+	// built: the Source of every collection site and leak the API yields.
+	Source string
 }
 
 // tableErrs collects malformed method-ref literals found while building
@@ -79,8 +82,15 @@ func ref(s string) dex.MethodRef {
 // were skipped rather than crashing package initialization.
 func TableErrors() []error { return append([]error(nil), tableErrs...) }
 
-// apis is the 68-entry sensitive API table.
-var apis = []API{
+// apiSpec is one row of the sensitive API table as written below.
+type apiSpec struct {
+	ref  dex.MethodRef
+	info Info
+	perm string
+}
+
+// apiSpecs is the 68-entry sensitive API table.
+var apiSpecs = []apiSpec{
 	// --- location (10) ---
 	{ref("Landroid/location/LocationManager;->getLastKnownLocation(Ljava/lang/String;)Landroid/location/Location;"), InfoLocation, PermFineLocation},
 	{ref("Landroid/location/LocationManager;->requestLocationUpdates(Ljava/lang/String;JFLandroid/location/LocationListener;)V"), InfoLocation, PermFineLocation},
@@ -169,15 +179,26 @@ var apis = []API{
 	{ref("Landroid/content/ClipboardManager;->getPrimaryClip()Landroid/content/ClipData;"), InfoContact, ""},
 }
 
+// apis is the API table, each entry's Source formatted once.
+var apis = func() []API {
+	out := make([]API, len(apiSpecs))
+	for i, sp := range apiSpecs {
+		out[i] = API{Ref: sp.ref, Info: sp.info, Permission: sp.perm}
+		if sp.ref != (dex.MethodRef{}) {
+			out[i].Source = sp.ref.String()
+		}
+	}
+	return out
+}()
+
 // byRef indexes the API table, dropping entries whose literal failed to
 // parse (zero Ref).
-var byRef = func() map[dex.MethodRef]API {
-	m := make(map[dex.MethodRef]API, len(apis))
-	for _, a := range apis {
-		if a.Ref == (dex.MethodRef{}) {
-			continue
+var byRef = func() map[dex.MethodRef]*API {
+	m := make(map[dex.MethodRef]*API, len(apis))
+	for i := range apis {
+		if a := &apis[i]; a.Ref != (dex.MethodRef{}) {
+			m[a.Ref] = a
 		}
-		m[a.Ref] = a
 	}
 	return m
 }()
@@ -195,8 +216,9 @@ func APIs() []API {
 	return out
 }
 
-// LookupAPI returns the table entry for a method reference.
-func LookupAPI(r dex.MethodRef) (API, bool) {
+// LookupAPI returns the table entry for a method reference. The entry
+// is the table's own; callers must not modify it.
+func LookupAPI(r dex.MethodRef) (*API, bool) {
 	a, ok := byRef[r]
 	return a, ok
 }

@@ -53,13 +53,12 @@ var sinks = []Sink{
 	{ref("Landroid/bluetooth/BluetoothSocket;->getOutputStream()Ljava/io/OutputStream;"), ChannelBluetooth, []int{0}},
 }
 
-var sinkByRef = func() map[dex.MethodRef]Sink {
-	m := make(map[dex.MethodRef]Sink, len(sinks))
-	for _, s := range sinks {
-		if s.Ref == (dex.MethodRef{}) {
-			continue
+var sinkByRef = func() map[dex.MethodRef]*Sink {
+	m := make(map[dex.MethodRef]*Sink, len(sinks))
+	for i := range sinks {
+		if s := &sinks[i]; s.Ref != (dex.MethodRef{}) {
+			m[s.Ref] = s
 		}
-		m[s.Ref] = s
 	}
 	return m
 }()
@@ -77,8 +76,9 @@ func Sinks() []Sink {
 	return out
 }
 
-// LookupSink returns the sink entry for a method reference.
-func LookupSink(r dex.MethodRef) (Sink, bool) {
+// LookupSink returns the sink entry for a method reference. The entry
+// is the table's own; callers must not modify it.
+func LookupSink(r dex.MethodRef) (*Sink, bool) {
 	s, ok := sinkByRef[r]
 	return s, ok
 }

@@ -8,8 +8,7 @@ package static
 import (
 	"context"
 	"errors"
-	"sort"
-	"strings"
+	"slices"
 
 	"ppchecker/internal/apg"
 	"ppchecker/internal/apk"
@@ -50,42 +49,39 @@ type Result struct {
 // information whose permissions — when required — are requested in the
 // manifest.
 func (r *Result) CollectedInfo() []sensitive.Info {
-	seen := map[sensitive.Info]bool{}
+	var out []sensitive.Info
 	for _, s := range r.Sites {
 		if s.ByApp {
-			seen[s.Info] = true
+			out = append(out, s.Info)
 		}
 	}
-	return sortedInfos(seen)
+	return sortedInfos(out)
 }
 
 // LibCollectedInfo returns the information collected by library code.
 func (r *Result) LibCollectedInfo() []sensitive.Info {
-	seen := map[sensitive.Info]bool{}
+	var out []sensitive.Info
 	for _, s := range r.Sites {
 		if !s.ByApp {
-			seen[s.Info] = true
+			out = append(out, s.Info)
 		}
 	}
-	return sortedInfos(seen)
+	return sortedInfos(out)
 }
 
 // RetainedInfo returns Retain_code: information flowing to any sink.
 func (r *Result) RetainedInfo() []sensitive.Info {
-	seen := map[sensitive.Info]bool{}
+	var out []sensitive.Info
 	for _, l := range r.Leaks {
-		seen[l.Info] = true
+		out = append(out, l.Info)
 	}
-	return sortedInfos(seen)
+	return sortedInfos(out)
 }
 
-func sortedInfos(set map[sensitive.Info]bool) []sensitive.Info {
-	out := make([]sensitive.Info, 0, len(set))
-	for i := range set {
-		out = append(out, i)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+// sortedInfos sorts infos in place and drops repeats.
+func sortedInfos(infos []sensitive.Info) []sensitive.Info {
+	slices.Sort(infos)
+	return slices.Compact(infos)
 }
 
 // Options configures the analysis (ablation switches flow through to
@@ -155,23 +151,22 @@ func CollectWith(ctx context.Context, a *apk.APK, opts Options, s *Scratch) (*Re
 	if err != nil {
 		return nil, nil, err
 	}
-	res := &Result{Packed: a.Packed}
+	// Sites marshals as [] rather than null for an app with none.
+	res := &Result{Packed: a.Packed, Sites: []CollectionSite{}}
 	pkg := a.Manifest.Package
 
-	for _, cls := range a.Dex.Classes {
-		for _, m := range cls.Methods {
-			// The entry-point closure is memoized on the APG and shared
-			// with the taint stage.
-			if opts.Reachability && !p.MethodReachable(m.Ref()) {
-				continue
-			}
-			res.Sites = append(res.Sites, scanMethod(a, m, pkg, opts, us)...)
+	for _, d := range p.Defs() {
+		// The entry-point closure is memoized on the APG and shared
+		// with the taint stage.
+		if opts.Reachability && !p.Reachable(d.ID) {
+			continue
 		}
+		res.Sites = scanMethod(res.Sites, p, d, pkg, opts, us)
 	}
 	// Permission filter: drop sites whose guarding permission the app
 	// does not request (§IV-A: "we only consider the app that requires
 	// the corresponding permissions").
-	kept := make([]CollectionSite, 0, len(res.Sites))
+	kept := res.Sites[:0]
 	for _, s := range res.Sites {
 		if s.Permission != "" && !a.Manifest.HasPermission(s.Permission) {
 			// Location is guarded by either of two permissions.
@@ -218,18 +213,19 @@ func hasStringInstr(m *dex.Method) bool {
 	return false
 }
 
-// scanMethod finds the sensitive accesses in one method.
-func scanMethod(a *apk.APK, m *dex.Method, pkg string, opts Options, us *uriScratch) []CollectionSite {
-	var sites []CollectionSite
-	byApp := strings.HasPrefix(m.Class.ClassName(), pkg)
+// scanMethod appends the sensitive accesses of one method to sites.
+func scanMethod(sites []CollectionSite, p *apg.APG, d apg.Def, pkg string, opts Options, us *uriScratch) []CollectionSite {
+	m := d.Method
+	byApp := m.Class.ClassNameHasPrefix(pkg)
 	uriOf := uriRegisters(m, opts.URIAnalysis, us)
-	for i, ins := range m.Code {
-		if ins.Op != dex.OpInvokeVirtual && ins.Op != dex.OpInvokeStatic {
+	for i, callee := range d.Calls {
+		if callee < 0 {
 			continue
 		}
-		if api, ok := sensitive.LookupAPI(ins.Method); ok {
+		ins := &m.Code[i]
+		if api := p.API(callee); api != nil {
 			sites = append(sites, CollectionSite{
-				Info: api.Info, Source: ins.Method.String(),
+				Info: api.Info, Source: api.Source,
 				Method: m.Ref(), Index: i, ByApp: byApp,
 				Permission: api.Permission,
 			})

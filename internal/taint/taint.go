@@ -11,13 +11,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
 	"ppchecker/internal/apg"
 	"ppchecker/internal/dex"
-	"ppchecker/internal/graphdb"
 	"ppchecker/internal/sensitive"
 )
 
@@ -65,51 +66,113 @@ func (r *Result) RetainedInfo() []sensitive.Info {
 	return out
 }
 
-// trace is the provenance chain of a taint fact.
-type trace struct {
-	step   Step
-	parent *trace
-	depth  int
+// hopKind classifies one step of a trace. A step is kept structured
+// while the fixpoint runs; its Step.Note is formatted only when a leak
+// through it is reported.
+type hopKind uint8
+
+const (
+	// hopSource: a sensitive API's result, "source <api>".
+	hopSource hopKind = iota
+	// hopQuery: a content query over a sensitive URI,
+	// "source query(<uri>)".
+	hopQuery
+	// hopCallback: a framework callback's parameter,
+	// "callback parameter carries <info>".
+	hopCallback
+	// hopIntent: into a launched component's intent parameter,
+	// "via intent from <from>@<at>".
+	hopIntent
+	// hopCall: into a callee's parameter, "via call from <from>@<at>".
+	hopCall
+	// hopReturn: back from a callee, "return value of <from>".
+	hopReturn
+)
+
+// hop is one structured trace step: Step{Method, Index} plus what its
+// note names.
+type hop struct {
+	kind   hopKind
+	method apg.MethodID
+	index  int32
+	from   apg.MethodID // the launching or calling method, or the callee returned from
+	at     int32        // the launch or call instruction in from
+	text   string       // the API source, the URI or the information (the source kinds)
 }
 
-func (t *trace) path() []Step {
-	var rev []Step
-	for cur := t; cur != nil; cur = cur.parent {
-		rev = append(rev, cur.step)
-	}
-	out := make([]Step, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
-	}
-	return out
+// trace is the provenance chain of a taint fact.
+type trace struct {
+	hop    hop
+	parent *trace
+	depth  int32
 }
 
 const maxTraceDepth = 64
 
-func extend(parent *trace, step Step) *trace {
+func extend(parent *trace, h hop) *trace {
 	if parent != nil && parent.depth >= maxTraceDepth {
 		return parent
 	}
-	d := 0
+	var d int32
 	if parent != nil {
 		d = parent.depth + 1
 	}
-	return &trace{step: step, parent: parent, depth: d}
+	return &trace{hop: h, parent: parent, depth: d}
 }
 
-// factSet maps an information type to its provenance. Merging keeps the
-// first trace seen (any witness suffices).
-type factSet map[sensitive.Info]*trace
+// fact is one information type a register (field, return value) may
+// hold, with the trace that first brought it: merging keeps the first
+// witness.
+type fact struct {
+	info sensitive.Info
+	tr   *trace
+}
 
-func (f factSet) merge(other factSet) bool {
-	changed := false
-	for info, tr := range other {
-		if _, ok := f[info]; !ok {
-			f[info] = tr
-			changed = true
+// factSet is the facts of one register, field or return value, in
+// arrival order. A set holds a few of the 17 information types, so a
+// scan beats a map; a nil set is empty.
+type factSet []fact
+
+func (f factSet) has(info sensitive.Info) bool {
+	for _, x := range f {
+		if x.info == info {
+			return true
 		}
 	}
-	return changed
+	return false
+}
+
+// addAll adds each fact of src that f lacks, keeping src's trace, and
+// reports whether f grew.
+func (f *factSet) addAll(src factSet) bool {
+	n := len(*f)
+	for _, x := range src {
+		if !f.has(x.info) {
+			*f = append(*f, x)
+		}
+	}
+	return len(*f) > n
+}
+
+// addHop adds, for each fact of src that f lacks, the fact extended by
+// h, and reports whether f grew. Facts f already has cost nothing.
+func (f *factSet) addHop(src factSet, h hop) bool {
+	n := len(*f)
+	for _, x := range src {
+		if !f.has(x.info) {
+			*f = append(*f, fact{x.info, extend(x.tr, h)})
+		}
+	}
+	return len(*f) > n
+}
+
+// addSource adds a source fact unless f already has its information.
+func (f *factSet) addSource(info sensitive.Info, h hop) bool {
+	if f.has(info) {
+		return false
+	}
+	*f = append(*f, fact{info, extend(nil, h)})
+	return true
 }
 
 // callbackParamSources models framework callbacks whose parameters
@@ -120,66 +183,88 @@ var callbackParamSources = map[string]sensitive.Info{
 
 // Analyzer runs taint analysis over one app.
 type Analyzer struct {
-	p *apg.APG
-
-	regTaint   map[dex.MethodRef][]factSet // per method, per register
-	fieldTaint map[string]factSet          // by field name/spec
-	retTaint   map[dex.MethodRef]factSet
-	callers    map[dex.MethodRef][]dex.MethodRef
-	// iccTargets maps a launching method to the component entry methods
-	// its intents reach (from the APG's icc edges); intent extras carry
-	// taint across this hop.
-	iccTargets map[dex.MethodRef][]dex.MethodRef
-
-	// uriTaint tracks registers holding sensitive content URIs
-	// (separately from data taint): reg -> uri info with provenance.
-	leaks    []Leak
-	leakSeen map[string]bool
-
-	scratch *Scratch
+	p     *apg.APG
+	s     *Scratch
+	leaks []Leak
 }
 
-// Scratch holds the analyzer's reusable interprocedural state: the
-// fact-set maps and the worklist buffers. A zero value is ready to
-// use; worker pools keep one per arena and pass it to AnalyzeCtxWith
-// so repeated analyses stop re-allocating per app. The contained maps
-// are cleared (not freed) between runs.
+// leakKey identifies a reported leak: its information, the note of its
+// source step (the step's kind and text determine it), the sink, and
+// the sink site.
+type leakKey struct {
+	info   sensitive.Info
+	source hopKind
+	text   string
+	sink   apg.MethodID
+	method apg.MethodID
+	index  int
+}
+
+// Scratch holds the analyzer's reusable interprocedural state, indexed
+// by the APG's MethodIDs: register and return taint, callers, the
+// worklist and its membership. A zero value is ready to use; worker
+// pools keep one per arena and pass it to AnalyzeCtxWith so repeated
+// analyses stop re-allocating per app. Between runs every fact is
+// cleared; what survives is capacity only.
 type Scratch struct {
-	regTaint   map[dex.MethodRef][]factSet
-	fieldTaint map[string]factSet
-	retTaint   map[dex.MethodRef]factSet
-	callers    map[dex.MethodRef][]dex.MethodRef
-	iccTargets map[dex.MethodRef][]dex.MethodRef
-	leakSeen   map[string]bool
-	work       []dex.MethodRef
-	inWork     map[dex.MethodRef]bool
-	iccBuf     []graphdb.NodeID
+	regTaint   [][]factSet // per method, per register
+	retTaint   []factSet
+	callers    [][]apg.MethodID
+	inWork     []bool
+	changed    []bool // callees whose parameter taint the current method changed
+	changedIDs []apg.MethodID
+	work       []apg.MethodID
+	fieldTaint map[string]factSet // by field name/spec
+	leakSeen   map[leakKey]bool
 	// uriOut/uriStr are the per-method register maps of uriRegisters,
 	// cleared and refilled for each method the worklist visits.
 	uriOut map[int]sensitive.URIString
 	uriStr map[int]string
 }
 
-// reset clears the scratch for the next run, keeping capacity.
-func (s *Scratch) reset() {
-	if s.regTaint == nil {
-		s.regTaint = map[dex.MethodRef][]factSet{}
-		s.fieldTaint = map[string]factSet{}
-		s.retTaint = map[dex.MethodRef]factSet{}
-		s.callers = map[dex.MethodRef][]dex.MethodRef{}
-		s.iccTargets = map[dex.MethodRef][]dex.MethodRef{}
-		s.leakSeen = map[string]bool{}
-		s.inWork = map[dex.MethodRef]bool{}
-		return
+// reset clears the previous run's state and sizes the per-method
+// slices for n methods, keeping capacity.
+func (s *Scratch) reset(n int) {
+	for id, rs := range s.regTaint {
+		for r := range rs {
+			clear(rs[r])
+			rs[r] = rs[r][:0]
+		}
+		s.regTaint[id] = rs[:0]
 	}
-	clear(s.regTaint)
-	clear(s.fieldTaint)
-	clear(s.retTaint)
-	clear(s.callers)
-	clear(s.iccTargets)
-	clear(s.leakSeen)
+	for id := range s.retTaint {
+		clear(s.retTaint[id])
+		s.retTaint[id] = s.retTaint[id][:0]
+	}
+	for id := range s.callers {
+		s.callers[id] = s.callers[id][:0]
+	}
+	s.regTaint = sized(s.regTaint, n)
+	s.retTaint = sized(s.retTaint, n)
+	s.callers = sized(s.callers, n)
+	s.inWork = sized(s.inWork, n)
+	s.changed = sized(s.changed, n)
 	clear(s.inWork)
+	clear(s.changed)
+	s.changedIDs = s.changedIDs[:0]
 	s.work = s.work[:0]
+	if s.fieldTaint == nil {
+		s.fieldTaint = map[string]factSet{}
+		s.leakSeen = map[leakKey]bool{}
+	}
+	clear(s.fieldTaint)
+	clear(s.leakSeen)
+}
+
+// sized returns s with length n. Elements past the old length keep
+// what they held up to the old capacity — cleared state whose own
+// capacity is reused.
+func sized[T any](s []T, n int) []T {
+	s = s[:cap(s)]
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s[:n]
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -219,57 +304,23 @@ func AnalyzeCtxWith(ctx context.Context, p *apg.APG, s *Scratch) (*Result, error
 		s = scratchPool.Get().(*Scratch)
 		defer scratchPool.Put(s)
 	}
-	s.reset()
-	a := &Analyzer{
-		p:          p,
-		regTaint:   s.regTaint,
-		fieldTaint: s.fieldTaint,
-		retTaint:   s.retTaint,
-		callers:    s.callers,
-		iccTargets: s.iccTargets,
-		leakSeen:   s.leakSeen,
-		scratch:    s,
-	}
-	a.collectICCTargets()
+	s.reset(p.NumMethods())
+	a := &Analyzer{p: p, s: s}
 	err := a.run(ctx)
 	return &Result{Leaks: a.leaks}, err
 }
 
-// collectICCTargets reads the APG's icc edges into a method-level map,
-// querying the frozen CSR view.
-func (a *Analyzer) collectICCTargets() {
-	f := a.p.Frozen()
-	buf := a.scratch.iccBuf
-	for _, ref := range a.p.Methods() {
-		id, ok := a.p.MethodNode(ref)
-		if !ok {
-			continue
-		}
-		buf = f.OutInto(buf[:0], id, apg.EdgeICC)
-		for _, to := range buf {
-			n := f.Node(to)
-			target := dex.MethodRef{
-				Class: dex.TypeDesc(n.Prop("class")),
-				Name:  n.Prop("name"),
-				Sig:   n.Prop("sig"),
-			}
-			a.iccTargets[ref] = append(a.iccTargets[ref], target)
-		}
-	}
-	a.scratch.iccBuf = buf
-}
-
 func (a *Analyzer) run(ctx context.Context) error {
-	// Seed the worklist with every reachable method, in stable order.
-	// Reachability is memoized on the APG and shared with the static
-	// collection scan.
-	work := a.scratch.work[:0]
-	for _, ref := range a.p.Methods() {
-		if a.p.MethodReachable(ref) {
-			work = append(work, ref)
+	// Seed the worklist with every reachable method, in definition
+	// order. Reachability is memoized on the APG and shared with the
+	// static collection scan.
+	work := a.s.work[:0]
+	for _, d := range a.p.Defs() {
+		if a.p.Reachable(d.ID) {
+			work = append(work, d.ID)
 		}
 	}
-	inWork := a.scratch.inWork
+	inWork := a.s.inWork
 	for _, w := range work {
 		inWork[w] = true
 	}
@@ -280,18 +331,18 @@ func (a *Analyzer) run(ctx context.Context) error {
 				return err
 			}
 		}
-		ref := work[0]
+		id := work[0]
 		work = work[1:]
-		inWork[ref] = false
-		changedCallees, changedRet := a.processMethod(ref)
+		inWork[id] = false
+		changedCallees, changedRet := a.processMethod(id)
 		for _, c := range changedCallees {
-			if a.p.MethodReachable(c) && !inWork[c] {
+			if a.p.Reachable(c) && !inWork[c] {
 				inWork[c] = true
 				work = append(work, c)
 			}
 		}
 		if changedRet {
-			for _, caller := range a.callers[ref] {
+			for _, caller := range a.s.callers[id] {
 				if !inWork[caller] {
 					inWork[caller] = true
 					work = append(work, caller)
@@ -299,7 +350,7 @@ func (a *Analyzer) run(ctx context.Context) error {
 			}
 		}
 	}
-	a.scratch.work = work[:0]
+	a.s.work = work[:0]
 	if len(work) > 0 {
 		return fmt.Errorf("%w: %d methods still pending after %d rounds",
 			ErrBudgetExhausted, len(work), rounds)
@@ -307,69 +358,66 @@ func (a *Analyzer) run(ctx context.Context) error {
 	return nil
 }
 
-// regs returns the fact sets of a method, allocating the slice on
-// first use. Individual register sets stay nil until first written
-// (see taintInto) — reads treat a nil factSet as empty, which saves
-// one map allocation per register in the common all-clean case.
-func (a *Analyzer) regs(ref dex.MethodRef, numRegs int) []factSet {
-	rs, ok := a.regTaint[ref]
-	if !ok || len(rs) < numRegs {
-		grown := make([]factSet, numRegs)
-		copy(grown, rs)
-		a.regTaint[ref] = grown
-		rs = grown
+// regs returns the fact sets of a method, sizing them on first use.
+// Individual register sets stay empty until first written; a method's
+// sets reuse the capacity an earlier run left at its id.
+func (a *Analyzer) regs(id apg.MethodID, numRegs int) []factSet {
+	rs := a.s.regTaint[id]
+	if len(rs) < numRegs {
+		if cap(rs) >= numRegs {
+			rs = rs[:numRegs]
+		} else {
+			grown := make([]factSet, numRegs)
+			copy(grown, rs)
+			rs = grown
+		}
+		a.s.regTaint[id] = rs
 	}
 	return rs
 }
 
-// mergeInto merges facts into rs[dst], allocating the destination set
-// lazily; reports whether anything changed.
-func mergeInto(rs []factSet, dst int, facts factSet) bool {
-	if dst < 0 || dst >= len(rs) || len(facts) == 0 {
-		return false
+// markChanged records that a callee's parameter taint changed while
+// interpreting the current method.
+func (a *Analyzer) markChanged(id apg.MethodID) {
+	if !a.s.changed[id] {
+		a.s.changed[id] = true
+		a.s.changedIDs = append(a.s.changedIDs, id)
 	}
-	if rs[dst] == nil {
-		rs[dst] = make(factSet, len(facts))
-	}
-	return rs[dst].merge(facts)
 }
 
 // processMethod interprets one method to a local fixpoint. It returns
-// callees whose param taint changed and whether the return taint
-// changed.
-func (a *Analyzer) processMethod(ref dex.MethodRef) (changedCallees []dex.MethodRef, changedRet bool) {
-	m := a.p.APK.Dex.Lookup(ref)
-	if m == nil {
+// callees whose param taint changed, in smali-string order (witness
+// paths depend on the worklist order, so it must not follow ids), and
+// whether the return taint changed. The callee slice aliases the
+// scratch and is valid until the next call.
+func (a *Analyzer) processMethod(id apg.MethodID) (changedCallees []apg.MethodID, changedRet bool) {
+	d, ok := a.p.Resolve(id)
+	if !ok {
 		return nil, false
 	}
+	m := d.Method
 	if len(m.Code) > apg.MaxMethodCode {
 		// Defense in depth: the builder rejects such methods, but an APG
 		// assembled by other means must not trigger the O(n²) local
 		// fixpoint below.
 		return nil, false
 	}
-	rs := a.regs(ref, m.NumRegs+1)
+	rs := a.regs(id, m.NumRegs+1)
 	// Callback parameter sources (e.g. onLocationChanged's Location).
 	if info, ok := callbackParamSources[m.Name]; ok && m.NumParams() > 0 {
 		pr := m.ParamReg(0)
 		if pr >= 0 && pr < len(rs) {
-			src := Step{Method: ref, Index: -1, Note: "callback parameter carries " + string(info)}
-			if _, have := rs[pr][info]; !have {
-				if rs[pr] == nil {
-					rs[pr] = factSet{}
-				}
-				rs[pr][info] = extend(nil, src)
-			}
+			rs[pr].addSource(info, hop{kind: hopCallback, method: id, index: -1, text: string(info)})
 		}
 	}
-	calleeChanged := map[dex.MethodRef]bool{}
+	a.s.changedIDs = a.s.changedIDs[:0]
 	uriOf := a.uriRegisters(m)
 	// Iterate to a local fixpoint; taint only grows, so this is
 	// bounded by (#regs × #infos) per register.
 	for pass := 0; pass < len(m.Code)+2; pass++ {
 		changed := false
-		for i, ins := range m.Code {
-			if a.step(ref, m, rs, uriOf, i, ins, calleeChanged, &changedRet) {
+		for i := range m.Code {
+			if a.step(id, d, rs, uriOf, i, &changedRet) {
 				changed = true
 			}
 		}
@@ -377,109 +425,83 @@ func (a *Analyzer) processMethod(ref dex.MethodRef) (changedCallees []dex.Method
 			break
 		}
 	}
-	for c := range calleeChanged {
-		changedCallees = append(changedCallees, c)
+	changedCallees = a.s.changedIDs
+	for _, c := range changedCallees {
+		a.s.changed[c] = false
 	}
-	sort.Slice(changedCallees, func(i, j int) bool {
-		return changedCallees[i].String() < changedCallees[j].String()
-	})
+	slices.SortFunc(changedCallees, a.p.Compare)
 	return changedCallees, changedRet
 }
 
-// step interprets one instruction; reports whether any fact changed.
-func (a *Analyzer) step(ref dex.MethodRef, m *dex.Method, rs []factSet,
-	uriOf map[int]sensitive.URIString, i int, ins dex.Instr,
-	calleeChanged map[dex.MethodRef]bool, changedRet *bool) bool {
+// inRange reports whether r names a register of rs.
+func inRange(rs []factSet, r int) bool { return r >= 0 && r < len(rs) }
 
-	changed := false
-	taintReg := func(dst int, facts factSet) {
-		if mergeInto(rs, dst, facts) {
-			changed = true
-		}
-	}
+// step interprets instruction i of d; reports whether any fact of the
+// method changed.
+func (a *Analyzer) step(id apg.MethodID, d apg.Def, rs []factSet,
+	uriOf map[int]sensitive.URIString, i int, changedRet *bool) bool {
+
+	ins := &d.Method.Code[i]
 	switch ins.Op {
 	case dex.OpMove:
-		if ins.B >= 0 && ins.B < len(rs) {
-			taintReg(ins.A, rs[ins.B])
+		if inRange(rs, ins.B) && inRange(rs, ins.A) {
+			return rs[ins.A].addAll(rs[ins.B])
 		}
 	case dex.OpIGet:
-		if fs, ok := a.fieldTaint[ins.Str]; ok {
-			taintReg(ins.A, fs)
+		if fs, ok := a.s.fieldTaint[ins.Str]; ok && inRange(rs, ins.A) {
+			return rs[ins.A].addAll(fs)
 		}
 	case dex.OpIPut:
-		if ins.B >= 0 && ins.B < len(rs) && len(rs[ins.B]) > 0 {
-			fs, ok := a.fieldTaint[ins.Str]
-			if !ok {
-				fs = factSet{}
-				a.fieldTaint[ins.Str] = fs
-			}
-			if fs.merge(rs[ins.B]) {
-				changed = true
-			}
+		if inRange(rs, ins.B) && len(rs[ins.B]) > 0 {
+			fs := a.s.fieldTaint[ins.Str]
+			changed := fs.addAll(rs[ins.B])
+			a.s.fieldTaint[ins.Str] = fs
+			return changed
 		}
 	case dex.OpSGet:
 		// handled by uriRegisters for URI fields; no data taint.
 	case dex.OpReturn:
-		if ins.A >= 0 && ins.A < len(rs) && len(rs[ins.A]) > 0 {
-			fs, ok := a.retTaint[ref]
-			if !ok {
-				fs = factSet{}
-				a.retTaint[ref] = fs
-			}
-			if fs.merge(rs[ins.A]) {
-				changed = true
-				*changedRet = true
-			}
+		if inRange(rs, ins.A) && len(rs[ins.A]) > 0 && a.s.retTaint[id].addAll(rs[ins.A]) {
+			*changedRet = true
+			return true
 		}
 	case dex.OpInvokeVirtual, dex.OpInvokeStatic:
-		changed = a.stepInvoke(ref, m, rs, uriOf, i, ins, calleeChanged) || changed
+		return a.stepInvoke(id, rs, uriOf, i, ins, d.Calls[i])
 	}
-	return changed
+	return false
 }
 
-func (a *Analyzer) stepInvoke(ref dex.MethodRef, m *dex.Method, rs []factSet,
-	uriOf map[int]sensitive.URIString, i int, ins dex.Instr,
-	calleeChanged map[dex.MethodRef]bool) bool {
-
-	changed := false
-	taintReg := func(dst int, facts factSet) {
-		if mergeInto(rs, dst, facts) {
-			changed = true
-		}
-	}
+// stepInvoke interprets the invoke at instruction i, whose target has
+// identity callee.
+func (a *Analyzer) stepInvoke(id apg.MethodID, rs []factSet,
+	uriOf map[int]sensitive.URIString, i int, ins *dex.Instr, callee apg.MethodID) bool {
 
 	// Source: sensitive API.
-	if api, ok := sensitive.LookupAPI(ins.Method); ok {
-		src := Step{Method: ref, Index: i, Note: "source " + ins.Method.String()}
-		taintReg(ins.A, factSet{api.Info: extend(nil, src)})
-		return changed
+	if api := a.p.API(callee); api != nil {
+		return inRange(rs, ins.A) &&
+			rs[ins.A].addSource(api.Info, hop{kind: hopSource, method: id, index: int32(i), text: api.Source})
 	}
 	// Source: content-provider query with a sensitive URI argument.
 	if ins.Method.Name == "query" && strings.Contains(string(ins.Method.Class), "ContentResolver") {
+		changed := false
 		for _, arg := range ins.Args {
-			if u, ok := uriOf[arg]; ok {
-				src := Step{Method: ref, Index: i, Note: fmt.Sprintf("source query(%s)", u.URI)}
-				taintReg(ins.A, factSet{u.Info: extend(nil, src)})
+			if u, ok := uriOf[arg]; ok && inRange(rs, ins.A) &&
+				rs[ins.A].addSource(u.Info, hop{kind: hopQuery, method: id, index: int32(i), text: u.URI}) {
+				changed = true
 			}
 		}
 		return changed
 	}
 	// Intent extras: putExtra taints the intent object itself.
 	if ins.Method.Name == "putExtra" && strings.Contains(string(ins.Method.Class), "Intent") {
-		if len(ins.Args) >= 2 {
+		changed := false
+		if len(ins.Args) >= 2 && inRange(rs, ins.Args[0]) {
 			intentReg := ins.Args[0]
-			facts := factSet{}
 			for _, valReg := range ins.Args[1:] {
-				if valReg < 0 || valReg >= len(rs) {
-					continue
-				}
-				for info, tr := range rs[valReg] {
-					if _, ok := facts[info]; !ok {
-						facts[info] = tr
-					}
+				if inRange(rs, valReg) && rs[intentReg].addAll(rs[valReg]) {
+					changed = true
 				}
 			}
-			taintReg(intentReg, facts)
 		}
 		return changed
 	}
@@ -487,135 +509,137 @@ func (a *Analyzer) stepInvoke(ref dex.MethodRef, m *dex.Method, rs []factSet,
 	// target entry's intent parameter (the IccTA hop).
 	if iccLaunchers[ins.Method.Name] && len(ins.Args) >= 2 {
 		intentReg := ins.Args[len(ins.Args)-1]
-		if intentReg >= 0 && intentReg < len(rs) && len(rs[intentReg]) > 0 {
-			for _, target := range a.iccTargets[ref] {
-				callee := a.p.APK.Dex.Lookup(target)
-				if callee == nil {
+		if inRange(rs, intentReg) && len(rs[intentReg]) > 0 {
+			for _, target := range a.p.ICCTargets(id) {
+				cd, ok := a.p.Resolve(target)
+				if !ok {
 					continue
 				}
-				paramIdx := intentParamIndex(callee)
+				paramIdx := intentParamIndex(cd.Method)
 				if paramIdx < 0 {
 					continue
 				}
-				dst := callee.ParamReg(paramIdx)
-				crs := a.regs(callee.Ref(), callee.NumRegs+1)
+				dst := cd.Method.ParamReg(paramIdx)
+				crs := a.regs(cd.ID, cd.Method.NumRegs+1)
 				if dst >= len(crs) {
 					continue
 				}
-				hop := Step{Method: callee.Ref(), Index: -1,
-					Note: fmt.Sprintf("via intent from %s@%d", ref, i)}
-				facts := factSet{}
-				for info, tr := range rs[intentReg] {
-					facts[info] = extend(tr, hop)
-				}
-				if mergeInto(crs, dst, facts) {
-					calleeChanged[callee.Ref()] = true
+				if crs[dst].addHop(rs[intentReg], hop{kind: hopIntent, method: cd.ID, index: -1, from: id, at: int32(i)}) {
+					a.markChanged(cd.ID)
 				}
 			}
 		}
-		return changed
+		return false
 	}
 	// Sink: report leaks for tainted sink arguments.
-	if sink, ok := sensitive.LookupSink(ins.Method); ok {
+	if sink := a.p.Sink(callee); sink != nil {
 		for _, pos := range sink.TaintArgs {
 			if pos >= len(ins.Args) {
 				continue
 			}
 			reg := ins.Args[pos]
-			if reg < 0 || reg >= len(rs) {
+			if !inRange(rs, reg) {
 				continue
 			}
-			for info, tr := range rs[reg] {
-				a.report(info, sink, ref, i, tr)
+			for _, f := range rs[reg] {
+				a.report(f.info, callee, sink, id, i, f.tr)
 			}
 		}
-		return changed
+		return false
 	}
 	// Defined method: propagate args to params and return taint back.
-	if callee := a.p.APK.Dex.Lookup(ins.Method); callee != nil {
-		calleeRef := callee.Ref()
-		a.noteCaller(calleeRef, ref)
-		crs := a.regs(calleeRef, callee.NumRegs+1)
+	if cd, ok := a.p.Resolve(callee); ok {
+		a.noteCaller(cd.ID, id)
+		var crs []factSet
 		for ai, argReg := range ins.Args {
-			if argReg < 0 || argReg >= len(rs) || len(rs[argReg]) == 0 {
+			if !inRange(rs, argReg) || len(rs[argReg]) == 0 {
 				continue
 			}
-			// Arg 0 of a virtual call is the receiver → register 0.
-			dst := ai
-			if ins.Op == dex.OpInvokeVirtual {
-				dst = ai // receiver occupies v0, params follow
+			if crs == nil {
+				crs = a.regs(cd.ID, cd.Method.NumRegs+1)
 			}
-			if dst >= len(crs) {
+			// Arg 0 of a virtual call is the receiver, in register 0;
+			// parameters follow in argument order either way.
+			if ai >= len(crs) {
 				continue
 			}
-			hop := Step{Method: calleeRef, Index: -1, Note: fmt.Sprintf("via call from %s@%d", ref, i)}
-			facts := factSet{}
-			for info, tr := range rs[argReg] {
-				facts[info] = extend(tr, hop)
-			}
-			if mergeInto(crs, dst, facts) {
-				calleeChanged[calleeRef] = true
+			if crs[ai].addHop(rs[argReg], hop{kind: hopCall, method: cd.ID, index: -1, from: id, at: int32(i)}) {
+				a.markChanged(cd.ID)
 			}
 		}
-		if fs, ok := a.retTaint[calleeRef]; ok {
-			hop := Step{Method: ref, Index: i, Note: "return value of " + calleeRef.String()}
-			facts := factSet{}
-			for info, tr := range fs {
-				facts[info] = extend(tr, hop)
-			}
-			taintReg(ins.A, facts)
+		if fs := a.s.retTaint[cd.ID]; len(fs) > 0 && inRange(rs, ins.A) {
+			return rs[ins.A].addHop(fs, hop{kind: hopReturn, method: id, index: int32(i), from: cd.ID})
 		}
-		return changed
+		return false
 	}
 	// Unknown framework method: conservative taint-through from args to
 	// result (e.g. StringBuilder.append, String.valueOf).
-	facts := factSet{}
+	changed := false
 	for _, argReg := range ins.Args {
-		if argReg < 0 || argReg >= len(rs) {
-			continue
+		if inRange(rs, argReg) && inRange(rs, ins.A) && rs[ins.A].addAll(rs[argReg]) {
+			changed = true
 		}
-		for info, tr := range rs[argReg] {
-			if _, ok := facts[info]; !ok {
-				facts[info] = tr
-			}
-		}
-	}
-	if len(facts) > 0 {
-		taintReg(ins.A, facts)
 	}
 	return changed
 }
 
-func (a *Analyzer) noteCaller(callee, caller dex.MethodRef) {
-	for _, c := range a.callers[callee] {
+func (a *Analyzer) noteCaller(callee, caller apg.MethodID) {
+	for _, c := range a.s.callers[callee] {
 		if c == caller {
 			return
 		}
 	}
-	a.callers[callee] = append(a.callers[callee], caller)
+	a.s.callers[callee] = append(a.s.callers[callee], caller)
 }
 
-// report records a leak once per (info, source, sink site).
-func (a *Analyzer) report(info sensitive.Info, sink sensitive.Sink, method dex.MethodRef, idx int, tr *trace) {
-	srcDesc := ""
-	if tr != nil {
-		srcDesc = tr.path()[0].Note
+// report records a leak once per (info, source, sink site), formatting
+// its path only then.
+func (a *Analyzer) report(info sensitive.Info, sinkID apg.MethodID, sink *sensitive.Sink,
+	method apg.MethodID, idx int, tr *trace) {
+
+	root := tr
+	for root.parent != nil {
+		root = root.parent
 	}
-	key := string(info) + "|" + srcDesc + "|" + sink.Ref.String() + "|" + method.String() + "|" + fmt.Sprint(idx)
-	if a.leakSeen[key] {
+	key := leakKey{info: info, source: root.hop.kind, text: root.hop.text,
+		sink: sinkID, method: method, index: idx}
+	if a.s.leakSeen[key] {
 		return
 	}
-	a.leakSeen[key] = true
-	sinkStep := Step{Method: method, Index: idx, Note: "sink " + sink.Ref.String()}
-	path := append(tr.path(), sinkStep)
+	a.s.leakSeen[key] = true
+	path := make([]Step, tr.depth+2)
+	for cur, i := tr, tr.depth; cur != nil; cur, i = cur.parent, i-1 {
+		path[i] = a.stepOf(cur.hop)
+	}
+	path[len(path)-1] = Step{Method: a.p.Ref(method), Index: idx, Note: "sink " + a.p.Smali(sinkID)}
 	a.leaks = append(a.leaks, Leak{
 		Info:    info,
-		Source:  strings.TrimPrefix(srcDesc, "source "),
+		Source:  strings.TrimPrefix(path[0].Note, "source "),
 		Sink:    sink.Ref,
 		Channel: sink.Channel,
-		Method:  method,
+		Method:  a.p.Ref(method),
 		Path:    path,
 	})
+}
+
+// stepOf formats one hop as the Step reports show.
+func (a *Analyzer) stepOf(h hop) Step {
+	var note string
+	switch h.kind {
+	case hopSource:
+		note = "source " + h.text
+	case hopQuery:
+		note = "source query(" + h.text + ")"
+	case hopCallback:
+		note = "callback parameter carries " + h.text
+	case hopIntent:
+		note = "via intent from " + a.p.Smali(h.from) + "@" + strconv.Itoa(int(h.at))
+	case hopCall:
+		note = "via call from " + a.p.Smali(h.from) + "@" + strconv.Itoa(int(h.at))
+	case hopReturn:
+		note = "return value of " + a.p.Smali(h.from)
+	}
+	return Step{Method: a.p.Ref(h.method), Index: int(h.index), Note: note}
 }
 
 // uriRegisters computes, per register, the sensitive content URI it may
@@ -636,7 +660,7 @@ func (a *Analyzer) uriRegisters(m *dex.Method) map[int]sensitive.URIString {
 	if !interesting {
 		return nil
 	}
-	sc := a.scratch
+	sc := a.s
 	if sc.uriOut == nil {
 		sc.uriOut = map[int]sensitive.URIString{}
 		sc.uriStr = map[int]string{}

@@ -25,7 +25,9 @@
 #     timing rows: those depend on the host that recorded them.
 #
 # The gated set is the observability- and performance-critical path:
-# APG construction (its allocs/op pin the per-app graph build), the
+# APG construction (its allocs/op pin the per-app graph build), static
+# analysis of a 1,000- and a 4,000-class image (method resolution must
+# stay linear in the classes), the
 # end-to-end CheckSafe benches (uninstrumented vs observed — their
 # ratio is the observer overhead — and the corpus rotation, whose
 # allocs/op pin the warm per-app cost), the policy pipeline with every
@@ -43,7 +45,7 @@ rev=$(git rev-parse --short HEAD 2>/dev/null || echo dev)
 out="BENCH_${rev}.json"
 baseline=testdata/bench_baseline.json
 tol="${BENCH_TOLERANCE:-0.20}"
-timed='APGBuild|CheckSafe|PolicyAnalysisCold|GraphQueryThroughput|LexiconMatch|Similarity(Warm|Cold|ReferenceMap)|Span(Nil|Metrics|JSONL)'
+timed='APGBuild|StaticLargeImage|CheckSafe|PolicyAnalysisCold|GraphQueryThroughput|LexiconMatch|Similarity(Warm|Cold|ReferenceMap)|Span(Nil|Metrics|JSONL)'
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
