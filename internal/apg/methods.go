@@ -96,8 +96,8 @@ func (t *methodTable) intern(ref dex.MethodRef) MethodID {
 // table: one row per defined or invoked reference, each definition
 // with the identities its invokes name, each row resolved once to its
 // definition and classified against the sensitive API and sink tables.
-// It checks ctx between classes. Errors match, in kind and order,
-// what the structure pass would have met method by method.
+// It checks ctx between classes and reports the first size-guard or
+// branch-target error in class, method and instruction order.
 func (t *methodTable) build(ctx context.Context, d *dex.Dex) error {
 	t.reset(d)
 	nm, ni := 0, 0
@@ -127,20 +127,21 @@ func (t *methodTable) build(ctx context.Context, d *dex.Dex) error {
 			if totalStmts > maxTotalStmts {
 				return fmt.Errorf("%w: image exceeds %d statements", ErrTooLarge, maxTotalStmts)
 			}
-			for i, ins := range m.Code {
-				if (ins.Op == dex.OpGoto || ins.Op == dex.OpIfZ) && (ins.Target < 0 || ins.Target >= len(m.Code)) {
-					return fmt.Errorf("apg: method %s: instruction %d: branch target %d outside [0,%d)",
-						m.Ref(), i, ins.Target, len(m.Code))
-				}
-			}
 			id := t.intern(m.Ref())
 			if t.rows[id].first < 0 {
 				t.rows[id].first = int32(len(t.defs))
 			}
 			t.defs = append(t.defs, Def{Method: m, ID: id, class: int32(ci)})
-			for _, ins := range m.Code {
+			for i := range m.Code {
+				ins := &m.Code[i]
 				callee := MethodID(-1)
-				if ins.Op == dex.OpInvokeVirtual || ins.Op == dex.OpInvokeStatic {
+				switch ins.Op {
+				case dex.OpGoto, dex.OpIfZ:
+					if ins.Target < 0 || ins.Target >= len(m.Code) {
+						return fmt.Errorf("apg: method %s: instruction %d: branch target %d outside [0,%d)",
+							m.Ref(), i, ins.Target, len(m.Code))
+					}
+				case dex.OpInvokeVirtual, dex.OpInvokeStatic:
 					callee = t.intern(ins.Method)
 				}
 				t.calls = append(t.calls, callee)

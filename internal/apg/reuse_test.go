@@ -95,3 +95,49 @@ func TestBuildScratchReuseIndependentOfHistory(t *testing.T) {
 		t.Fatal("no reachable sensitive-API site in any app; the site comparison was vacuous")
 	}
 }
+
+// TestMethodTableMatchesLookup: through one reused scratch, every row
+// of each app's method table resolves to the definition dex.Dex.Lookup
+// (the reference scan over every class) returns for its reference, and
+// carries the sensitive-table entries of that reference.
+func TestMethodTableMatchesLookup(t *testing.T) {
+	ctx := context.Background()
+	fh := synth.NewFirehose(11)
+	var s apg.BuildScratch
+	resolved := 0
+	for i := int64(0); i < 100; i++ {
+		g, err := fh.App(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := g.App.APK.Dex
+		p, err := apg.BuildCtxWith(ctx, g.App.APK, apg.DefaultOptions(), &s)
+		if err != nil {
+			t.Fatalf("app %d: %v", i, err)
+		}
+		for id := apg.MethodID(0); int(id) < p.NumMethods(); id++ {
+			ref := p.Ref(id)
+			if p.Smali(id) != ref.String() {
+				t.Fatalf("app %d: %s smali %q", i, ref, p.Smali(id))
+			}
+			def, ok := p.Resolve(id)
+			if want := d.Lookup(ref); (want != nil) != ok || ok && def.Method != want {
+				t.Fatalf("app %d: %s resolves to %v, Lookup to %v", i, ref, def.Method, want)
+			}
+			if ok {
+				resolved++
+				if p.Ref(def.ID) != def.Method.Ref() {
+					t.Fatalf("app %d: definition of %s has id of %s", i, ref, p.Ref(def.ID))
+				}
+			}
+			api, _ := sensitive.LookupAPI(ref)
+			sink, _ := sensitive.LookupSink(ref)
+			if p.API(id) != api || p.Sink(id) != sink {
+				t.Fatalf("app %d: %s classified %v/%v, want %v/%v", i, ref, p.API(id), p.Sink(id), api, sink)
+			}
+		}
+	}
+	if resolved == 0 {
+		t.Fatal("no reference resolved in any app; the comparison was vacuous")
+	}
+}

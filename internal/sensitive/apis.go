@@ -183,10 +183,7 @@ var apiSpecs = []apiSpec{
 var apis = func() []API {
 	out := make([]API, len(apiSpecs))
 	for i, sp := range apiSpecs {
-		out[i] = API{Ref: sp.ref, Info: sp.info, Permission: sp.perm}
-		if sp.ref != (dex.MethodRef{}) {
-			out[i].Source = sp.ref.String()
-		}
+		out[i] = API{Ref: sp.ref, Info: sp.info, Permission: sp.perm, Source: sp.ref.String()}
 	}
 	return out
 }()
