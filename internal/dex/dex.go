@@ -314,9 +314,11 @@ func (d *Dex) Class(name TypeDesc) *Class {
 }
 
 // Lookup resolves a method reference to its definition, walking up the
-// superclass chain for virtual dispatch.
+// superclass chain for virtual dispatch. A superclass cycle (Verify
+// does not reject one) ends the walk unresolved.
 func (d *Dex) Lookup(ref MethodRef) *Method {
-	for cls := d.Class(ref.Class); cls != nil; {
+	cls := d.Class(ref.Class)
+	for steps := 0; cls != nil && steps <= len(d.Classes); steps++ {
 		if m := cls.Method(ref.Name, ref.Sig); m != nil {
 			return m
 		}

@@ -393,3 +393,29 @@ func TestClassNameHasPrefixMatchesClassName(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupSuperclassCycle: a method no class of a superclass cycle
+// defines resolves to nil instead of walking the cycle forever.
+func TestLookupSuperclassCycle(t *testing.T) {
+	d, err := Assemble(`
+.class La/A; extends La/B;
+.method run()V regs=1
+    return-void
+.end method
+.end class
+.class La/B; extends La/A;
+.end class
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(d); err != nil {
+		t.Fatalf("cycle rejected by Verify: %v", err)
+	}
+	if m := d.Lookup(MethodRef{Class: "La/B;", Name: "run", Sig: "()V"}); m == nil {
+		t.Error("inherited method not resolved")
+	}
+	if m := d.Lookup(MethodRef{Class: "La/B;", Name: "missing", Sig: "()V"}); m != nil {
+		t.Errorf("missing method resolved to %v", m)
+	}
+}
