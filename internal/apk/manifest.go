@@ -68,16 +68,18 @@ func (m *Manifest) PermissionNames() []string {
 
 // Components returns every component with its kind.
 func (m *Manifest) Components() []DeclaredComponent {
-	var out []DeclaredComponent
+	app := &m.Application
+	out := make([]DeclaredComponent, 0,
+		len(app.Activities)+len(app.Services)+len(app.Receivers)+len(app.Providers))
 	add := func(kind ComponentKind, cs []Component) {
 		for _, c := range cs {
 			out = append(out, DeclaredComponent{Kind: kind, Component: c})
 		}
 	}
-	add(KindActivity, m.Application.Activities)
-	add(KindService, m.Application.Services)
-	add(KindReceiver, m.Application.Receivers)
-	add(KindProvider, m.Application.Providers)
+	add(KindActivity, app.Activities)
+	add(KindService, app.Services)
+	add(KindReceiver, app.Receivers)
+	add(KindProvider, app.Providers)
 	return out
 }
 
