@@ -100,14 +100,19 @@ func (t *methodTable) intern(ref dex.MethodRef) MethodID {
 // branch-target error in class, method and instruction order.
 func (t *methodTable) build(ctx context.Context, d *dex.Dex) error {
 	t.reset(d)
-	nm, ni := 0, 0
+	nm, ni, ninv := 0, 0, 0
 	for _, cls := range d.Classes {
 		for _, m := range cls.Methods {
 			nm++
 			ni += len(m.Code)
+			for i := range m.Code {
+				if op := m.Code[i].Op; op == dex.OpInvokeVirtual || op == dex.OpInvokeStatic {
+					ninv++
+				}
+			}
 		}
 	}
-	t.rows = slices.Grow(t.rows, 2*nm)
+	t.rows = slices.Grow(t.rows, min(nm+ninv, maxTotalStmts))
 	t.defs = slices.Grow(t.defs, nm)
 	t.calls = slices.Grow(t.calls, min(ni, maxTotalStmts))
 	totalStmts := 0
