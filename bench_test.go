@@ -20,6 +20,7 @@ import (
 	"ppchecker/internal/apg"
 	"ppchecker/internal/apk"
 	"ppchecker/internal/autoppg"
+	"ppchecker/internal/bundle"
 	"ppchecker/internal/core"
 	"ppchecker/internal/dex"
 	"ppchecker/internal/esa"
@@ -31,6 +32,7 @@ import (
 	"ppchecker/internal/policy"
 	"ppchecker/internal/sensitive"
 	"ppchecker/internal/static"
+	"ppchecker/internal/stream"
 	"ppchecker/internal/synth"
 	"ppchecker/internal/taint"
 	"ppchecker/internal/verbs"
@@ -275,6 +277,40 @@ func BenchmarkCheckSafeCorpus(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := checker.CheckSafe(ctx, apps[i%len(apps)].App); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDirSourceItem is the on-disk ingest path of one app:
+// DirSource.Next (read and hash the bundle) plus Item.Run (decode and
+// CheckSafe) on one checker, rotating over a 64-app corpus written to
+// disk. Relisting the corpus when the walk ends is not timed.
+func BenchmarkDirSourceItem(b *testing.B) {
+	const apps = 64
+	ds := paperCorpus(b)
+	dir := b.TempDir()
+	if err := bundle.WriteDataset(&synth.Dataset{Apps: ds.Apps[:apps], LibPolicies: ds.LibPolicies}, dir); err != nil {
+		b.Fatal(err)
+	}
+	checker := core.NewChecker()
+	ctx := context.Background()
+	var src *stream.DirSource
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%apps == 0 {
+			b.StopTimer()
+			var err error
+			if src, err = stream.NewDirSource(dir); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		item, err := src.Next(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := item.Run(ctx, checker); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -117,50 +117,95 @@ func ReadApp(dir, libsDir string) (*core.App, error) {
 // *FileError while the corresponding App field stays zero. Optional
 // files (description.txt, libs.txt) produce no error when merely
 // absent. The robust corpus runner uses this to degrade per-file
-// instead of dropping the whole app.
+// instead of dropping the whole app. It is ReadRaw followed by
+// Raw.Decode.
 func ReadAppLenient(dir, libsDir string) (*core.App, []*FileError) {
+	return ReadRaw(dir).Decode(libsDir)
+}
+
+// RawFile is one bundle file as read from disk: its bytes, or the
+// error the read failed with and nil bytes.
+type RawFile struct {
+	Data []byte
+	Err  error
+}
+
+// Raw is one read of an app bundle directory's four files. Decoding it
+// does not reopen them, so a caller that hashes the bytes analyzes
+// exactly what it hashed, however often it decodes.
+type Raw struct {
+	Dir                            string
+	Policy, Description, APK, Libs RawFile
+}
+
+// ReadRaw reads the four files of an app bundle directory once,
+// recording each read's error instead of stopping at the first.
+func ReadRaw(dir string) *Raw {
+	read := func(name string) RawFile {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			return RawFile{Err: err}
+		}
+		return RawFile{Data: data}
+	}
+	return &Raw{
+		Dir:         dir,
+		Policy:      read(FilePolicy),
+		Description: read(FileDescription),
+		APK:         read(FileAPK),
+		Libs:        read(FileLibs),
+	}
+}
+
+// Decode builds the app from the raw bytes with ReadAppLenient's
+// rules. Each call returns a fresh App. The only files it reads are
+// the library policies libs.txt names, from libsDir: they are shared
+// corpus files, not bundle files, and none are attached when libsDir
+// is empty.
+func (r *Raw) Decode(libsDir string) (*core.App, []*FileError) {
 	var ferrs []*FileError
 	app := &core.App{
-		Name:        filepath.Base(dir),
+		Name:        filepath.Base(r.Dir),
 		LibPolicies: map[string]string{},
 	}
 
-	if policy, err := os.ReadFile(filepath.Join(dir, FilePolicy)); err != nil {
-		ferrs = append(ferrs, fileError(dir, FilePolicy, err))
-	} else if !utf8.Valid(policy) {
-		// The raw bytes still reach the app so CheckSafe can report the
-		// extraction failure with full context, but the bundle layer
-		// flags the corruption too.
-		app.PolicyHTML = string(policy)
-		ferrs = append(ferrs, &FileError{Dir: dir, File: FilePolicy,
-			Err: fmt.Errorf("not valid UTF-8")})
+	if r.Policy.Err != nil {
+		ferrs = append(ferrs, fileError(r.Dir, FilePolicy, r.Policy.Err))
 	} else {
-		app.PolicyHTML = string(policy)
+		// Invalid UTF-8 still reaches the app so CheckSafe can report
+		// the extraction failure with full context, but the bundle
+		// layer flags the corruption too.
+		app.PolicyHTML = string(r.Policy.Data)
+		if !utf8.Valid(r.Policy.Data) {
+			ferrs = append(ferrs, &FileError{Dir: r.Dir, File: FilePolicy,
+				Err: fmt.Errorf("not valid UTF-8")})
+		}
 	}
 
-	if description, err := os.ReadFile(filepath.Join(dir, FileDescription)); err != nil {
-		if !os.IsNotExist(err) {
-			ferrs = append(ferrs, fileError(dir, FileDescription, err))
+	if r.Description.Err != nil {
+		if !os.IsNotExist(r.Description.Err) {
+			ferrs = append(ferrs, fileError(r.Dir, FileDescription, r.Description.Err))
 		}
 	} else {
-		app.Description = string(description)
+		app.Description = string(r.Description.Data)
 	}
 
-	apkData, err := os.ReadFile(filepath.Join(dir, FileAPK))
-	if err != nil {
-		ferrs = append(ferrs, fileError(dir, FileAPK, err))
-	} else if a, err := apk.Decode(apkData); err != nil {
-		ferrs = append(ferrs, &FileError{Dir: dir, File: FileAPK, Err: err})
+	if r.APK.Err != nil {
+		ferrs = append(ferrs, fileError(r.Dir, FileAPK, r.APK.Err))
+	} else if a, err := apk.Decode(r.APK.Data); err != nil {
+		ferrs = append(ferrs, &FileError{Dir: r.Dir, File: FileAPK, Err: err})
 	} else {
 		app.APK = a
 		app.Name = a.Manifest.Package
 	}
 
-	libData, err := os.ReadFile(filepath.Join(dir, FileLibs))
-	if err != nil || libsDir == "" {
+	if r.Libs.Err != nil && !os.IsNotExist(r.Libs.Err) {
+		ferrs = append(ferrs, fileError(r.Dir, FileLibs, r.Libs.Err))
+	}
+	if r.Libs.Err != nil || libsDir == "" {
 		return app, ferrs
 	}
-	for _, name := range strings.Split(strings.TrimSpace(string(libData)), "\n") {
+	for _, name := range strings.Split(strings.TrimSpace(string(r.Libs.Data)), "\n") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue

@@ -148,3 +148,33 @@ func TestReadTruthErrors(t *testing.T) {
 		t.Fatal("bad truth.json accepted")
 	}
 }
+
+// TestReadAppLenientLibsReadError: libs.txt is optional only when
+// absent. One that exists but cannot be read (here a directory) is a
+// corrupt *FileError, as description.txt already was; ReadApp still
+// succeeds because neither file is required.
+func TestReadAppLenientLibsReadError(t *testing.T) {
+	ds := smallDataset(t)
+	appDir := filepath.Join(t.TempDir(), "app")
+	if err := WriteApp(appDir, ds.Apps[0].App); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(appDir, FileLibs)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ferrs := ReadAppLenient(appDir, ""); len(ferrs) != 0 {
+		t.Fatalf("absent libs.txt reported: %v", ferrs)
+	}
+	if err := os.Mkdir(filepath.Join(appDir, FileLibs), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, libsDir := range []string{"", t.TempDir()} {
+		_, ferrs := ReadAppLenient(appDir, libsDir)
+		if len(ferrs) != 1 || ferrs[0].File != FileLibs || ferrs[0].Missing {
+			t.Fatalf("libsDir %q: errors %v, want one corrupt %s", libsDir, ferrs, FileLibs)
+		}
+		if _, err := ReadApp(appDir, libsDir); err != nil {
+			t.Fatalf("libsDir %q: ReadApp failed on an optional file: %v", libsDir, err)
+		}
+	}
+}

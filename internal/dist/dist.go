@@ -17,9 +17,14 @@
 //	Worker       a thin wrapper over the existing eval.CheckApp
 //	             pipeline: pull a lease, rebuild the item with
 //	             stream.SpecResolver, analyze on a local checker,
-//	             report the outcome. Workers hold no corpus state; a
-//	             SIGKILLed worker costs only its outstanding leases,
-//	             which expire and are re-leased to the survivors.
+//	             report the outcome. Rebuilding a bundle-directory
+//	             item reads its files once; the worker hashes and
+//	             analyzes those same bytes, so the hash it reports
+//	             describes what it analyzed even if the bundle changes
+//	             on the shared filesystem meanwhile. Workers hold no
+//	             corpus state; a SIGKILLed worker costs only its
+//	             outstanding leases, which expire and are re-leased to
+//	             the survivors.
 //	Shards       the coordinator hosts the longi artifact store and the
 //	             shared library-policy analysis cache as consistent-
 //	             hash-sharded HTTP endpoints (/shard/<i>/artifact/...).

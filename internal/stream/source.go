@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -124,9 +123,9 @@ func NewDirSource(corpusDir string) (*DirSource, error) {
 // Len returns the number of app bundles the walk will produce.
 func (s *DirSource) Len() int { return len(s.dirs) }
 
-// Next reads the next bundle's raw bytes for hashing; the returned
-// item re-reads leniently inside the worker so per-file damage
-// degrades the app instead of killing the stream.
+// Next reads the next bundle's files once; the returned item carries
+// their bytes, hashed here and decoded leniently inside the worker, so
+// per-file damage degrades the app instead of killing the stream.
 func (s *DirSource) Next(ctx context.Context) (*Item, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -141,14 +140,21 @@ func (s *DirSource) Next(ctx context.Context) (*Item, error) {
 
 // dirItem builds the item for one on-disk bundle directory — the
 // single construction shared by the local walk and spec resolution, so
-// a leased bundle analyzes exactly as a walked one.
+// a leased bundle analyzes exactly as a walked one. It reads the
+// bundle's four files once: the hash covers those bytes, a file whose
+// read failed hashing as an empty section (the analysis degrades it,
+// and the hash still changes if it later becomes readable), and Run
+// decodes the same bytes on every attempt without reopening a file.
+// Only the library policies named in libs.txt are read inside Run;
+// they are not part of the hash.
 func dirItem(dir, libsDir string) *Item {
+	raw := bundle.ReadRaw(dir)
 	return &Item{
 		Name: filepath.Base(dir),
-		Hash: hashBundleDir(dir),
+		Hash: HashBytes(raw.Policy.Data, raw.Description.Data, raw.APK.Data, raw.Libs.Data),
 		Spec: &Spec{Kind: SpecDir, Dir: dir, LibsDir: libsDir},
 		Run: func(ctx context.Context, checker *core.Checker) (*core.Report, error) {
-			app, ferrs := bundle.ReadAppLenient(dir, libsDir)
+			app, ferrs := raw.Decode(libsDir)
 			rep, err := checker.CheckSafe(ctx, app)
 			if rep != nil {
 				for _, fe := range ferrs {
@@ -162,21 +168,6 @@ func dirItem(dir, libsDir string) *Item {
 			return rep, err
 		},
 	}
-}
-
-// hashBundleDir hashes the raw bytes of the bundle's files. Unreadable
-// files hash as empty sections — the analysis will degrade them, and
-// the hash still changes if they later become readable.
-func hashBundleDir(dir string) string {
-	sections := make([][]byte, 0, 4)
-	for _, name := range []string{bundle.FilePolicy, bundle.FileDescription, bundle.FileAPK, bundle.FileLibs} {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			data = nil
-		}
-		sections = append(sections, data)
-	}
-	return HashBytes(sections...)
 }
 
 // DatasetSource streams an in-memory synthetic dataset — the test and
@@ -210,12 +201,12 @@ func (s *DatasetSource) Next(ctx context.Context) (*Item, error) {
 	}, nil
 }
 
-// HashApp is the resume identity of an in-memory app: like
-// hashBundleDir it covers all four input sections — policy,
+// HashApp is the resume identity of an in-memory app: like a dir
+// item's hash it covers all four input sections — policy,
 // description, APK (manifest permissions, components and bytecode) and
 // library policies — so mutating any analysis input invalidates a
 // journal checkpoint. An unencodable APK hashes as an empty section,
-// mirroring hashBundleDir's treatment of an unreadable file: the
+// mirroring a dir item's treatment of an unreadable file: the
 // analysis will degrade it, and the hash still changes if it later
 // becomes encodable.
 func HashApp(app *core.App) string {

@@ -30,7 +30,9 @@
 # stay linear in the classes), the
 # end-to-end CheckSafe benches (uninstrumented vs observed — their
 # ratio is the observer overhead — and the corpus rotation, whose
-# allocs/op pin the warm per-app cost), the policy pipeline with every
+# allocs/op pin the warm per-app cost), the on-disk ingest of one app
+# (DirSource.Next plus Item.Run: one bundle read serves the hash and
+# the analysis), the policy pipeline with every
 # sentence missing the analyzer's memo, the frozen-CSR graph query mix and
 # the Aho-Corasick lexicon screen (the two hot substrates under the
 # pipeline), the ESA Similarity benches (warm = memoized vector path,
@@ -45,7 +47,7 @@ rev=$(git rev-parse --short HEAD 2>/dev/null || echo dev)
 out="BENCH_${rev}.json"
 baseline=testdata/bench_baseline.json
 tol="${BENCH_TOLERANCE:-0.20}"
-timed='APGBuild|StaticLargeImage|CheckSafe|PolicyAnalysisCold|GraphQueryThroughput|LexiconMatch|Similarity(Warm|Cold|ReferenceMap)|Span(Nil|Metrics|JSONL)'
+timed='APGBuild|StaticLargeImage|CheckSafe|DirSourceItem|PolicyAnalysisCold|GraphQueryThroughput|LexiconMatch|Similarity(Warm|Cold|ReferenceMap)|Span(Nil|Metrics|JSONL)'
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
