@@ -103,13 +103,7 @@ func run() int {
 	if rep == nil {
 		log.Fatal(err)
 	}
-	for _, fe := range ferrs {
-		stage := core.StageRead
-		if fe.File == bundle.FileAPK && !fe.Missing {
-			stage = core.StageDecode
-		}
-		rep.AddDegraded(&core.StageError{Stage: stage, App: rep.App, Err: fe})
-	}
+	bundle.AddDegraded(rep, ferrs)
 	if *jsonOut {
 		if err := report.WriteJSON(os.Stdout, rep); err != nil {
 			log.Fatal(err)

@@ -72,6 +72,19 @@ func fileError(dir, file string, err error) *FileError {
 	return &FileError{Dir: dir, File: file, Err: err, Missing: os.IsNotExist(err)}
 }
 
+// AddDegraded records each file error on rep as a degraded stage: a
+// corrupt APK failed apk-decode, and any other missing or unreadable
+// file failed bundle-read.
+func AddDegraded(rep *core.Report, ferrs []*FileError) {
+	for _, fe := range ferrs {
+		stage := core.StageRead
+		if fe.File == FileAPK && !fe.Missing {
+			stage = core.StageDecode
+		}
+		rep.AddDegraded(&core.StageError{Stage: stage, App: rep.App, Err: fe})
+	}
+}
+
 // WriteApp writes one app bundle directory.
 func WriteApp(dir string, app *core.App) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -3,6 +3,7 @@ package bundle
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ppchecker/internal/core"
@@ -175,6 +176,59 @@ func TestReadAppLenientLibsReadError(t *testing.T) {
 		}
 		if _, err := ReadApp(appDir, libsDir); err != nil {
 			t.Fatalf("libsDir %q: ReadApp failed on an optional file: %v", libsDir, err)
+		}
+	}
+}
+
+// TestAddDegradedStages: each damaged bundle file degrades the stage
+// the rule names — a corrupt APK apk-decode, any other missing or
+// corrupt file bundle-read — and an absent optional file nothing.
+func TestAddDegradedStages(t *testing.T) {
+	ds := smallDataset(t)
+	missing := func(path string) error { return os.Remove(path) }
+	corrupt := func(data string) func(string) error {
+		return func(path string) error { return os.WriteFile(path, []byte(data), 0o644) }
+	}
+	unreadable := func(path string) error {
+		if err := os.Remove(path); err != nil {
+			return err
+		}
+		return os.Mkdir(path, 0o755)
+	}
+	cases := []struct {
+		file   string
+		damage func(string) error
+		want   []core.Stage
+	}{
+		{FileAPK, missing, []core.Stage{core.StageRead}},
+		{FileAPK, corrupt("garbage"), []core.Stage{core.StageDecode}},
+		{FilePolicy, missing, []core.Stage{core.StageRead}},
+		{FilePolicy, corrupt("\xff\xfe\xfd"), []core.Stage{core.StageRead}},
+		{FileDescription, missing, nil},
+		{FileDescription, unreadable, []core.Stage{core.StageRead}},
+		{FileLibs, missing, nil},
+		{FileLibs, unreadable, []core.Stage{core.StageRead}},
+	}
+	for i, tc := range cases {
+		dir := filepath.Join(t.TempDir(), "app")
+		if err := WriteApp(dir, ds.Apps[0].App); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.damage(filepath.Join(dir, tc.file)); err != nil {
+			t.Fatal(err)
+		}
+		app, ferrs := ReadAppLenient(dir, "")
+		rep := &core.Report{App: app.Name}
+		AddDegraded(rep, ferrs)
+		var got []core.Stage
+		for _, e := range rep.Degraded {
+			got = append(got, e.Stage)
+			if e.App != app.Name {
+				t.Errorf("case %d (%s): degraded stage names app %q, want %q", i, tc.file, e.App, app.Name)
+			}
+		}
+		if !reflect.DeepEqual(got, tc.want) || rep.Partial != (len(tc.want) > 0) {
+			t.Errorf("case %d (%s): stages %v partial=%v, want %v", i, tc.file, got, rep.Partial, tc.want)
 		}
 	}
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"encoding/json"
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"ppchecker/internal/esa"
+	"ppchecker/internal/memo"
 	"ppchecker/internal/obs"
 	"ppchecker/internal/policy"
 )
@@ -18,9 +20,9 @@ import (
 // The cache is concurrency-safe and single-flight: when several
 // workers ask for the same uncached text at once, one runs the
 // analysis and the rest block until its result is ready, then share
-// it. It keeps at most libCacheCap completed entries and evicts the
-// oldest completed one beyond that: the texts come from the library
-// inventory, but a long-lived server takes them from its clients.
+// it. It keeps at most libCacheCap completed analyses and evicts the
+// oldest beyond that: the texts come from the library inventory, but
+// a long-lived server takes them from its clients.
 //
 // Ownership contract: the analysis pool (eval.Pool) constructs one
 // cache per pool and hands it to every worker's Checker via
@@ -29,17 +31,14 @@ import (
 // the cached Analysis is whatever the first checker's analyzer
 // produced.
 type AnalysisCache struct {
-	entries   sync.Map // policy text -> *cacheEntry
+	// done holds the completed analyses. Only a finished analysis
+	// enters it, so an in-flight one is never evicted: its latch in
+	// inflight keeps the key single-flight until then.
+	done      *memo.Map[*policy.Analysis]
+	inflight  sync.Map // policy text -> *cacheEntry
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-
-	// completed holds the completed entries in completion order, as a
-	// ring once it reaches libCacheCap; from then on next indexes the
-	// oldest, which the next completion evicts and replaces.
-	completedMu sync.Mutex
-	completed   []completedEntry
-	next        int
 
 	// backing, when non-nil, is a remote read-through tier consulted
 	// on a local miss before computing, and written through (best
@@ -67,31 +66,27 @@ type CacheBacking interface {
 	Store(key string, data []byte)
 }
 
-// libCacheCap bounds the completed entries an AnalysisCache keeps. It
+// libCacheCap bounds the completed analyses an AnalysisCache keeps. It
 // sits far above the corpus's 81 distinct library policies, so a
 // corpus run never evicts; it exists so that policy texts a ppserve
-// client chooses cannot grow the server's heap without bound.
+// client chooses cannot grow the server's heap without bound. Policy
+// texts of any length are kept.
 const libCacheCap = 1024
-
-type completedEntry struct {
-	key string
-	e   *cacheEntry
-}
 
 // NewBackedAnalysisCache builds a cache with a remote read-through
 // tier behind it.
 func NewBackedAnalysisCache(b CacheBacking) *AnalysisCache {
-	return &AnalysisCache{backing: b}
+	return &AnalysisCache{done: memo.New[*policy.Analysis](libCacheCap, math.MaxInt, 0), backing: b}
 }
 
-// cacheEntry is a single-flight latch for one policy text. It is NOT
-// a sync.Once: Once marks itself done even when its function panics,
-// which would leave analysis permanently nil while every later Get
-// reports a cache hit — in a long-lived server one bad library policy
-// would poison that key forever. Instead the entry's mutex is held
-// for the duration of the compute, and a panicking compute abandons
-// the entry (failed=true, removed from the map) so the next caller
-// re-arms the key with a fresh entry.
+// cacheEntry is a single-flight latch for one policy text in flight.
+// It is NOT a sync.Once: Once marks itself done even when its function
+// panics, which would leave analysis permanently nil while every later
+// Get reports a cache hit — in a long-lived server one bad library
+// policy would poison that key forever. Instead the entry's mutex is
+// held for the duration of the compute, and a panicking compute
+// abandons the entry (failed=true, removed from the map) so the next
+// caller re-arms the key with a fresh entry.
 type cacheEntry struct {
 	mu       sync.Mutex
 	done     bool
@@ -100,7 +95,7 @@ type cacheEntry struct {
 }
 
 // NewAnalysisCache builds an empty shared cache.
-func NewAnalysisCache() *AnalysisCache { return &AnalysisCache{} }
+func NewAnalysisCache() *AnalysisCache { return NewBackedAnalysisCache(nil) }
 
 // Get returns the analysis for key, computing it at most once across
 // all concurrent callers. It reports whether the value was served from
@@ -113,8 +108,12 @@ func NewAnalysisCache() *AnalysisCache { return &AnalysisCache{} }
 // same key do not observe the panic — they retry against the re-armed
 // key, and one of them becomes the new computer.
 func (c *AnalysisCache) Get(key string, compute func() *policy.Analysis) (*policy.Analysis, bool) {
+	if a, ok := c.done.Get(key); ok {
+		c.hits.Add(1)
+		return a, true
+	}
 	for {
-		v, _ := c.entries.LoadOrStore(key, &cacheEntry{})
+		v, _ := c.inflight.LoadOrStore(key, &cacheEntry{})
 		e := v.(*cacheEntry)
 		e.mu.Lock()
 		if e.done {
@@ -129,59 +128,46 @@ func (c *AnalysisCache) Get(key string, compute func() *policy.Analysis) (*polic
 			e.mu.Unlock()
 			continue
 		}
-		// This caller computes, holding the entry lock so concurrent
-		// callers of the same key block until the result (or the
-		// abandonment) is decided — the single-flight property. With a
-		// backing configured, the remote tier is consulted first —
-		// still under the entry lock, so a whole worker fleet asking
-		// for the same cold key issues one remote read, not N.
-		completed := false
-		remote := false
+		// This caller holds the latch, so concurrent callers of the
+		// same key block until the result (or the abandonment) is
+		// decided — the single-flight property. The memo serves a
+		// completion that landed since the probe above; otherwise the
+		// backing, when configured, is consulted before computing —
+		// still under the latch, so a whole worker fleet asking for
+		// the same cold key issues one remote read, not N.
+		var completed, remote, hit, evicted bool
 		func() {
 			defer func() {
 				if !completed {
 					e.failed = true
-					c.entries.CompareAndDelete(key, v)
+					c.inflight.CompareAndDelete(key, v)
 					e.mu.Unlock()
 				}
 			}()
-			if a, ok := c.loadRemote(key); ok {
-				e.analysis = a
-				remote = true
-			} else {
-				e.analysis = compute()
-				c.storeRemote(key, e.analysis)
-			}
+			e.analysis, hit, evicted = c.done.Do(key, func(text string) *policy.Analysis {
+				if a, ok := c.loadRemote(text); ok {
+					remote = true
+					return a
+				}
+				a := compute()
+				c.storeRemote(text, a)
+				return a
+			})
 			completed = true
 		}()
 		e.done = true
+		c.inflight.CompareAndDelete(key, v)
 		e.mu.Unlock()
-		c.admit(key, e)
-		if remote {
+		if evicted {
+			c.evictions.Add(1)
+		}
+		if hit || remote {
 			c.hits.Add(1)
 			return e.analysis, true
 		}
 		c.misses.Add(1)
 		return e.analysis, false
 	}
-}
-
-// admit records a completed entry, evicting the oldest completed one
-// when the cache is full. Only completed entries are ever evicted, so
-// an in-flight computation keeps its single-flight latch; a caller
-// still holding an evicted entry reads its finished value.
-func (c *AnalysisCache) admit(key string, e *cacheEntry) {
-	c.completedMu.Lock()
-	defer c.completedMu.Unlock()
-	if len(c.completed) < libCacheCap {
-		c.completed = append(c.completed, completedEntry{key, e})
-		return
-	}
-	old := c.completed[c.next]
-	c.entries.CompareAndDelete(old.key, old.e)
-	c.evictions.Add(1)
-	c.completed[c.next] = completedEntry{key, e}
-	c.next = (c.next + 1) % libCacheCap
 }
 
 // loadRemote asks the backing for a serialized analysis. Any failure —
@@ -233,17 +219,13 @@ func (c *AnalysisCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Evictions returns how many completed entries were dropped to keep
+// Evictions returns how many completed analyses were dropped to keep
 // the cache bounded. Analyses performed never exceed Len plus
 // Evictions.
 func (c *AnalysisCache) Evictions() int64 { return c.evictions.Load() }
 
-// Len returns the number of policy texts cached or being analyzed.
-func (c *AnalysisCache) Len() int {
-	n := 0
-	c.entries.Range(func(any, any) bool { n++; return true })
-	return n
-}
+// Len returns the number of completed analyses cached.
+func (c *AnalysisCache) Len() int { return c.done.Len() }
 
 // RecordESACacheCounters publishes ESA cache stats (a per-pool stat
 // scope's snapshot, or a delta of esa.AggregateCacheStats around a

@@ -12,6 +12,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"ppchecker/internal/memo"
 )
 
 // DefaultThreshold is the similarity threshold the paper adopts.
@@ -28,7 +30,7 @@ type Index struct {
 
 	// memo caches InterpretVec results (sharded, bounded); scratch
 	// pools the dense accumulation buffers.
-	memo    interpretMemo
+	memo    [memoShards]*memo.Map[*ConceptVec]
 	scratch sync.Pool
 }
 
@@ -44,6 +46,9 @@ type Vector map[int]float64
 // index on which every similarity is zero.
 func New(kb []Article) *Index {
 	idx := &Index{postings: make(map[string][]posting)}
+	for i := range idx.memo {
+		idx.memo[i] = memo.New[*ConceptVec](memoShardCap, memoMaxKeyLen, memoShardCap)
+	}
 	df := map[string]int{}
 	termFreqs := make([]map[string]float64, len(kb))
 	for i, a := range kb {
@@ -162,14 +167,7 @@ func (x *Index) ClassifyWithSupport(text string) (string, float64, int) {
 // attribution (see StatScope). A nil scope makes it identical to
 // ClassifyWithSupport.
 func (x *Index) ClassifyWithSupportScoped(text string, sc *StatScope) (string, float64, int) {
-	var terms []string
-	v, ok := x.memo.get(text)
-	if ok {
-		count(sc, func(c *cacheCells) { c.hits.Add(1) })
-	} else {
-		count(sc, func(c *cacheCells) { c.misses.Add(1) })
-		v, terms = x.missVec(text, sc)
-	}
+	v, terms := x.interpret(text, sc)
 	best := top(v)
 	if best < 0 || v.norm == 0 {
 		return "", 0, 0
@@ -285,8 +283,12 @@ func Terms(text string) []string {
 	uni := unigrams(text)
 	out := make([]string, 0, len(uni)*2)
 	out = append(out, uni...)
-	for i := 0; i+1 < len(uni); i++ {
-		out = append(out, uni[i]+"_"+uni[i+1])
+	// Each bigram is a slice of the unigrams joined by '_', so a text's
+	// bigrams share one allocation.
+	joined := strings.Join(uni, "_")
+	for i, off := 0, 0; i+1 < len(uni); i++ {
+		out = append(out, joined[off:off+len(uni[i])+1+len(uni[i+1])])
+		off += len(uni[i]) + 1
 	}
 	return out
 }

@@ -13,8 +13,9 @@ package esa
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
+
+	"ppchecker/internal/memo"
 )
 
 // ConceptVec is an immutable sparse concept vector in slice form:
@@ -185,82 +186,23 @@ func count(sc *StatScope, f func(*cacheCells)) {
 // vectors (~a few MB), far above the recurring resource-phrase
 // vocabulary of any real corpus. Texts longer than memoMaxKeyLen are
 // interpreted but never memoized: the memo exists for short recurring
-// phrases, not documents.
+// phrases, not documents. A shard is sized to its cap on its first
+// insert and evicts its oldest entry when full.
 const (
 	memoShards    = 16
 	memoShardCap  = 2048
 	memoMaxKeyLen = 1 << 12
 )
 
-// interpretMemo is the sharded, bounded, concurrency-safe text →
-// vector cache. Eviction is random-replacement: at capacity, one
-// arbitrary entry (Go's randomized map iteration order) is dropped per
-// insert, which is O(1), needs no access bookkeeping on the hot read
-// path, and is within a small factor of LRU on the skewed phrase
-// distributions seen here.
-type interpretMemo struct {
-	shards [memoShards]memoShard
-}
-
-type memoShard struct {
-	mu sync.RWMutex
-	m  map[string]*ConceptVec
-}
-
-// shardFor hashes the key (FNV-1a) to a shard.
-func (mm *interpretMemo) shardFor(key string) *memoShard {
+// shardFor hashes the key (FNV-1a) to its interpret-memo shard.
+func (x *Index) shardFor(key string) *memo.Map[*ConceptVec] {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return &mm.shards[h%memoShards]
+	return x.memo[h%memoShards]
 }
-
-func (mm *interpretMemo) get(key string) (*ConceptVec, bool) {
-	s := mm.shardFor(key)
-	s.mu.RLock()
-	v, ok := s.m[key]
-	s.mu.RUnlock()
-	return v, ok
-}
-
-// put inserts a vector, reporting whether an entry was evicted to
-// make room (the caller attributes the eviction to its counters).
-func (mm *interpretMemo) put(key string, v *ConceptVec) bool {
-	s := mm.shardFor(key)
-	evicted := false
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[string]*ConceptVec, memoShardCap)
-	}
-	if _, exists := s.m[key]; !exists && len(s.m) >= memoShardCap {
-		for k := range s.m {
-			delete(s.m, k)
-			evicted = true
-			break
-		}
-	}
-	s.m[key] = v
-	s.mu.Unlock()
-	return evicted
-}
-
-// len returns the total number of memoized vectors (test hook).
-func (mm *interpretMemo) len() int {
-	n := 0
-	for i := range mm.shards {
-		s := &mm.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-// memoLen returns the number of memoized vectors (exported to tests
-// via the esa package only).
-func (x *Index) memoLen() int { return x.memo.len() }
 
 // InterpretVec maps a text to its sparse slice vector, memoizing the
 // result so the recurring phrases of a corpus tokenize once per
@@ -275,24 +217,26 @@ func (x *Index) InterpretVec(text string) *ConceptVec {
 // are additionally counted on sc. A nil scope makes it identical to
 // InterpretVec.
 func (x *Index) InterpretVecScoped(text string, sc *StatScope) *ConceptVec {
-	if len(text) <= memoMaxKeyLen {
-		if v, ok := x.memo.get(text); ok {
-			count(sc, func(c *cacheCells) { c.hits.Add(1) })
-			return v
-		}
-	}
-	count(sc, func(c *cacheCells) { c.misses.Add(1) })
-	v, _ := x.missVec(text, sc)
+	v, _ := x.interpret(text, sc)
 	return v
 }
 
-// missVec resolves an interpret-memo miss by a local build, memoizing
-// texts short enough to recur. It returns the terms it tokenized, so
+// interpret is the one interpret-memo probe: the memoized vector on a
+// hit, else a local build, memoized when the text is short enough to
+// recur. On a build it also returns the terms it tokenized, so
 // ClassifyWithSupport can reuse them.
-func (x *Index) missVec(text string, sc *StatScope) (*ConceptVec, []string) {
-	terms := Terms(text)
-	v := x.buildVec(terms, sc)
-	if len(text) <= memoMaxKeyLen && x.memo.put(text, v) {
+func (x *Index) interpret(text string, sc *StatScope) (*ConceptVec, []string) {
+	var terms []string
+	v, hit, evicted := x.shardFor(text).Do(text, func(key string) *ConceptVec {
+		terms = Terms(key)
+		return x.buildVec(terms, sc)
+	})
+	if hit {
+		count(sc, func(c *cacheCells) { c.hits.Add(1) })
+	} else {
+		count(sc, func(c *cacheCells) { c.misses.Add(1) })
+	}
+	if evicted {
 		count(sc, func(c *cacheCells) { c.evictions.Add(1) })
 	}
 	return v, terms

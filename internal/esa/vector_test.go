@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // kbVocabulary collects every distinct word of the built-in KB, the
@@ -185,6 +186,28 @@ func TestInterpretMemoSkipsHugeTexts(t *testing.T) {
 	}
 	if n := x.memoLen(); n != 0 {
 		t.Fatalf("huge text memoized (%d entries)", n)
+	}
+}
+
+// TestInterpretMemoKeysOwnTheirBytes: a text cut from a larger string
+// is memoized under a copy, so the memo pins none of the caller's text.
+func TestInterpretMemoKeysOwnTheirBytes(t *testing.T) {
+	x := New(BuiltinKB())
+	text := strings.Repeat("we collect your precise location and your contacts. ", 2)
+	x.InterpretVec(text[11:34])
+	x.ClassifyWithSupport(text[39:51])
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	hi := lo + uintptr(len(text))
+	if x.memoLen() != 2 {
+		t.Fatalf("memo holds %d entries, want 2", x.memoLen())
+	}
+	for _, m := range x.memo {
+		m.Range(func(k string, _ *ConceptVec) bool {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(k))); p >= lo && p < hi {
+				t.Fatalf("memo key %q aliases the caller's text", k)
+			}
+			return true
+		})
 	}
 }
 

@@ -200,13 +200,7 @@ func DirJobs(dir string) ([]Job, error) {
 				app, ferrs := bundle.ReadAppLenient(appDir, libsDir)
 				rep, err := checker.CheckSafe(ctx, app)
 				if rep != nil {
-					for _, fe := range ferrs {
-						st := core.StageRead
-						if fe.File == bundle.FileAPK && !fe.Missing {
-							st = core.StageDecode
-						}
-						rep.AddDegraded(&core.StageError{Stage: st, App: app.Name, Err: fe})
-					}
+					bundle.AddDegraded(rep, ferrs)
 				}
 				return rep, err
 			},

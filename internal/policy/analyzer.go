@@ -9,9 +9,11 @@ package policy
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"ppchecker/internal/actrie"
 	"ppchecker/internal/htmltext"
+	"ppchecker/internal/memo"
 	"ppchecker/internal/negation"
 	"ppchecker/internal/nlp"
 	"ppchecker/internal/patterns"
@@ -113,7 +115,10 @@ func (a *Analysis) PositiveSet(c verbs.Category) []string {
 type Analyzer struct {
 	matcher     *patterns.Matcher
 	constraints bool
-	memo        sentenceMemo
+	// memo maps a cased sentence (as nlp.SplitSentencesCased cuts it)
+	// to its entry; the counters are its MemoStats.
+	memo                                *memo.Map[sentenceEntry]
+	memoHits, memoMisses, memoEvictions atomic.Int64
 }
 
 // Option configures an Analyzer.
@@ -137,7 +142,10 @@ func WithConstraintAnalysis(on bool) Option {
 
 // NewAnalyzer returns an analyzer with the default pattern set.
 func NewAnalyzer(opts ...Option) *Analyzer {
-	a := &Analyzer{matcher: patterns.DefaultMatcher()}
+	a := &Analyzer{
+		matcher: patterns.DefaultMatcher(),
+		memo:    memo.New[sentenceEntry](sentenceMemoCap, sentenceMemoMaxBytes, 0),
+	}
 	for _, o := range opts {
 		o(a)
 	}

@@ -35,8 +35,8 @@ func TestSentenceMemoBounded(t *testing.T) {
 	if st.Hits != 0 || st.Misses != int64(n) || st.Evictions != 100 {
 		t.Fatalf("stats %+v, want 0 hits, %d misses, 100 evictions", st, n)
 	}
-	if len(a.memo.entries) > sentenceMemoCap || len(a.memo.ring) > sentenceMemoCap {
-		t.Fatalf("memo holds %d entries, ring %d, cap %d", len(a.memo.entries), len(a.memo.ring), sentenceMemoCap)
+	if a.memo.Len() > sentenceMemoCap {
+		t.Fatalf("memo holds %d entries, cap %d", a.memo.Len(), sentenceMemoCap)
 	}
 	// The first 100 sentences are the evicted ones: analyzing the
 	// first again misses, the last hits.
@@ -53,7 +53,7 @@ func TestSentenceMemoBounded(t *testing.T) {
 			t.Fatalf("stored %s %q aliases the analyzed text", what, s)
 		}
 	}
-	for k, e := range a.memo.entries {
+	a.memo.Range(func(k string, e sentenceEntry) bool {
 		check("key", k)
 		check("sentence", e.lower)
 		for _, s := range e.statements {
@@ -73,7 +73,8 @@ func TestSentenceMemoBounded(t *testing.T) {
 				check("constraint", c.Text)
 			}
 		}
-	}
+		return true
+	})
 }
 
 // TestSentenceMemoLongBypass: a sentence longer than the memo's key
@@ -87,8 +88,8 @@ func TestSentenceMemoLongBypass(t *testing.T) {
 			t.Fatalf("pass %d diverges from a fresh analyzer", i)
 		}
 	}
-	if st := a.MemoStats(); st.Misses != 2 || st.Hits != 0 || len(a.memo.entries) != 0 {
-		t.Fatalf("stats %+v with %d entries, want 2 misses and nothing stored", st, len(a.memo.entries))
+	if st := a.MemoStats(); st.Misses != 2 || st.Hits != 0 || a.memo.Len() != 0 {
+		t.Fatalf("stats %+v with %d entries, want 2 misses and nothing stored", st, a.memo.Len())
 	}
 }
 

@@ -157,13 +157,7 @@ func dirItem(dir, libsDir string) *Item {
 			app, ferrs := raw.Decode(libsDir)
 			rep, err := checker.CheckSafe(ctx, app)
 			if rep != nil {
-				for _, fe := range ferrs {
-					st := core.StageRead
-					if fe.File == bundle.FileAPK && !fe.Missing {
-						st = core.StageDecode
-					}
-					rep.AddDegraded(&core.StageError{Stage: st, App: app.Name, Err: fe})
-				}
+				bundle.AddDegraded(rep, ferrs)
 			}
 			return rep, err
 		},
