@@ -316,6 +316,27 @@ func BenchmarkDirSourceItem(b *testing.B) {
 	}
 }
 
+// BenchmarkAPKDecode decodes an app package, rotating over the
+// encoded paper corpus: the container, the manifest and the dex with
+// its verifier, as every on-disk and wire ingest path does.
+func BenchmarkAPKDecode(b *testing.B) {
+	apps := paperCorpus(b).Apps
+	encoded := make([][]byte, len(apps))
+	for i, ga := range apps {
+		data, err := apk.Encode(ga.App.APK)
+		if err != nil {
+			b.Fatal(err)
+		}
+		encoded[i] = data
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := apk.Decode(encoded[i%len(encoded)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCheckSafeObserved is the same pipeline with a metrics-only
 // observer attached (no trace sink): the per-span cost is a handful of
 // atomic adds, so this should stay within a few percent of

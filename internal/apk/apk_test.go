@@ -197,3 +197,71 @@ func TestDecodeBitFlips(t *testing.T) {
 		_, _ = Decode(mut) // must not panic
 	}
 }
+
+// rawContainer frames entries as Encode does, without validating them.
+func rawContainer(entries ...entry) []byte {
+	var b bytes.Buffer
+	b.WriteString(containerMagic)
+	b.WriteByte(containerVersion)
+	writeUvarint(&b, uint64(len(entries)))
+	for _, e := range entries {
+		writeUvarint(&b, uint64(len(e.name)))
+		b.WriteString(e.name)
+		writeUvarint(&b, uint64(len(e.data)))
+		b.Write(e.data)
+	}
+	return b.Bytes()
+}
+
+// TestDecodeEntryRules pins the container's entry rules: the last
+// duplicate wins, unknown names are skipped, a present but empty entry
+// is not a missing one, and lengths past the end are truncations.
+func TestDecodeEntryRules(t *testing.T) {
+	manifest := func(pkg string) []byte {
+		data, err := EncodeManifest(&Manifest{Package: pkg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	dexData := dex.Encode(sampleDex(t))
+
+	a, err := Decode(rawContainer(
+		entry{EntryManifest, manifest("com.example.first")},
+		entry{"res/extra.bin", []byte("ignored")},
+		entry{EntryDex, []byte("not a dex")},
+		entry{EntryManifest, manifest("com.example.last")},
+		entry{EntryDex, dexData},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Manifest.Package != "com.example.last" || a.Packed {
+		t.Fatalf("decoded package %q packed %v, want the last duplicates", a.Manifest.Package, a.Packed)
+	}
+
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"no-manifest", rawContainer(entry{EntryDex, dexData}), "apk: missing AndroidManifest.xml"},
+		{"empty-manifest", rawContainer(entry{EntryManifest, nil}, entry{EntryDex, dexData}),
+			"apk: decode manifest: EOF"},
+		{"no-dex", rawContainer(entry{EntryManifest, manifest("p")}, entry{EntryStub, stubFor(packKey("p"))}),
+			"apk: missing classes.dex and no packed payload"},
+		{"huge-name-length", append([]byte("SAPK\x01\x01"), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01),
+			"apk: truncated entry name"},
+		{"huge-data-length", append([]byte("SAPK\x01\x01\x0bclasses.dex"), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01),
+			`apk: truncated entry "classes.dex"`},
+	} {
+		if _, err := Decode(tc.data); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// A present but empty dex entry reaches the dex decoder.
+	if _, err := Decode(rawContainer(entry{EntryManifest, manifest("p")}, entry{EntryDex, nil})); err == nil ||
+		err.Error() == "apk: missing classes.dex and no packed payload" {
+		t.Errorf("empty dex entry: error %v, want a dex decode error", err)
+	}
+}

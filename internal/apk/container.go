@@ -99,29 +99,41 @@ func Decode(data []byte) (*APK, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries := map[string][]byte{}
+	// The known entries, by name; the last duplicate wins and unknown
+	// names are skipped. Entry data is a subslice of the non-nil input,
+	// so even an empty entry is non-nil: nil means absent.
+	var manifestData, dexData, stub, payload []byte
 	for i := uint64(0); i < n; i++ {
 		nameLen, err := readUvarint()
 		if err != nil {
 			return nil, err
 		}
-		if pos+int(nameLen) > len(data) {
+		if nameLen > uint64(len(data)-pos) {
 			return nil, fmt.Errorf("apk: truncated entry name")
 		}
-		name := string(data[pos : pos+int(nameLen)])
+		name := data[pos : pos+int(nameLen)]
 		pos += int(nameLen)
 		dataLen, err := readUvarint()
 		if err != nil {
 			return nil, err
 		}
-		if pos+int(dataLen) > len(data) {
+		if dataLen > uint64(len(data)-pos) {
 			return nil, fmt.Errorf("apk: truncated entry %q", name)
 		}
-		entries[name] = data[pos : pos+int(dataLen)]
+		body := data[pos : pos+int(dataLen)]
 		pos += int(dataLen)
+		switch string(name) {
+		case EntryManifest:
+			manifestData = body
+		case EntryDex:
+			dexData = body
+		case EntryStub:
+			stub = body
+		case EntryPayload:
+			payload = body
+		}
 	}
-	manifestData, ok := entries[EntryManifest]
-	if !ok {
+	if manifestData == nil {
 		return nil, fmt.Errorf("apk: missing %s", EntryManifest)
 	}
 	m, err := DecodeManifest(manifestData)
@@ -129,13 +141,10 @@ func Decode(data []byte) (*APK, error) {
 		return nil, err
 	}
 	a := &APK{Manifest: m}
-	dexData, ok := entries[EntryDex]
-	if !ok {
+	if dexData == nil {
 		// Packed app: recover the dex from the payload using the key
 		// recovered from the stub (DexHunter's job).
-		stub, okStub := entries[EntryStub]
-		payload, okPay := entries[EntryPayload]
-		if !okStub || !okPay {
+		if stub == nil || payload == nil {
 			return nil, fmt.Errorf("apk: missing %s and no packed payload", EntryDex)
 		}
 		key, err := keyFromStub(stub)

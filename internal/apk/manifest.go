@@ -71,15 +71,11 @@ func (m *Manifest) Components() []DeclaredComponent {
 	app := &m.Application
 	out := make([]DeclaredComponent, 0,
 		len(app.Activities)+len(app.Services)+len(app.Receivers)+len(app.Providers))
-	add := func(kind ComponentKind, cs []Component) {
+	for k, cs := range app.byKind() {
 		for _, c := range cs {
-			out = append(out, DeclaredComponent{Kind: kind, Component: c})
+			out = append(out, DeclaredComponent{Kind: ComponentKind(k), Component: c})
 		}
 	}
-	add(KindActivity, app.Activities)
-	add(KindService, app.Services)
-	add(KindReceiver, app.Receivers)
-	add(KindProvider, app.Providers)
 	return out
 }
 
@@ -96,6 +92,11 @@ const (
 
 var kindNames = [...]string{"activity", "service", "receiver", "provider"}
 
+// byKind lists the application's components indexed by ComponentKind.
+func (app *Application) byKind() [len(kindNames)][]Component {
+	return [...][]Component{app.Activities, app.Services, app.Receivers, app.Providers}
+}
+
 func (k ComponentKind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
@@ -109,8 +110,14 @@ type DeclaredComponent struct {
 	Component
 }
 
-// EncodeManifest serializes the manifest to XML.
+// EncodeManifest serializes the manifest to XML: the bytes xml.Header
+// plus xml.MarshalIndent(m, "", "  ") produce. The canonical codec
+// writes them by hand; a manifest with a value encoding/xml would
+// escape goes through encoding/xml instead.
 func EncodeManifest(m *Manifest) ([]byte, error) {
+	if out, ok := encodeCanonical(m); ok {
+		return out, nil
+	}
 	out, err := xml.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("apk: encode manifest: %w", err)
@@ -118,8 +125,14 @@ func EncodeManifest(m *Manifest) ([]byte, error) {
 	return append([]byte(xml.Header), out...), nil
 }
 
-// DecodeManifest parses manifest XML.
+// DecodeManifest parses manifest XML. Input in the canonical shape
+// EncodeManifest emits is read by hand; anything else goes to
+// xml.Unmarshal, which defines the accepted inputs, the values and the
+// errors.
 func DecodeManifest(data []byte) (*Manifest, error) {
+	if m, ok := decodeCanonical(data); ok {
+		return m, nil
+	}
 	var m Manifest
 	if err := xml.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("apk: decode manifest: %w", err)
@@ -128,4 +141,251 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("apk: manifest has no package name")
 	}
 	return &m, nil
+}
+
+// The canonical shape is the one xml.MarshalIndent gives a Manifest
+// with two-space indentation: every element on its own line, empty
+// elements as an open and close tag pair, attributes in field order
+// with exported only when true, components grouped by kind in
+// activity, service, receiver, provider order.
+const (
+	manifestHead    = xml.Header + `<manifest package="`
+	permissionOpen  = "\n  <uses-permission name=\""
+	permissionClose = `"></uses-permission>`
+	applicationOpen = "\n  <application>"
+	applicationNone = "</application>"
+	applicationEnd  = "\n  </application>"
+	manifestEnd     = "\n</manifest>"
+	exportedAttr    = ` exported="true"`
+	filterOpen      = "\n      <intent-filter>"
+	filterNone      = "</intent-filter>"
+	filterEnd       = "\n      </intent-filter>"
+	actionOpen      = "\n        <action name=\""
+	actionClose     = `"></action>`
+)
+
+// Per-kind component framing, indexed by ComponentKind: the open tag
+// up to the name value, the close tag of a component without filters,
+// and the indented close tag of one with filters.
+var componentOpen, componentNone, componentEnd [len(kindNames)]string
+
+func init() {
+	for k, name := range kindNames {
+		componentOpen[k] = "\n    <" + name + ` name="`
+		componentNone[k] = "</" + name + ">"
+		componentEnd[k] = "\n    </" + name + ">"
+	}
+}
+
+// plainValue reports whether encoding/xml writes s into an attribute
+// unchanged: printable ASCII without the five characters it escapes.
+func plainValue(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !plainByte(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func plainByte(c byte) bool {
+	return c >= 0x20 && c < 0x7f && c != '&' && c != '<' && c != '>' && c != '"' && c != '\''
+}
+
+// encodeCanonical writes the canonical encoding in one allocation. It
+// declines (ok false) a nil manifest and any value that would need
+// escaping.
+func encodeCanonical(m *Manifest) (out []byte, ok bool) {
+	if m == nil || !plainValue(m.Package) {
+		return nil, false
+	}
+	size := len(manifestHead) + len(m.Package) + len(`">`) +
+		len(applicationOpen) + len(applicationEnd) + len(manifestEnd)
+	for _, p := range m.Permissions {
+		if !plainValue(p.Name) {
+			return nil, false
+		}
+		size += len(permissionOpen) + len(p.Name) + len(permissionClose)
+	}
+	kinds := m.Application.byKind()
+	components := 0
+	for k, cs := range kinds {
+		for _, c := range cs {
+			if !plainValue(c.Name) {
+				return nil, false
+			}
+			size += len(componentOpen[k]) + len(c.Name) + len(`"`) + len(exportedAttr) + len(">") + len(componentEnd[k])
+			for _, f := range c.Filters {
+				size += len(filterOpen) + len(filterEnd)
+				for _, a := range f.Actions {
+					if !plainValue(a.Name) {
+						return nil, false
+					}
+					size += len(actionOpen) + len(a.Name) + len(actionClose)
+				}
+			}
+		}
+		components += len(cs)
+	}
+
+	b := make([]byte, 0, size)
+	b = append(b, manifestHead...)
+	b = append(b, m.Package...)
+	b = append(b, `">`...)
+	for _, p := range m.Permissions {
+		b = append(b, permissionOpen...)
+		b = append(b, p.Name...)
+		b = append(b, permissionClose...)
+	}
+	b = append(b, applicationOpen...)
+	if components == 0 {
+		b = append(b, applicationNone...)
+	} else {
+		for k, cs := range kinds {
+			for i := range cs {
+				b = appendComponent(b, k, &cs[i])
+			}
+		}
+		b = append(b, applicationEnd...)
+	}
+	return append(b, manifestEnd...), true
+}
+
+func appendComponent(b []byte, k int, c *Component) []byte {
+	b = append(b, componentOpen[k]...)
+	b = append(b, c.Name...)
+	b = append(b, '"')
+	if c.Exported {
+		b = append(b, exportedAttr...)
+	}
+	b = append(b, '>')
+	if len(c.Filters) == 0 {
+		return append(b, componentNone[k]...)
+	}
+	for _, f := range c.Filters {
+		b = append(b, filterOpen...)
+		if len(f.Actions) == 0 {
+			b = append(b, filterNone...)
+			continue
+		}
+		for _, a := range f.Actions {
+			b = append(b, actionOpen...)
+			b = append(b, a.Name...)
+			b = append(b, actionClose...)
+		}
+		b = append(b, filterEnd...)
+	}
+	return append(b, componentEnd[k]...)
+}
+
+// decodeCanonical reads input in exactly the shape encodeCanonical
+// writes, with a non-empty package. It declines (ok false) anything
+// else, including input xml.Unmarshal would accept, so the caller can
+// hand it to encoding/xml. Every decoded string is a substring of one
+// copy of the input.
+func decodeCanonical(data []byte) (m *Manifest, ok bool) {
+	if len(data) < len(manifestHead) || string(data[:len(manifestHead)]) != manifestHead {
+		return nil, false
+	}
+	r := manifestReader{s: string(data), pos: len(manifestHead)}
+	m = &Manifest{XMLName: xml.Name{Local: "manifest"}}
+	if m.Package, ok = r.value(); !ok || m.Package == "" || !r.lit(`">`) {
+		return nil, false
+	}
+	for r.lit(permissionOpen) {
+		name, ok := r.value()
+		if !ok || !r.lit(permissionClose) {
+			return nil, false
+		}
+		m.Permissions = append(m.Permissions, Permission{Name: name})
+	}
+	if !r.lit(applicationOpen) {
+		return nil, false
+	}
+	if !r.lit(applicationNone) {
+		app := &m.Application
+		lists := [...]*[]Component{&app.Activities, &app.Services, &app.Receivers, &app.Providers}
+		components := 0
+		for k, list := range lists {
+			for r.lit(componentOpen[k]) {
+				c, ok := r.component(k)
+				if !ok {
+					return nil, false
+				}
+				*list = append(*list, c)
+				components++
+			}
+		}
+		if components == 0 || !r.lit(applicationEnd) {
+			return nil, false
+		}
+	}
+	if !r.lit(manifestEnd) || r.pos != len(r.s) {
+		return nil, false
+	}
+	return m, true
+}
+
+// manifestReader is a cursor over canonical manifest text.
+type manifestReader struct {
+	s   string
+	pos int
+}
+
+// lit consumes tok if the input continues with it.
+func (r *manifestReader) lit(tok string) bool {
+	if len(r.s)-r.pos < len(tok) || r.s[r.pos:r.pos+len(tok)] != tok {
+		return false
+	}
+	r.pos += len(tok)
+	return true
+}
+
+// value consumes an attribute value up to its closing quote. It
+// declines a value holding any byte encoding/xml would have escaped.
+func (r *manifestReader) value() (string, bool) {
+	for i := r.pos; i < len(r.s); i++ {
+		c := r.s[i]
+		if c == '"' {
+			v := r.s[r.pos:i]
+			r.pos = i
+			return v, true
+		}
+		if !plainByte(c) {
+			return "", false
+		}
+	}
+	return "", false
+}
+
+// component reads one component of kind k after its open tag's name
+// attribute has begun.
+func (r *manifestReader) component(k int) (c Component, ok bool) {
+	if c.Name, ok = r.value(); !ok || !r.lit(`"`) {
+		return c, false
+	}
+	c.Exported = r.lit(exportedAttr)
+	if !r.lit(">") {
+		return c, false
+	}
+	if r.lit(componentNone[k]) {
+		return c, true
+	}
+	for r.lit(filterOpen) {
+		var f IntentFilter
+		if !r.lit(filterNone) {
+			for r.lit(actionOpen) {
+				name, ok := r.value()
+				if !ok || !r.lit(actionClose) {
+					return c, false
+				}
+				f.Actions = append(f.Actions, Action{Name: name})
+			}
+			if len(f.Actions) == 0 || !r.lit(filterEnd) {
+				return c, false
+			}
+		}
+		c.Filters = append(c.Filters, f)
+	}
+	return c, len(c.Filters) > 0 && r.lit(componentEnd[k])
 }

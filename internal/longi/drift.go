@@ -94,20 +94,36 @@ type InputDelta struct {
 	Code   bool
 }
 
-// DeltaOf compares the raw inputs of two versions.
-func DeltaOf(prev, next *core.App) InputDelta {
+// encodedAPK is one version's code as the input comparison sees it:
+// absent when the version carries no APK, else its encoding or the
+// error that stopped it.
+type encodedAPK struct {
+	present bool
+	data    []byte
+	err     error
+}
+
+func encodeAPK(a *apk.APK) encodedAPK {
+	if a == nil {
+		return encodedAPK{}
+	}
+	data, err := apk.Encode(a)
+	return encodedAPK{present: true, data: data, err: err}
+}
+
+// deltaOf compares the raw inputs of two versions, given each one's
+// encoded APK.
+func deltaOf(prev, next *core.App, prevCode, nextCode encodedAPK) InputDelta {
 	d := InputDelta{
 		Policy: prev.PolicyHTML != next.PolicyHTML,
 		Desc:   prev.Description != next.Description,
 	}
 	switch {
-	case prev.APK == nil && next.APK == nil:
-	case prev.APK == nil || next.APK == nil:
+	case !prevCode.present && !nextCode.present:
+	case !prevCode.present || !nextCode.present:
 		d.Code = true
 	default:
-		pb, perr := apk.Encode(prev.APK)
-		nb, nerr := apk.Encode(next.APK)
-		d.Code = perr != nil || nerr != nil || string(pb) != string(nb)
+		d.Code = prevCode.err != nil || nextCode.err != nil || string(prevCode.data) != string(nextCode.data)
 	}
 	return d
 }
@@ -116,19 +132,25 @@ func DeltaOf(prev, next *core.App) InputDelta {
 // drift findings. versions and reports run in parallel (index v-1 is
 // version v). Transitions where either report is Partial are skipped:
 // a degraded pipeline can lose findings, and absence must mean
-// "resolved", not "stage timed out".
+// "resolved", not "stage timed out". Each version's APK is encoded
+// once, and adjacent encodings are compared.
 func DiffHistory(appName string, versions []*core.App, reports []*core.Report) []DriftFinding {
 	var out []DriftFinding
 	n := len(versions)
 	if len(reports) < n {
 		n = len(reports)
 	}
+	codes := make([]encodedAPK, n)
+	for v := range codes {
+		codes[v] = encodeAPK(versions[v].APK)
+	}
 	for t := 1; t < n; t++ {
 		prev, next := reports[t-1], reports[t]
 		if prev == nil || next == nil || prev.Partial || next.Partial {
 			continue
 		}
-		out = append(out, diffTransition(appName, t, t+1, DeltaOf(versions[t-1], versions[t]), prev, next)...)
+		delta := deltaOf(versions[t-1], versions[t], codes[t-1], codes[t])
+		out = append(out, diffTransition(appName, t, t+1, delta, prev, next)...)
 	}
 	return out
 }

@@ -32,7 +32,8 @@
 # ratio is the observer overhead — and the corpus rotation, whose
 # allocs/op pin the warm per-app cost), the on-disk ingest of one app
 # (DirSource.Next plus Item.Run: one bundle read serves the hash and
-# the analysis), the policy pipeline with every
+# the analysis), the app-package decode over the paper corpus
+# (container, manifest codec and dex verifier), the policy pipeline with every
 # sentence missing the analyzer's memo, the frozen-CSR graph query mix and
 # the Aho-Corasick lexicon screen (the two hot substrates under the
 # pipeline), the ESA Similarity benches (warm = memoized vector path,
@@ -47,7 +48,7 @@ rev=$(git rev-parse --short HEAD 2>/dev/null || echo dev)
 out="BENCH_${rev}.json"
 baseline=testdata/bench_baseline.json
 tol="${BENCH_TOLERANCE:-0.20}"
-timed='APGBuild|StaticLargeImage|CheckSafe|DirSourceItem|PolicyAnalysisCold|GraphQueryThroughput|LexiconMatch|Similarity(Warm|Cold|ReferenceMap)|Span(Nil|Metrics|JSONL)'
+timed='APKDecode|APGBuild|StaticLargeImage|CheckSafe|DirSourceItem|PolicyAnalysisCold|GraphQueryThroughput|LexiconMatch|Similarity(Warm|Cold|ReferenceMap)|Span(Nil|Metrics|JSONL)'
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 

@@ -34,6 +34,7 @@ func main() {
 	}
 	writeDexSeeds()
 	writeAPKSeeds()
+	writeManifestSeeds()
 	writeHTMLSeeds()
 	writeNLPSeeds()
 	writeLongiSeeds()
@@ -131,6 +132,47 @@ func writeAPKSeeds() {
 		}
 	}
 	emit("magic-only", []byte("SAPK\x01"))
+}
+
+func writeManifestSeeds() {
+	// FuzzManifestCodec checks the hand-written manifest codec against
+	// encoding/xml. The planted classes sit on either side of the
+	// canonical shape: canonical encodings (intent filters with zero
+	// and many actions, an empty application, every component kind)
+	// and the near misses the fast decoder must hand to encoding/xml
+	// (CRLF, trailing bytes, kinds out of order, swapped attributes,
+	// escaped or non-ASCII names, an empty package).
+	emit := seeder("internal/apk", "FuzzManifestCodec")
+	encode := func(m *apk.Manifest) string {
+		out, err := apk.EncodeManifest(m)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return string(out)
+	}
+	canon := encode(&apk.Manifest{
+		Package:     "com.example.fuzz",
+		Permissions: []apk.Permission{{Name: sensitive.PermFineLocation}, {Name: ""}},
+		Application: apk.Application{
+			Activities: []apk.Component{{Name: "com.example.fuzz.Main", Exported: true,
+				Filters: []apk.IntentFilter{{Actions: []apk.Action{{Name: "android.intent.action.MAIN"}, {Name: "b"}}}, {}}}},
+			Services:  []apk.Component{{Name: "com.example.fuzz.Sync"}},
+			Receivers: []apk.Component{{Name: "com.example.fuzz.Boot", Exported: true}},
+			Providers: []apk.Component{{Name: "com.example.fuzz.Data"}},
+		},
+	})
+	emit("canonical", []byte(canon))
+	emit("empty-application", []byte(encode(&apk.Manifest{Package: "p"})))
+	emit("escaped-name", []byte(encode(&apk.Manifest{Package: "a&b\"c'd<e>\tf"})))
+	emit("non-ascii-name", []byte(encode(&apk.Manifest{Package: "café\xff"})))
+	emit("crlf", []byte(strings.ReplaceAll(canon, "\n", "\r\n")))
+	emit("trailing-bytes", []byte(canon+"\n<x/>"))
+	emit("kinds-out-of-order", []byte(strings.Replace(strings.Replace(canon,
+		"<activity ", "<provider ", 1), "</activity>", "</provider>", 1)))
+	emit("attribute-order", []byte(strings.Replace(canon,
+		`name="com.example.fuzz.Main" exported="true"`, `exported="true" name="com.example.fuzz.Main"`, 1)))
+	emit("empty-package", []byte(strings.Replace(canon, `package="com.example.fuzz"`, `package=""`, 1)))
+	emit("self-closing", []byte(strings.Replace(canon, `></service>`, `/>`, 1)))
 }
 
 func writeHTMLSeeds() {
