@@ -25,7 +25,6 @@ import (
 	"ppchecker/internal/dex"
 	"ppchecker/internal/esa"
 	"ppchecker/internal/eval"
-	"ppchecker/internal/graphdb"
 	"ppchecker/internal/htmltext"
 	"ppchecker/internal/nlp"
 	"ppchecker/internal/obs"
@@ -568,47 +567,6 @@ func BenchmarkSummaryParallel(b *testing.B) {
 	}
 	b.ReportMetric(float64(s.AppsWithProblem), "apps-with-problem")
 	b.ReportMetric(float64(len(ds.Apps))*float64(b.N)/b.Elapsed().Seconds(), "apps/sec")
-}
-
-// BenchmarkGraphQueryThroughput exercises the frozen CSR graph with the
-// query mix the analyses use: label scans, adjacency expansion over the
-// code and CFG edges, and reachability sweeps seeded at each method's
-// entry statement. It reports sustained queries/sec so CSR-layout
-// regressions show up even when end-to-end pipeline time hides them.
-func BenchmarkGraphQueryThroughput(b *testing.B) {
-	ds := paperCorpus(b)
-	p, err := apg.Build(ds.Apps[0].App.APK, apg.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := p.Frozen()
-	methods := f.NodesByLabel(apg.LabelMethod)
-	if len(methods) == 0 {
-		b.Fatal("no method nodes in frozen graph")
-	}
-	cfg := []string{apg.EdgeCFG}
-	var stmts []graphdb.NodeID
-	b.ResetTimer()
-	queries := 0
-	for i := 0; i < b.N; i++ {
-		for _, mid := range methods {
-			stmts = f.OutInto(stmts[:0], mid, apg.EdgeCode)
-			queries++
-			if len(stmts) == 0 {
-				continue
-			}
-			for _, sid := range stmts {
-				_ = f.OutDegree(sid)
-			}
-			queries += len(stmts)
-			vs := f.ReachableVisit(stmts[:1], cfg)
-			queries++
-			if len(vs.Order) == 0 {
-				b.Fatal("empty reachability from method entry")
-			}
-		}
-	}
-	b.ReportMetric(float64(queries)/b.Elapsed().Seconds(), "queries/sec")
 }
 
 // BenchmarkLexiconMatch measures Aho-Corasick lexicon screening over

@@ -1,39 +1,31 @@
-// Package apg builds the Android Property Graph of §III-C1: a property
-// graph integrating the app's structure (classes, methods, statements),
-// interprocedural control flow (call graph, CFG), implicit callback
-// edges (the EdgeMiner role), and inter-component edges resolved from
-// intents (the IccTA role). The graph is stored in the graphdb
-// substrate and queried for entry-point reachability.
+// Package apg builds the Android Property Graph of §III-C1 at method
+// granularity: a call graph over the app's methods whose edges are
+// explicit calls, implicit framework callbacks (the EdgeMiner role) and
+// inter-component launches resolved from intents (the IccTA role). It
+// answers the one graph question of §III-C2, whether a method is
+// reachable from an entry point. The graph is an int32
+// compressed-sparse-row adjacency over the per-app method table's
+// MethodIDs. The data-dependence layer is the taint engine's register
+// model (package taint), which keys on the same MethodIDs.
 package apg
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strconv"
 	"sync"
 
 	"ppchecker/internal/apk"
 	"ppchecker/internal/dex"
-	"ppchecker/internal/graphdb"
 )
 
-// Node labels in the APG.
-const (
-	LabelClass  = "class"
-	LabelMethod = "method"
-	LabelStmt   = "stmt"
-)
+// EdgeKind classifies a call-graph edge.
+type EdgeKind uint8
 
-// Edge labels in the APG.
+// Edge kinds of the APG. Every edge joins two defined methods.
 const (
-	EdgeContains = "contains" // class -> method
-	EdgeCode     = "code"     // method -> stmt
-	EdgeCFG      = "cfg"      // stmt -> stmt
-	EdgeCalls    = "calls"    // method -> method (explicit invoke)
-	EdgeCallback = "callback" // method -> method (EdgeMiner implicit)
-	EdgeICC      = "icc"      // method -> method (IccTA intent edge)
-	EdgeDU       = "du"       // stmt -> stmt (register def-use, the SDG layer)
+	EdgeCalls    EdgeKind = iota // explicit invoke, resolved through the superclass chain
+	EdgeCallback                 // EdgeMiner implicit callback
+	EdgeICC                      // IccTA intent edge to a launched component's entry
 )
 
 // Options toggles analysis features (used by the ablation benchmarks).
@@ -63,80 +55,34 @@ const (
 // ErrTooLarge marks a build aborted by a size guard.
 var ErrTooLarge = errors.New("apg: input exceeds analysis size limits")
 
-// APG is the built graph plus its method table. After construction
-// the graph is compiled to its frozen CSR view (Frozen); all traversal
-// queries — reachability, path search — run against that view, while
-// G stays available as the mutable builder. The method table gives
-// every method the image defines or invokes one MethodID, and the
-// analyses key their per-method state on it.
+// APG is an app's method-level call graph plus its method table. The
+// method table gives every method the image defines or invokes one
+// MethodID, and the graph and the analyses key their per-method state
+// on it. An APG is read-only once built and safe for concurrent
+// readers; the entry points and the entry-point closure are computed
+// on first use.
 type APG struct {
-	G   *graphdb.Graph
 	APK *apk.APK
 
-	mt   *methodTable
-	opts Options
+	mt *methodTable
+	g  *callGraph
 
-	frozenOnce sync.Once
-	frozen     *graphdb.Frozen
-
+	// entriesOnce and reachOnce guard the first computation of the
+	// entry points and their closure, kept in g.
 	entriesOnce sync.Once
-	entries     []MethodID
-	entrySeeds  []graphdb.NodeID
-
-	reachOnce sync.Once
-	reach     *graphdb.VisitSet
+	reachOnce   sync.Once
 }
 
-// Frozen returns the CSR view of the graph, freezing it on first use.
-// The returned view is immutable and safe for concurrent readers; it
-// snapshots the graph as of the first call, so mutate (if at all) only
-// before querying.
-func (p *APG) Frozen() *graphdb.Frozen {
-	p.frozenOnce.Do(func() { p.frozen = p.G.Freeze() })
-	return p.frozen
-}
-
-// itoaSmall returns the decimal rendering of i without allocating for
-// the indexes that occur in practice (instruction indexes are bounded
-// by MaxMethodCode).
-var smallInts = func() [1024]string {
-	var a [1024]string
-	for i := range a {
-		a[i] = strconv.Itoa(i)
-	}
-	return a
-}()
-
-func itoaSmall(i int) string {
-	if i >= 0 && i < len(smallInts) {
-		return smallInts[i]
-	}
-	return strconv.Itoa(i)
-}
-
-// BuildScratch holds reusable APG build buffers. Callers running many
-// builds (the eval/serve/stream worker pools) pass one via
-// BuildCtxWith to stop re-allocating per app; a zero value is ready to
-// use and a nil scratch falls back to an internal pool.
+// BuildScratch holds the method table and call graph of one build.
+// Callers running many builds (the eval/serve/stream worker pools)
+// pass one via BuildCtxWith so the storage is reused from app to app;
+// a zero value is ready to use. A caller-provided scratch must outlive
+// the APG built from it, and the next build from the same scratch
+// invalidates that APG.
 type BuildScratch struct {
-	stmtIDs []graphdb.NodeID
-	defs    map[int][]int
-	defRegs []int
-	kv      []string // statement property pairs; graphdb copies them out
-
-	// Arena state reused across builds when the caller owns the
-	// scratch: the graph database itself plus the method table. A
-	// caller-provided scratch must outlive the APG built from it, and
-	// the next build from the same scratch invalidates that APG (its
-	// graph storage and method table are reset in place). The internal
-	// pool cannot make that guarantee — pooled scratches are recycled
-	// before the APG is discarded — so the pool path allocates these
-	// fresh per build.
-	graph   *graphdb.Graph
-	methods *methodTable
+	methods methodTable
+	graph   callGraph
 }
-
-var buildScratchPool = sync.Pool{New: func() any { return new(BuildScratch) }}
 
 // Build constructs the APG for an app.
 func Build(a *apk.APK, opts Options) (*APG, error) {
@@ -151,248 +97,60 @@ func BuildCtx(ctx context.Context, a *apk.APK, opts Options) (*APG, error) {
 	return BuildCtxWith(ctx, a, opts, nil)
 }
 
-// BuildCtxWith is BuildCtx with caller-provided build buffers; a nil
-// scratch borrows one from an internal pool.
+// BuildCtxWith is BuildCtx with caller-provided build storage; a nil
+// scratch builds into storage the APG owns.
 func BuildCtxWith(ctx context.Context, a *apk.APK, opts Options, s *BuildScratch) (*APG, error) {
 	if a == nil || a.Dex == nil {
 		return nil, errors.New("apg: nil apk or bytecode")
 	}
 	var p *APG
 	if s != nil {
-		// Caller-owned scratch: reuse the whole graph arena and method
-		// table (see BuildScratch). Reset reclaims the node, adjacency
-		// and frozen-view storage of the previous build.
-		if s.graph == nil {
-			s.graph = graphdb.New()
-			s.methods = new(methodTable)
-		}
-		s.graph.Reset()
-		p = &APG{G: s.graph, mt: s.methods}
+		p = &APG{}
 	} else {
-		s = buildScratchPool.Get().(*BuildScratch)
-		defer buildScratchPool.Put(s)
-		// One allocation holds the APG and the method table it owns.
+		// One allocation holds the APG and the storage it owns.
 		owned := new(struct {
 			APG
-			mt methodTable
+			s BuildScratch
 		})
-		p = &owned.APG
-		p.G, p.mt = graphdb.New(), &owned.mt
+		p, s = &owned.APG, &owned.s
 	}
-	p.APK, p.opts = a, opts
+	p.APK, p.mt, p.g = a, &s.methods, &s.graph
 	if err := p.mt.build(ctx, a.Dex); err != nil {
 		return nil, err
 	}
-	if err := p.addStructure(ctx, s); err != nil {
-		return nil, err
-	}
-	if err := p.addCallEdges(); err != nil {
-		return nil, err
-	}
+	p.g.reset()
+	p.addCallEdges()
 	if opts.EdgeMiner {
-		if err := p.addCallbackEdges(); err != nil {
-			return nil, err
-		}
+		p.addCallbackEdges()
 	}
 	if opts.ICC {
 		if err := p.addICCEdges(); err != nil {
 			return nil, err
 		}
 	}
-	// Construction is complete: compile the CSR view every traversal
-	// below (reachability, path search, icc lookups) runs against.
-	p.Frozen()
+	p.g.finish(len(p.mt.rows))
 	return p, nil
-}
-
-// addStructure inserts class, method and statement nodes with
-// contains/code/cfg edges. The method table has already checked the
-// size guards and branch targets.
-func (p *APG) addStructure(ctx context.Context, s *BuildScratch) error {
-	defs := p.mt.defs
-	k := 0
-	for _, cls := range p.APK.Dex.Classes {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		cid := p.G.AddNodeKV(LabelClass,
-			"name", string(cls.Name),
-			"super", string(cls.Super))
-		for _, m := range cls.Methods {
-			d := defs[k]
-			k++
-			mid := p.G.AddNodeKV(LabelMethod,
-				"class", string(cls.Name),
-				"name", m.Name,
-				"sig", m.Sig)
-			p.mt.rows[d.ID].node = mid
-			if err := p.G.AddEdge(cid, mid, EdgeContains); err != nil {
-				return fmt.Errorf("apg: %w", err)
-			}
-			refStr := p.mt.smali(d.ID)
-			// statement nodes and intra-method CFG
-			if cap(s.stmtIDs) < len(m.Code) {
-				s.stmtIDs = make([]graphdb.NodeID, len(m.Code))
-			}
-			stmtIDs := s.stmtIDs[:len(m.Code)]
-			for i, ins := range m.Code {
-				// AddNodeKV copies the pairs into the graph's property
-				// arena, so one scratch buffer serves every statement.
-				kv := append(s.kv[:0], "index", itoaSmall(i), "method", refStr, "op", ins.Op.String())
-				if ins.Str != "" {
-					kv = append(kv, "str", ins.Str)
-				}
-				if callee := d.Calls[i]; callee >= 0 {
-					kv = append(kv, "target", p.mt.smali(callee))
-				}
-				stmtIDs[i] = p.G.AddNodeKV(LabelStmt, kv...)
-				s.kv = kv[:0]
-				if err := p.G.AddEdge(mid, stmtIDs[i], EdgeCode); err != nil {
-					return fmt.Errorf("apg: %w", err)
-				}
-			}
-			for i, ins := range m.Code {
-				switch ins.Op {
-				case dex.OpGoto, dex.OpIfZ:
-					if err := p.G.AddEdge(stmtIDs[i], stmtIDs[ins.Target], EdgeCFG); err != nil {
-						return fmt.Errorf("apg: %w", err)
-					}
-					if ins.Op == dex.OpIfZ && i+1 < len(stmtIDs) {
-						if err := p.G.AddEdge(stmtIDs[i], stmtIDs[i+1], EdgeCFG); err != nil {
-							return fmt.Errorf("apg: %w", err)
-						}
-					}
-				case dex.OpReturn, dex.OpReturnVoid:
-					// no fallthrough
-				default:
-					if i+1 < len(stmtIDs) {
-						if err := p.G.AddEdge(stmtIDs[i], stmtIDs[i+1], EdgeCFG); err != nil {
-							return fmt.Errorf("apg: %w", err)
-						}
-					}
-				}
-			}
-			if err := p.addDataDeps(m, stmtIDs, s); err != nil {
-				return err
-			}
-		}
-	}
-	// Every row gets its string now, so the table is read-only once
-	// the build returns.
-	for id := range p.mt.rows {
-		p.mt.smali(MethodID(id))
-	}
-	return nil
-}
-
-// addDataDeps emits def-use edges between statements — the system
-// dependency graph layer of §III-C1, matching the taint engine's
-// flow-insensitive register model: every definition of a register
-// links to every use of it within the method.
-func (p *APG) addDataDeps(m *dex.Method, stmtIDs []graphdb.NodeID, s *BuildScratch) error {
-	if s.defs == nil {
-		s.defs = map[int][]int{} // register -> defining instruction indexes
-	}
-	defs := s.defs
-	// Reset only the registers touched last time (tracked in defRegs)
-	// so the map and its per-register slices are reused across methods.
-	for _, r := range s.defRegs {
-		defs[r] = defs[r][:0]
-	}
-	s.defRegs = s.defRegs[:0]
-	for i, ins := range m.Code {
-		if regDefined(ins) >= 0 {
-			if len(defs[ins.A]) == 0 {
-				s.defRegs = append(s.defRegs, ins.A)
-			}
-			defs[ins.A] = append(defs[ins.A], i)
-		}
-	}
-	for i, ins := range m.Code {
-		for _, r := range regsUsed(ins) {
-			for _, d := range defs[r] {
-				if d != i {
-					if err := p.G.AddEdge(stmtIDs[d], stmtIDs[i], EdgeDU); err != nil {
-						return fmt.Errorf("apg: %w", err)
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// regDefined returns the register an instruction writes, or -1.
-func regDefined(ins dex.Instr) int {
-	switch ins.Op {
-	case dex.OpConstString, dex.OpConst, dex.OpMove, dex.OpNewInstance,
-		dex.OpSGet, dex.OpIGet:
-		return ins.A
-	case dex.OpInvokeVirtual, dex.OpInvokeStatic:
-		return ins.A // -1 when the result is discarded
-	}
-	return -1
-}
-
-// regsUsed returns the registers an instruction reads.
-func regsUsed(ins dex.Instr) []int {
-	switch ins.Op {
-	case dex.OpMove:
-		return []int{ins.B}
-	case dex.OpInvokeVirtual, dex.OpInvokeStatic:
-		return ins.Args
-	case dex.OpIGet:
-		return ins.Args
-	case dex.OpIPut:
-		return append(append([]int(nil), ins.Args...), ins.B)
-	case dex.OpIfZ, dex.OpReturn:
-		return []int{ins.A}
-	}
-	return nil
 }
 
 // addCallEdges resolves every invoke to a defined method (through the
 // superclass chain, class-hierarchy style) and adds calls edges.
-func (p *APG) addCallEdges() error {
-	return p.eachInvoke(func(caller Def, i int, ins dex.Instr) error {
-		target, ok := p.Resolve(caller.Calls[i])
-		if !ok {
-			return nil
+func (p *APG) addCallEdges() {
+	p.eachInvoke(func(caller Def, i int, ins dex.Instr) {
+		if target, ok := p.Resolve(caller.Calls[i]); ok {
+			p.g.add(caller.ID, target.ID, EdgeCalls)
 		}
-		return p.addMethodEdge(caller.ID, target.ID, EdgeCalls)
 	})
 }
 
-// addMethodEdge links the nodes of two defined methods.
-func (p *APG) addMethodEdge(from, to MethodID, label string) error {
-	if err := p.G.AddEdge(p.mt.rows[from].node, p.mt.rows[to].node, label); err != nil {
-		return fmt.Errorf("apg: %w", err)
-	}
-	return nil
-}
-
-// eachInvoke visits every invoke instruction in the app, stopping at
-// the first error the visitor returns.
-func (p *APG) eachInvoke(f func(caller Def, idx int, ins dex.Instr) error) error {
+// eachInvoke visits every invoke instruction in the app.
+func (p *APG) eachInvoke(f func(caller Def, idx int, ins dex.Instr)) {
 	for _, d := range p.mt.defs {
 		for i, callee := range d.Calls {
 			if callee >= 0 {
-				if err := f(d, i, d.Method.Code[i]); err != nil {
-					return err
-				}
+				f(d, i, d.Method.Code[i])
 			}
 		}
 	}
-	return nil
-}
-
-// MethodNode returns the node of a method reference.
-func (p *APG) MethodNode(ref dex.MethodRef) (graphdb.NodeID, bool) {
-	id, ok := p.mt.index[ref]
-	if !ok || p.mt.rows[id].node == 0 {
-		return 0, false
-	}
-	return p.mt.rows[id].node, true
 }
 
 // Methods returns all defined method references in deterministic order.

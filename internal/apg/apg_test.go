@@ -1,12 +1,12 @@
 package apg
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"ppchecker/internal/apk"
 	"ppchecker/internal/dex"
-	"ppchecker/internal/graphdb"
 )
 
 // fixtureApp builds an app exercising explicit calls, EdgeMiner
@@ -81,34 +81,52 @@ func methodRef(cls, name, sig string) dex.MethodRef {
 	return dex.MethodRef{Class: dex.TypeDesc(cls), Name: name, Sig: sig}
 }
 
+// methodID returns the identity of a method the APG defines.
+func methodID(t *testing.T, p *APG, ref dex.MethodRef) MethodID {
+	t.Helper()
+	id, ok := p.mt.index[ref]
+	if !ok || p.mt.rows[id].first < 0 {
+		t.Fatalf("%s not defined", ref)
+	}
+	return id
+}
+
+// outNames returns the method names at the far end of id's out-edges
+// of one kind, in row order.
+func outNames(p *APG, id MethodID, kind EdgeKind) []string {
+	var names []string
+	to, kinds := p.Out(id)
+	for i, t := range to {
+		if kinds[i] == kind {
+			names = append(names, p.Ref(t).Name)
+		}
+	}
+	return names
+}
+
+var onCreateRef = methodRef("Lcom/example/app/MainActivity;", "onCreate", "(Landroid/os/Bundle;)V")
+
 func TestBuildStructure(t *testing.T) {
 	p := mustBuild(t, fixtureAPK(t), DefaultOptions())
-	if got := len(p.G.NodesByLabel(LabelClass)); got != 4 {
-		t.Fatalf("class nodes = %d", got)
+	if got := len(p.Defs()); got != 9 {
+		t.Fatalf("method definitions = %d", got)
 	}
-	if got := len(p.G.NodesByLabel(LabelMethod)); got != 9 {
-		t.Fatalf("method nodes = %d", got)
-	}
-	if len(p.G.NodesByLabel(LabelStmt)) == 0 {
-		t.Fatal("no stmt nodes")
+	for _, d := range p.Defs() {
+		if p.Ref(d.ID) != d.Method.Ref() {
+			t.Errorf("definition %s has the id of %s", d.Method.Ref(), p.Ref(d.ID))
+		}
 	}
 }
 
 func TestCallEdges(t *testing.T) {
 	p := mustBuild(t, fixtureAPK(t), DefaultOptions())
-	onCreate, ok := p.MethodNode(methodRef("Lcom/example/app/MainActivity;", "onCreate", "(Landroid/os/Bundle;)V"))
-	if !ok {
-		t.Fatal("onCreate node missing")
+	onCreate := methodID(t, p, onCreateRef)
+	if got := outNames(p, onCreate, EdgeCalls); !slices.Equal(got, []string{"loadData"}) {
+		t.Fatalf("onCreate calls = %v", got)
 	}
-	callees := p.Frozen().OutInto(nil, onCreate, EdgeCalls)
-	found := false
-	for _, id := range callees {
-		if p.G.Node(id).Prop("name") == "loadData" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("onCreate calls = %v", callees)
+	// Row order: calls edges, then callback, then icc edges.
+	if _, kinds := p.Out(onCreate); !slices.IsSorted(kinds) {
+		t.Fatalf("onCreate edge kinds out of order: %v", kinds)
 	}
 }
 
@@ -117,9 +135,8 @@ func TestEdgeMinerCallback(t *testing.T) {
 	// handleClick is reached only through the onClick callback edge —
 	// but onClick is itself a UI entry, so check the callback edge
 	// directly instead.
-	onCreate, _ := p.MethodNode(methodRef("Lcom/example/app/MainActivity;", "onCreate", "(Landroid/os/Bundle;)V"))
-	cbs := p.Frozen().OutInto(nil, onCreate, EdgeCallback)
-	if len(cbs) != 1 || p.G.Node(cbs[0]).Prop("name") != "onClick" {
+	onCreate := methodID(t, p, onCreateRef)
+	if cbs := outNames(p, onCreate, EdgeCallback); !slices.Equal(cbs, []string{"onClick"}) {
 		t.Fatalf("callback edges from onCreate = %v", cbs)
 	}
 	if !p.MethodReachable(methodRef("Lcom/example/app/ClickHandler;", "handleClick", "()V")) {
@@ -129,16 +146,17 @@ func TestEdgeMinerCallback(t *testing.T) {
 
 func TestICCEdge(t *testing.T) {
 	p := mustBuild(t, fixtureAPK(t), DefaultOptions())
-	onCreate, _ := p.MethodNode(methodRef("Lcom/example/app/MainActivity;", "onCreate", "(Landroid/os/Bundle;)V"))
-	iccs := p.Frozen().OutInto(nil, onCreate, EdgeICC)
-	foundStart := false
-	for _, id := range iccs {
-		if p.G.Node(id).Prop("name") == "onStartCommand" {
-			foundStart = true
-		}
-	}
-	if !foundStart {
+	onCreate := methodID(t, p, onCreateRef)
+	iccs := outNames(p, onCreate, EdgeICC)
+	if !slices.Contains(iccs, "onStartCommand") {
 		t.Fatalf("icc edges = %v", iccs)
+	}
+	var targets []string
+	for _, id := range p.ICCTargets(onCreate) {
+		targets = append(targets, p.Ref(id).Name)
+	}
+	if !slices.Equal(targets, iccs) {
+		t.Fatalf("ICCTargets = %v, icc edges = %v", targets, iccs)
 	}
 	// syncWork reached transitively through the ICC edge.
 	if !p.MethodReachable(methodRef("Lcom/example/app/SyncService;", "syncWork", "()V")) {
@@ -151,16 +169,19 @@ func TestICCDisabled(t *testing.T) {
 	// entry model), so reachability is unchanged — but the icc edges
 	// themselves must be absent.
 	p := mustBuild(t, fixtureAPK(t), Options{EdgeMiner: true, ICC: false})
-	onCreate, _ := p.MethodNode(methodRef("Lcom/example/app/MainActivity;", "onCreate", "(Landroid/os/Bundle;)V"))
-	if iccs := p.Frozen().OutInto(nil, onCreate, EdgeICC); len(iccs) != 0 {
+	onCreate := methodID(t, p, onCreateRef)
+	if iccs := outNames(p, onCreate, EdgeICC); len(iccs) != 0 {
 		t.Fatalf("icc edges with ICC disabled: %v", iccs)
+	}
+	if targets := p.ICCTargets(onCreate); len(targets) != 0 {
+		t.Fatalf("ICCTargets with ICC disabled: %v", targets)
 	}
 }
 
 func TestEdgeMinerDisabled(t *testing.T) {
 	p := mustBuild(t, fixtureAPK(t), Options{EdgeMiner: false, ICC: true})
-	onCreate, _ := p.MethodNode(methodRef("Lcom/example/app/MainActivity;", "onCreate", "(Landroid/os/Bundle;)V"))
-	if cbs := p.Frozen().OutInto(nil, onCreate, EdgeCallback); len(cbs) != 0 {
+	onCreate := methodID(t, p, onCreateRef)
+	if cbs := outNames(p, onCreate, EdgeCallback); len(cbs) != 0 {
 		t.Fatalf("callback edges with EdgeMiner disabled: %v", cbs)
 	}
 }
@@ -292,8 +313,7 @@ func TestResolveIntentThroughMove(t *testing.T) {
 		},
 	}
 	p := mustBuild(t, apk.New(m, d), DefaultOptions())
-	onCreate, _ := p.MethodNode(methodRef("Lcom/example/app/MainActivity;", "onCreate", "(Landroid/os/Bundle;)V"))
-	if iccs := p.Frozen().OutInto(nil, onCreate, EdgeICC); len(iccs) == 0 {
+	if iccs := outNames(p, methodID(t, p, onCreateRef), EdgeICC); len(iccs) == 0 {
 		t.Fatal("icc edge missing through move chain")
 	}
 }
@@ -319,8 +339,7 @@ func TestIntentWithoutTargetIgnored(t *testing.T) {
 		},
 	}
 	p := mustBuild(t, apk.New(m, d), DefaultOptions())
-	onCreate, _ := p.MethodNode(methodRef("Lcom/example/app/MainActivity;", "onCreate", "(Landroid/os/Bundle;)V"))
-	if iccs := p.Frozen().OutInto(nil, onCreate, EdgeICC); len(iccs) != 0 {
+	if iccs := outNames(p, methodID(t, p, onCreateRef), EdgeICC); len(iccs) != 0 {
 		t.Fatalf("icc edge for targetless intent: %v", iccs)
 	}
 }
@@ -340,55 +359,6 @@ func TestRegistrationsTable(t *testing.T) {
 		if r.Callback == "" {
 			t.Errorf("registration %s has no callback", key)
 		}
-	}
-}
-
-// TestDataDependenceEdges: the graph answers source→sink questions
-// directly, the way the paper phrases FlowDroid integration ("include
-// the source-sink paths ... in the graph database").
-func TestDataDependenceEdges(t *testing.T) {
-	src := `
-.class Lcom/example/app/MainActivity; extends Landroid/app/Activity;
-.method onCreate(Landroid/os/Bundle;)V regs=8
-    invoke-virtual {v0}, Landroid/telephony/TelephonyManager;->getDeviceId()Ljava/lang/String; -> v1
-    move v2, v1
-    invoke-static {v3, v2}, Landroid/util/Log;->d(Ljava/lang/String;Ljava/lang/String;)I
-    return-void
-.end method
-.end class
-`
-	d, err := dex.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := &apk.Manifest{
-		Package: "com.example.app",
-		Application: apk.Application{
-			Activities: []apk.Component{{Name: "com.example.app.MainActivity"}},
-		},
-	}
-	p := mustBuild(t, apk.New(m, d), DefaultOptions())
-	// Find the source and sink statement nodes by their target method.
-	var srcID, sinkID graphdb.NodeID
-	for _, id := range p.G.NodesByLabel(LabelStmt) {
-		n := p.G.Node(id)
-		if strings.Contains(n.Prop("target"), "getDeviceId") {
-			srcID = id
-		}
-		if strings.Contains(n.Prop("target"), "Log;->d") {
-			sinkID = id
-		}
-	}
-	if srcID == 0 || sinkID == 0 {
-		t.Fatal("source or sink statement not found")
-	}
-	// The source must reach the sink over def-use edges alone.
-	path := p.Frozen().Path(srcID, sinkID, []string{EdgeDU})
-	if path == nil {
-		t.Fatal("no du path from source to sink in the graph")
-	}
-	if len(path) != 3 { // source → move → sink
-		t.Fatalf("du path = %v (len %d, want 3)", path, len(path))
 	}
 }
 

@@ -3,15 +3,21 @@ package apg
 import (
 	"fmt"
 	"io"
-	"sort"
 
-	"ppchecker/internal/graphdb"
+	"ppchecker/internal/dex"
 )
 
-// WriteDot renders the APG's class/method layer as a Graphviz dot
-// document: class clusters containing method nodes, with call,
-// callback, and icc edges. Statement nodes are omitted — the method
-// graph is what one inspects when debugging reachability.
+// dotEdgeStyles are the dot attributes of each edge kind.
+var dotEdgeStyles = [...]string{
+	EdgeCalls:    "",
+	EdgeCallback: " [style=dashed, color=darkorange, label=\"cb\"]",
+	EdgeICC:      " [style=dotted, color=purple, label=\"icc\"]",
+}
+
+// WriteDot renders the APG as a Graphviz dot document: class clusters
+// containing method nodes, with call, callback, and icc edges. Node
+// n<k> is the k-th definition of Defs(); a method defined more than
+// once draws its edges from and to its first definition.
 func (p *APG) WriteDot(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "digraph apg {"); err != nil {
 		return err
@@ -19,55 +25,39 @@ func (p *APG) WriteDot(w io.Writer) error {
 	fmt.Fprintln(w, "  rankdir=LR;")
 	fmt.Fprintln(w, "  node [shape=box, fontsize=10];")
 
-	// Stable ordering: methods by node id.
-	type methodInfo struct {
-		id    graphdb.NodeID
-		class string
-		name  string
-	}
-	var methods []methodInfo
-	for _, id := range p.G.NodesByLabel(LabelMethod) {
-		n := p.G.Node(id)
-		methods = append(methods, methodInfo{id: id, class: n.Prop("class"), name: n.Prop("name")})
-	}
-	sort.Slice(methods, func(i, j int) bool { return methods[i].id < methods[j].id })
-
-	byClass := map[string][]methodInfo{}
-	var classes []string
-	for _, m := range methods {
-		if len(byClass[m.class]) == 0 {
-			classes = append(classes, m.class)
+	defs := p.mt.defs
+	byClass := map[dex.TypeDesc][]int{}
+	var classes []dex.TypeDesc
+	for k, d := range defs {
+		cls := d.Method.Class
+		if len(byClass[cls]) == 0 {
+			classes = append(classes, cls)
 		}
-		byClass[m.class] = append(byClass[m.class], m)
+		byClass[cls] = append(byClass[cls], k)
 	}
-	entries := map[graphdb.NodeID]bool{}
-	p.entryIDs()
-	for _, id := range p.entrySeeds {
+	entries := make([]bool, p.NumMethods())
+	for _, id := range p.entryIDs() {
 		entries[id] = true
 	}
 	for ci, cls := range classes {
 		fmt.Fprintf(w, "  subgraph cluster_%d {\n    label=%q;\n", ci, cls)
-		for _, m := range byClass[cls] {
+		for _, k := range byClass[cls] {
+			d := defs[k]
 			attrs := ""
-			if entries[m.id] {
+			if entries[d.ID] && p.mt.rows[d.ID].first == int32(k) {
 				attrs = ", style=filled, fillcolor=lightblue"
 			}
-			fmt.Fprintf(w, "    n%d [label=%q%s];\n", m.id, m.name, attrs)
+			fmt.Fprintf(w, "    n%d [label=%q%s];\n", k, d.Method.Name, attrs)
 		}
 		fmt.Fprintln(w, "  }")
 	}
-	styles := map[string]string{
-		EdgeCalls:    "",
-		EdgeCallback: " [style=dashed, color=darkorange, label=\"cb\"]",
-		EdgeICC:      " [style=dotted, color=purple, label=\"icc\"]",
-	}
-	for _, m := range methods {
-		for _, e := range p.G.OutEdges(m.id) {
-			style, ok := styles[e.Label]
-			if !ok {
-				continue
-			}
-			fmt.Fprintf(w, "  n%d -> n%d%s;\n", e.From, e.To, style)
+	for k, d := range defs {
+		if p.mt.rows[d.ID].first != int32(k) {
+			continue
+		}
+		to, kind := p.Out(d.ID)
+		for i, t := range to {
+			fmt.Fprintf(w, "  n%d -> n%d%s;\n", k, p.mt.rows[t].first, dotEdgeStyles[kind[i]])
 		}
 	}
 	_, err := fmt.Fprintln(w, "}")

@@ -79,14 +79,11 @@ func (p *APG) isSubclassOf(cls, super dex.TypeDesc) bool {
 
 // addCallbackEdges adds method→callback edges for every registration
 // site whose listener type can be resolved to a defined class.
-func (p *APG) addCallbackEdges() error {
-	return p.eachInvoke(func(caller Def, idx int, ins dex.Instr) error {
+func (p *APG) addCallbackEdges() {
+	p.eachInvoke(func(caller Def, idx int, ins dex.Instr) {
 		reg, ok := p.lookupRegistration(ins.Method)
-		if !ok {
-			return nil
-		}
-		if reg.ListenerArg >= len(ins.Args) {
-			return nil
+		if !ok || reg.ListenerArg >= len(ins.Args) {
+			return
 		}
 		listenerType, _ := regType(caller.Method, idx, ins.Args[reg.ListenerArg])
 		if listenerType == "" {
@@ -94,11 +91,9 @@ func (p *APG) addCallbackEdges() error {
 			// fall back to the static type of the invoke.
 			listenerType = ins.Method.Class
 		}
-		cb := p.findCallback(listenerType, reg.Callback)
-		if cb < 0 {
-			return nil
+		if cb := p.findCallback(listenerType, reg.Callback); cb >= 0 {
+			p.g.add(caller.ID, p.mt.defs[cb].ID, EdgeCallback)
 		}
-		return p.addMethodEdge(caller.ID, p.mt.defs[cb].ID, EdgeCallback)
 	})
 }
 

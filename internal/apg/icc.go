@@ -33,21 +33,20 @@ var intentEntryByKind = map[apk.ComponentKind][]string{
 
 // addICCEdges finds launcher invocations, traces the intent register to
 // its component target, and wires the launching method to the target's
-// entries. Each launcher also records its targets in the method table
-// (ICCTargets), in edge order.
+// entries.
 func (p *APG) addICCEdges() error {
 	if p.APK.Manifest == nil {
 		return fmt.Errorf("apg: nil manifest")
 	}
 	var components []apk.DeclaredComponent // listed at the first launch
-	return p.eachInvoke(func(caller Def, idx int, ins dex.Instr) error {
+	p.eachInvoke(func(caller Def, idx int, ins dex.Instr) {
 		argPos, ok := iccLaunchers[ins.Method.Name]
 		if !ok || argPos >= len(ins.Args) {
-			return nil
+			return
 		}
 		targetClass := p.resolveIntentTarget(caller.Method, idx, ins.Args[argPos])
 		if targetClass == "" {
-			return nil
+			return
 		}
 		if components == nil {
 			components = p.APK.Manifest.Components()
@@ -62,17 +61,12 @@ func (p *APG) addICCEdges() error {
 			}
 			for _, entry := range intentEntryByKind[comp.Kind] {
 				if k := p.mt.firstNamed(ci, entry); k >= 0 {
-					target := p.mt.defs[k].ID
-					if err := p.addMethodEdge(caller.ID, target, EdgeICC); err != nil {
-						return err
-					}
-					row := &p.mt.rows[caller.ID]
-					row.icc = append(row.icc, target)
+					p.g.add(caller.ID, p.mt.defs[k].ID, EdgeICC)
 				}
 			}
 		}
-		return nil
 	})
+	return nil
 }
 
 // resolveIntentTarget traces an intent register backwards to the

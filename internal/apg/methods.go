@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"ppchecker/internal/dex"
-	"ppchecker/internal/graphdb"
 	"ppchecker/internal/sensitive"
 )
 
@@ -37,16 +36,9 @@ type methodRow struct {
 	def int32
 	// first indexes the first definition of exactly ref, -1 for none.
 	first int32
-	// node is the APG node of the definition of exactly ref, 0 when the
-	// image does not define ref.
-	node graphdb.NodeID
-	api  *sensitive.API
-	sink *sensitive.Sink
-	// icc lists the component entry methods this method's intents
-	// launch, in icc-edge order.
-	icc []MethodID
-	// smali is ref.String(), formatted the first time the build needs
-	// it; after the build every row has it.
+	api   *sensitive.API
+	sink  *sensitive.Sink
+	// smali is ref.String().
 	smali string
 }
 
@@ -164,6 +156,7 @@ func (t *methodTable) build(ctx context.Context, d *dex.Dex) error {
 		r.def = t.lookup(r.ref)
 		r.api, _ = sensitive.LookupAPI(r.ref)
 		r.sink, _ = sensitive.LookupSink(r.ref)
+		r.smali = r.ref.String()
 	}
 	return nil
 }
@@ -226,15 +219,6 @@ func (t *methodTable) componentClass(name string) (int32, bool) {
 	return ci, ok
 }
 
-// smali returns the smali string of id, formatting it on first use.
-func (t *methodTable) smali(id MethodID) string {
-	r := &t.rows[id]
-	if r.smali == "" {
-		r.smali = r.ref.String()
-	}
-	return r.smali
-}
-
 // NumMethods returns the number of method identities in the APG: ids
 // run from 0 to NumMethods()-1.
 func (p *APG) NumMethods() int { return len(p.mt.rows) }
@@ -266,9 +250,16 @@ func (p *APG) API(id MethodID) *sensitive.API { return p.mt.rows[id].api }
 // Sink returns the sink table entry id names, or nil.
 func (p *APG) Sink(id MethodID) *sensitive.Sink { return p.mt.rows[id].sink }
 
-// ICCTargets returns the component entry methods id's intents launch
-// (the targets of its icc edges, in edge order).
-func (p *APG) ICCTargets(id MethodID) []MethodID { return p.mt.rows[id].icc }
+// ICCTargets returns the component entry methods id's intents launch:
+// the targets of its icc edges, in edge order.
+func (p *APG) ICCTargets(id MethodID) []MethodID {
+	to, kind := p.Out(id)
+	k := len(kind)
+	for k > 0 && kind[k-1] == EdgeICC {
+		k--
+	}
+	return to[k:]
+}
 
 // Compare orders two identities as their smali strings order (see
 // dex.MethodRef.Compare): every ordering the analyses expose follows
@@ -280,6 +271,5 @@ func (p *APG) Compare(a, b MethodID) int {
 // Reachable reports whether id is defined and reachable from the entry
 // points (see MethodReachable).
 func (p *APG) Reachable(id MethodID) bool {
-	n := p.mt.rows[id].node
-	return n != 0 && p.reachVisit().Has(n)
+	return p.mt.rows[id].first >= 0 && p.reachSet()[id]
 }

@@ -5,7 +5,6 @@ import (
 
 	"ppchecker/internal/apk"
 	"ppchecker/internal/dex"
-	"ppchecker/internal/graphdb"
 )
 
 // Entry-point model of §III-C2: life-cycle callbacks of declared
@@ -45,11 +44,11 @@ func (p *APG) Entries() []dex.MethodRef {
 // entryIDs returns the entry-point identities, computed once per APG.
 func (p *APG) entryIDs() []MethodID {
 	p.entriesOnce.Do(p.computeEntries)
-	return p.entries
+	return p.g.entries
 }
 
 func (p *APG) computeEntries() {
-	var out []MethodID
+	out := p.g.entries[:0]
 	add := func(k int32) {
 		if k >= 0 {
 			out = append(out, p.mt.defs[k].ID)
@@ -74,24 +73,33 @@ func (p *APG) computeEntries() {
 	// Sorting brings a method found twice next to itself.
 	slices.SortFunc(out, p.Compare)
 	out = slices.Compact(out)
-	p.entries = out
-	for _, id := range out {
-		p.entrySeeds = append(p.entrySeeds, p.mt.rows[id].node)
-	}
+	p.g.entries = out
 }
 
-// reachEdgeLabels are the edges reachability follows.
-var reachEdgeLabels = []string{EdgeCalls, EdgeCallback, EdgeICC}
-
-// reachVisit computes (once per APG) the entry-point closure over the
-// frozen view; both the static collection scan and the taint engine
-// share the result.
-func (p *APG) reachVisit() *graphdb.VisitSet {
+// reachSet returns, indexed by MethodID, the entry-point closure over
+// every edge kind, computed once per APG: one breadth-first search
+// from the entry points. The static collection scan and the taint
+// engine share it.
+func (p *APG) reachSet() []bool {
 	p.reachOnce.Do(func() {
-		p.entryIDs()
-		p.reach = p.Frozen().ReachableVisit(p.entrySeeds, reachEdgeLabels)
+		g := p.g
+		seen := resized(g.reach, p.NumMethods())
+		clear(seen)
+		queue := append(g.queue[:0], p.entryIDs()...)
+		for _, id := range queue {
+			seen[id] = true
+		}
+		for head := 0; head < len(queue); head++ {
+			for _, next := range g.out(queue[head]) {
+				if !seen[next] {
+					seen[next] = true
+					queue = append(queue, next)
+				}
+			}
+		}
+		g.reach, g.queue = seen, queue[:0]
 	})
-	return p.reach
+	return p.g.reach
 }
 
 // MethodReachable reports whether a method is reachable from the entry
@@ -106,32 +114,50 @@ func (p *APG) MethodReachable(ref dex.MethodRef) bool {
 
 // CallPath returns one call path (as method references) from an entry
 // point to the given method, or nil when the method is unreachable.
+// The path is a shortest one from the first entry point, in entry
+// order, that reaches the method; each search follows out-edges in row
+// order.
 func (p *APG) CallPath(to dex.MethodRef) []dex.MethodRef {
-	toID, ok := p.MethodNode(to)
-	if !ok {
+	target, ok := p.mt.index[to]
+	if !ok || p.mt.rows[target].first < 0 {
 		return nil
 	}
-	f := p.Frozen()
-	p.entryIDs()
-	for _, fromID := range p.entrySeeds {
-		nodes := f.Path(fromID, toID, reachEdgeLabels)
-		if nodes == nil {
+	// parent[id] is one more than the method id was first reached
+	// from; a seed is its own parent and 0 marks unvisited. The marks
+	// carry over from one seed's search to the next: a method an
+	// earlier, failed search visited cannot reach the target, so
+	// skipping it changes neither the outcome nor the path.
+	parent := make([]MethodID, p.NumMethods())
+	var queue []MethodID
+	for _, seed := range p.entryIDs() {
+		if parent[seed] != 0 {
 			continue
 		}
-		var refs []dex.MethodRef
-		for _, id := range nodes {
-			n := p.G.Node(id)
-			if n == nil || n.Label != LabelMethod {
-				continue
+		parent[seed] = seed + 1
+		queue = append(queue[:0], seed)
+		for head := 0; head < len(queue) && parent[target] == 0; head++ {
+			cur := queue[head]
+			for _, next := range p.g.out(cur) {
+				if parent[next] == 0 {
+					parent[next] = cur + 1
+					if next == target {
+						break
+					}
+					queue = append(queue, next)
+				}
 			}
-			ref := dex.MethodRef{
-				Class: dex.TypeDesc(n.Prop("class")),
-				Name:  n.Prop("name"),
-				Sig:   n.Prop("sig"),
-			}
-			refs = append(refs, ref)
 		}
-		return refs
+		if parent[target] != 0 {
+			var path []dex.MethodRef
+			for cur := target; ; cur = parent[cur] - 1 {
+				path = append(path, p.Ref(cur))
+				if parent[cur]-1 == cur {
+					break
+				}
+			}
+			slices.Reverse(path)
+			return path
+		}
 	}
 	return nil
 }

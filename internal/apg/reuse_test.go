@@ -7,37 +7,39 @@ import (
 	"testing"
 
 	"ppchecker/internal/apg"
-	"ppchecker/internal/dex"
 	"ppchecker/internal/sensitive"
 	"ppchecker/internal/synth"
 )
 
-// sensitiveSites lists the reachable sensitive-API call sites of p as
-// read back from its frozen graph: each reachable method's statements
-// through its code edges, kept when the statement's invoke target is a
-// sensitive API.
-func sensitiveSites(t *testing.T, p *apg.APG) []string {
-	t.Helper()
-	f := p.Frozen()
+// sensitiveSites lists the reachable sensitive-API call sites of p:
+// each reachable definition's invokes whose target the method table
+// classifies as a sensitive API.
+func sensitiveSites(p *apg.APG) []string {
 	var out []string
-	for _, ref := range p.Methods() {
-		if !p.MethodReachable(ref) {
+	for _, d := range p.Defs() {
+		if !p.Reachable(d.ID) {
 			continue
 		}
-		mid, _ := p.MethodNode(ref)
-		for _, sid := range f.OutInto(nil, mid, apg.EdgeCode) {
-			n := f.Node(sid)
-			target := n.Prop("target")
-			if target == "" {
+		for i, callee := range d.Calls {
+			if callee < 0 {
 				continue
 			}
-			tref, err := dex.ParseMethodRef(target)
-			if err != nil {
-				t.Fatalf("stmt %d target %q: %v", sid, target, err)
+			if api := p.API(callee); api != nil {
+				out = append(out, fmt.Sprintf("%s#%d %s", p.Smali(d.ID), i, api.Info))
 			}
-			if api, ok := sensitive.LookupAPI(tref); ok {
-				out = append(out, fmt.Sprintf("%s#%s %s", n.Prop("method"), n.Prop("index"), api.Info))
-			}
+		}
+	}
+	return out
+}
+
+// edges lists every call-graph edge of p by the smali strings of its
+// ends, row by row.
+func edges(p *apg.APG) []string {
+	var out []string
+	for id := apg.MethodID(0); int(id) < p.NumMethods(); id++ {
+		to, kind := p.Out(id)
+		for i, t := range to {
+			out = append(out, fmt.Sprintf("%s -%d-> %s", p.Smali(id), kind[i], p.Smali(t)))
 		}
 	}
 	return out
@@ -53,8 +55,9 @@ func dot(t *testing.T, p *apg.APG) string {
 }
 
 // TestBuildScratchReuseIndependentOfHistory builds many distinct apps
-// through one caller-owned BuildScratch, so the graph arena is Reset
-// between apps with class and method names it has never seen. Each
+// through one caller-owned BuildScratch, so the method table and call
+// graph are reset between apps with class and method names they have
+// never seen. Each
 // app's APG, the last one included, must answer exactly like a fresh
 // BuildCtx of the same app.
 func TestBuildScratchReuseIndependentOfHistory(t *testing.T) {
@@ -76,14 +79,17 @@ func TestBuildScratchReuseIndependentOfHistory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("app %d: %v", i, err)
 		}
-		if a, b := reused.G.NodeCount(), fresh.G.NodeCount(); a != b {
-			t.Fatalf("app %d node count: reused %d, fresh %d", i, a, b)
+		if a, b := reused.NumMethods(), fresh.NumMethods(); a != b {
+			t.Fatalf("app %d method count: reused %d, fresh %d", i, a, b)
 		}
-		if a, b := reused.Frozen().EdgeCount(), fresh.Frozen().EdgeCount(); a != b {
-			t.Fatalf("app %d edge count: reused %d, fresh %d", i, a, b)
+		if a, b := fmt.Sprint(edges(reused)), fmt.Sprint(edges(fresh)); a != b {
+			t.Fatalf("app %d edges:\nreused %s\nfresh  %s", i, a, b)
 		}
-		want := sensitiveSites(t, fresh)
-		if a, b := fmt.Sprint(sensitiveSites(t, reused)), fmt.Sprint(want); a != b {
+		if a, b := fmt.Sprint(reused.Entries()), fmt.Sprint(fresh.Entries()); a != b {
+			t.Fatalf("app %d entries:\nreused %s\nfresh  %s", i, a, b)
+		}
+		want := sensitiveSites(fresh)
+		if a, b := fmt.Sprint(sensitiveSites(reused)), fmt.Sprint(want); a != b {
 			t.Fatalf("app %d reachable sensitive-API sites:\nreused %s\nfresh  %s", i, a, b)
 		}
 		if a, b := dot(t, reused), dot(t, fresh); a != b {

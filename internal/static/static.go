@@ -133,8 +133,8 @@ type Scratch struct {
 // CollectWith runs the APG build and the collection-site scan —
 // everything except the taint analysis — and returns the APG so the
 // caller can run TaintLeaksWith as a separately-degradable stage. A nil
-// scratch falls back to internal pools; worker pools pass a per-arena
-// scratch to avoid re-allocating per app.
+// scratch allocates the build and scan state per call; worker pools
+// pass a per-arena scratch to avoid re-allocating per app.
 func CollectWith(ctx context.Context, a *apk.APK, opts Options, s *Scratch) (*Result, *apg.APG, error) {
 	if a == nil || a.Dex == nil {
 		return nil, nil, errors.New("static: nil apk or bytecode")

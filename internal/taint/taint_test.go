@@ -369,3 +369,30 @@ func TestICCIntentExtraLeak(t *testing.T) {
 		}
 	}
 }
+
+// TestMoveLeak: a source value copied to another register by a move
+// still reaches the sink (getDeviceId → move → Log.d).
+func TestMoveLeak(t *testing.T) {
+	a := buildAPK(t, "com.example.app", `
+.class Lcom/example/app/MainActivity; extends Landroid/app/Activity;
+.method onCreate(Landroid/os/Bundle;)V regs=8
+    invoke-virtual {v0}, Landroid/telephony/TelephonyManager;->getDeviceId()Ljava/lang/String; -> v1
+    move v2, v1
+    invoke-static {v3, v2}, Landroid/util/Log;->d(Ljava/lang/String;Ljava/lang/String;)I
+    return-void
+.end method
+.end class
+`, apk.Component{Name: "com.example.app.MainActivity"})
+	res := analyze(t, a)
+	if len(res.Leaks) != 1 {
+		t.Fatalf("leaks = %+v", res.Leaks)
+	}
+	l := res.Leaks[0]
+	if l.Info != sensitive.InfoDeviceID || l.Channel != sensitive.ChannelLog ||
+		!strings.Contains(l.Source, "getDeviceId") || l.Sink.Name != "d" {
+		t.Fatalf("leak = %+v", l)
+	}
+	if len(l.Path) != 2 || l.Path[0].Index != 0 || l.Path[1].Index != 2 {
+		t.Fatalf("path = %v, want the source at 0 and the sink at 2", l.Path)
+	}
+}

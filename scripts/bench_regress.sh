@@ -34,9 +34,9 @@
 # (DirSource.Next plus Item.Run: one bundle read serves the hash and
 # the analysis), the app-package decode over the paper corpus
 # (container, manifest codec and dex verifier), the policy pipeline with every
-# sentence missing the analyzer's memo, the frozen-CSR graph query mix and
-# the Aho-Corasick lexicon screen (the two hot substrates under the
-# pipeline), the ESA Similarity benches (warm = memoized vector path,
+# sentence missing the analyzer's memo, the Aho-Corasick lexicon screen
+# (a hot substrate under the pipeline), the ESA Similarity benches
+# (warm = memoized vector path,
 # cold = fresh interpretation, reference = legacy map path), the obs
 # span microbenches, and the Table IV outcome bench whose custom
 # metrics pin the paper's inconsistency precision/recall
@@ -48,7 +48,7 @@ rev=$(git rev-parse --short HEAD 2>/dev/null || echo dev)
 out="BENCH_${rev}.json"
 baseline=testdata/bench_baseline.json
 tol="${BENCH_TOLERANCE:-0.20}"
-timed='APKDecode|APGBuild|StaticLargeImage|CheckSafe|DirSourceItem|PolicyAnalysisCold|GraphQueryThroughput|LexiconMatch|Similarity(Warm|Cold|ReferenceMap)|Span(Nil|Metrics|JSONL)'
+timed='APKDecode|APGBuild|StaticLargeImage|CheckSafe|DirSourceItem|PolicyAnalysisCold|LexiconMatch|Similarity(Warm|Cold|ReferenceMap)|Span(Nil|Metrics|JSONL)'
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 

@@ -2,7 +2,7 @@
 # deflake_stress.sh — hammer the timing-sensitive test surfaces under
 # the race detector to prove the synchronization fixes hold: the
 # stream backpressure/soak/journal tests, the serve admission/drain
-# tests, the concurrency hammers for frozen-graph reads and pooled
+# tests, the concurrency hammers for APG queries and pooled
 # per-app arena reuse, and the distributed-tier lease/renewal/failover
 # tests run COUNT times each (50 by default, override with COUNT=n or
 # $1); the multi-process dist SIGKILL soak and the chaos suite (short
@@ -24,8 +24,8 @@ go test ./internal/stream/ -race -count="${COUNT}" \
 go test ./internal/serve/ -race -count="${COUNT}" -short \
     -run 'TestServeGracefulDrain|TestServeConcurrentClients|TestServeCheckHistory'
 
-go test ./internal/graphdb/ ./internal/core/ -race -count="${COUNT}" \
-    -run 'TestFrozenConcurrentReads|TestCheckSafeConcurrentArenaReuse'
+go test ./internal/apg/ ./internal/core/ -race -count="${COUNT}" \
+    -run 'TestConcurrentQueries|TestCheckSafeConcurrentArenaReuse'
 
 # The distributed tier's timing-sensitive surfaces: lease expiry +
 # reassignment + duplicate rejection, the renewal heartbeat protocol
