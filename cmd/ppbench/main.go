@@ -1,15 +1,27 @@
 // Command ppbench regenerates every table and figure of the paper's
-// evaluation (§V) against the synthetic corpus and prints them:
+// evaluation (§V) and prints them, against the synthetic corpus or,
+// with -dir, a corpus on disk (as written by ppgen) and its ground
+// truth:
 //
 //	ppbench -all
 //	ppbench -fig12 -table4
 //	ppbench -apps 600 -seed 7 -summary
+//	ppbench -dir corpus -table3 -fig13 -table4 -summary -timeout 10s
 //	ppbench -summary -metrics -trace trace.jsonl -pprof localhost:6060
+//
+// The corpus runs on the fault-tolerant runner: per-app timeouts
+// (-timeout), bounded retries, and SIGINT cancellation. A damaged
+// bundle degrades its own report instead of aborting the run. -apps,
+// -seed and -sweep describe the synthetic corpus only, so -dir with
+// any of them is a usage error (and -all under -dir skips the sweep).
 //
 // -metrics instruments the corpus run and prints the per-stage
 // exposition (runs, errors, p50/p95/max latency, cache hit rate) after
 // the tables; -trace additionally records every span as JSON Lines;
 // -pprof serves net/http/pprof for profiling the run.
+//
+// Exit codes: 0 clean, 1 on a failed or canceled run, 2 on a usage
+// error, 3 when any app was degraded, failed or skipped.
 package main
 
 import (
@@ -18,6 +30,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 	"runtime"
 	"time"
 
@@ -29,6 +42,12 @@ import (
 )
 
 func main() {
+	// Exit codes are computed inside run so deferred cleanup (the trace
+	// sink flush in particular) happens before os.Exit.
+	os.Exit(run())
+}
+
+func run() int {
 	log.SetFlags(0)
 	log.SetPrefix("ppbench: ")
 	var (
@@ -43,11 +62,22 @@ func main() {
 		summary = flag.Bool("summary", false, "corpus summary (§V-F)")
 		apps    = flag.Int("apps", synth.PaperNumApps, "corpus size")
 		seed    = flag.Int64("seed", synth.DefaultConfig().Seed, "corpus seed")
+		dir     = flag.String("dir", "", "evaluate this on-disk corpus (written by ppgen) instead of a synthetic one")
+		timeout = flag.Duration("timeout", 0, "per-app analysis bound (0 = no limit)")
 		metrics = flag.Bool("metrics", false, "instrument the corpus run and print per-stage metrics")
 		trace   = flag.String("trace", "", "write a JSONL span trace of the corpus run to this file (implies -metrics)")
 		pprof   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
+	if *dir != "" {
+		synthOnly := *sweep
+		flag.Visit(func(f *flag.Flag) { synthOnly = synthOnly || f.Name == "apps" || f.Name == "seed" })
+		if synthOnly {
+			fmt.Fprintln(os.Stderr, "ppbench: -apps, -seed and -sweep describe the synthetic corpus; drop them with -dir")
+			flag.Usage()
+			return 2
+		}
+	}
 	if *pprof != "" {
 		addr, err := obs.ServePprof(*pprof)
 		if err != nil {
@@ -74,7 +104,7 @@ func main() {
 		observer = obs.New(opts...)
 	}
 	if *all {
-		*fig12, *table3, *fig13, *table4, *recall, *sweep, *summary = true, true, true, true, true, true, true
+		*fig12, *table3, *fig13, *table4, *recall, *sweep, *summary = true, true, true, true, true, *dir == "", true
 	}
 	if !*fig12 && !*table3 && !*fig13 && !*table4 && !*recall && !*sweep && !*summary {
 		*summary = true
@@ -103,26 +133,47 @@ func main() {
 
 	if *table3 || *fig13 || *table4 || *recall || *sweep || *summary {
 		start := time.Now()
-		ds, err := synth.Generate(synth.Config{Seed: *seed, NumApps: *apps})
-		if err != nil {
-			log.Fatal(err)
+		var (
+			ds   *synth.Dataset
+			jobs []eval.Job
+			err  error
+		)
+		if *dir != "" {
+			jobs, err = eval.DirJobs(*dir)
+		} else if ds, err = synth.Generate(synth.Config{Seed: *seed, NumApps: *apps}); err == nil {
+			jobs = eval.DatasetJobs(ds)
 		}
-		genTime := time.Since(start)
+		if err != nil {
+			log.Print(err)
+			return 1
+		}
+		loadTime := time.Since(start)
 		start = time.Now()
 		runOpts := eval.DefaultRunOptions()
+		runOpts.Attempt.Timeout = *timeout
 		runOpts.Observer = observer
 		esaBefore := esa.AggregateCacheStats()
-		res, stats, err := eval.RunJobs(context.Background(), eval.DatasetJobs(ds), runOpts)
+		// Interrupt cancels the run; apps not yet started are counted
+		// as skipped and the run fails rather than hanging.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		res, stats, err := eval.RunJobs(ctx, jobs, runOpts)
+		stop()
 		if err != nil {
-			log.Fatal(err)
+			log.Printf("run canceled: %v (%s)", err, stats.Render())
+			return 1
 		}
 		wall := time.Since(start)
 		esaDelta := esa.AggregateCacheStats().Sub(esaBefore)
-		fmt.Printf("corpus: %d apps generated in %v, analyzed in %v\n",
-			*apps, genTime.Round(time.Millisecond), wall.Round(time.Millisecond))
+		if *dir != "" {
+			fmt.Printf("corpus: %d apps read from %s, analyzed in %v\n",
+				len(jobs), *dir, wall.Round(time.Millisecond))
+		} else {
+			fmt.Printf("corpus: %d apps generated in %v, analyzed in %v\n",
+				len(jobs), loadTime.Round(time.Millisecond), wall.Round(time.Millisecond))
+		}
 		fmt.Println(stats.Render())
 		fmt.Printf("throughput: %.1f apps/sec; ESA interpret cache: %.1f%% hit rate (%d hits, %d misses, %d evictions)\n\n",
-			float64(*apps)/wall.Seconds(), 100*esaDelta.HitRate(),
+			float64(len(jobs))/wall.Seconds(), 100*esaDelta.HitRate(),
 			esaDelta.Hits, esaDelta.Misses, esaDelta.Evictions)
 		if stats.Metrics != nil {
 			fmt.Println("Per-stage metrics:")
@@ -165,5 +216,9 @@ func main() {
 			fmt.Println("Summary (paper §V-F):")
 			fmt.Print(res.Summary().Render())
 		}
+		if stats.Degraded > 0 || stats.Failed > 0 || stats.Skipped > 0 {
+			return 3
+		}
 	}
+	return 0
 }

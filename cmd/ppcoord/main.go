@@ -51,6 +51,7 @@ import (
 	"ppchecker/internal/longi"
 	"ppchecker/internal/obs"
 	"ppchecker/internal/stream"
+	"ppchecker/internal/streamcli"
 )
 
 func main() {
@@ -60,15 +61,9 @@ func main() {
 func run() int {
 	log.SetFlags(0)
 	log.SetPrefix("ppcoord: ")
+	srcFlags := streamcli.Register()
 	var (
-		addr     = flag.String("addr", ":8080", "listen address for the lease protocol")
-		dir      = flag.String("dir", "", "serve an on-disk corpus directory (bundle layout; workers must see the same path)")
-		firehose = flag.Bool("firehose", false, "serve the synthetic Play-store firehose")
-		seed     = flag.Int64("seed", 1, "firehose generator seed")
-		apps     = flag.Int64("apps", 0, "firehose cap (0 = endless)")
-
-		journalPath = flag.String("journal", "", "durable checkpoint journal (reuse to resume a killed run)")
-		fsyncEvery  = flag.Int("fsync-every", 0, "journal records per fsync batch (0 = 32)")
+		addr = flag.String("addr", ":8080", "listen address for the lease protocol")
 
 		leaseTTL       = flag.Duration("lease-ttl", 30*time.Second, "lease deadline before an app is reassigned (with renewing workers this bounds failure detection, not per-app latency)")
 		maxOutstanding = flag.Int("max-outstanding", 64, "max concurrently leased apps (backpressure on the source)")
@@ -84,29 +79,13 @@ func run() int {
 		drainGrace  = flag.Duration("drain-grace", 2*time.Second, "keep serving 'run complete' this long after finishing, so polling workers exit cleanly instead of hitting a closed port")
 	)
 	flag.Parse()
-	if flag.NArg() != 0 || (*dir == "") == !*firehose {
+	if flag.NArg() != 0 || srcFlags.Sources() != 1 {
 		fmt.Fprintln(os.Stderr, "ppcoord: exactly one of -dir or -firehose is required")
 		flag.Usage()
 		return 2
 	}
 
 	observer := obs.New()
-
-	// newSource builds the corpus source from the flags. The standby
-	// path defers construction to promotion time, so sources that hold
-	// position state (DirSource) always start fresh.
-	var sourceName string
-	newSource := func() (stream.Source, error) {
-		if *dir != "" {
-			return stream.NewDirSource(*dir)
-		}
-		return stream.NewFirehoseSource(*seed, *apps), nil
-	}
-	if *dir != "" {
-		sourceName = "dir:" + *dir
-	} else {
-		sourceName = fmt.Sprintf("firehose:%d", *seed)
-	}
 
 	stores := make([]longi.Store, *shards)
 	for i := range stores {
@@ -138,16 +117,18 @@ func run() int {
 	var snapshot func() dist.StatsResponse
 
 	if *standby {
-		if *journalPath == "" {
+		if srcFlags.Journal == "" {
 			fmt.Fprintln(os.Stderr, "ppcoord: -standby requires -journal (the primary's journal to tail)")
 			flag.Usage()
 			return 2
 		}
+		// The source is built at promotion, so a source that holds
+		// position state (DirSource) starts fresh.
 		s, err := dist.NewStandby(dist.StandbyOptions{
-			JournalPath:   *journalPath,
-			SourceName:    sourceName,
-			JournalOpts:   stream.JournalOptions{FsyncEvery: *fsyncEvery, Observer: observer},
-			NewSource:     func() stream.Source { src, _ := newSource(); return src },
+			JournalPath:   srcFlags.Journal,
+			SourceName:    srcFlags.Name(),
+			JournalOpts:   srcFlags.JournalOptions(observer),
+			NewSource:     srcFlags.NewSource,
 			Coordinator:   coordOpts,
 			PrimaryURL:    *primary,
 			ProbeInterval: *probeInterval,
@@ -168,40 +149,24 @@ func run() int {
 		}
 		if *primary != "" {
 			log.Printf("standby: tailing %s, probing %s every %s (%d failures promote)",
-				*journalPath, *primary, *probeInterval, *probeFailures)
+				srcFlags.Journal, *primary, *probeInterval, *probeFailures)
 		} else {
-			log.Printf("standby: tailing %s, waiting for POST /promote", *journalPath)
+			log.Printf("standby: tailing %s, waiting for POST /promote", srcFlags.Journal)
 		}
 	} else {
-		src, err := newSource()
+		src, err := srcFlags.NewSource()
 		if err != nil {
 			log.Print(err)
 			return 1
 		}
-		if ds, ok := src.(*stream.DirSource); ok {
-			log.Printf("serving %d app bundles from %s", ds.Len(), *dir)
-		} else {
-			capDesc := "endless"
-			if *apps > 0 {
-				capDesc = fmt.Sprintf("%d apps", *apps)
-			}
-			log.Printf("serving the synthetic firehose (seed %d, %s)", *seed, capDesc)
+		log.Printf("serving %s", srcFlags.Describe(src))
+		journal, replay, err := srcFlags.OpenJournal(observer)
+		if err != nil {
+			log.Print(err)
+			return 1
 		}
-
-		var journal *stream.Journal
-		var replay *stream.Replay
-		if *journalPath != "" {
-			journal, replay, err = stream.OpenJournal(*journalPath, sourceName,
-				stream.JournalOptions{FsyncEvery: *fsyncEvery, Observer: observer})
-			if err != nil {
-				log.Print(err)
-				return 1
-			}
+		if journal != nil {
 			defer journal.Close()
-			if replay.Records > 0 {
-				log.Printf("resuming: %d checkpointed apps recovered from %s (torn tail: %v)",
-					replay.Records, *journalPath, replay.Truncated)
-			}
 		}
 		coordOpts.Source = src
 		coordOpts.Journal = journal
@@ -236,10 +201,7 @@ func run() int {
 	elapsed := time.Since(start)
 	if err != nil {
 		log.Printf("run failed: %v", err)
-		if stats.JournalErrors > 0 {
-			log.Printf("WARNING: %d journal appends failed — completed apps may be missing "+
-				"from the checkpoint log; a resume will re-analyze them", stats.JournalErrors)
-		}
+		streamcli.WarnJournal(stats)
 		return 1
 	}
 
@@ -249,14 +211,7 @@ func run() int {
 		stats.Apps-stats.Replayed, elapsed.Round(time.Millisecond), stats.Replayed, stats.Reanalyzed)
 	fmt.Printf("Coordinator: %d leases granted, %d renewed, %d expired (reassigned), %d duplicate reports\n",
 		snap.Granted, snap.Renewals, snap.Expired, snap.Duplicates)
-	if *journalPath != "" {
-		fmt.Printf("Journal: %d records, %d fsyncs, %d append errors\n",
-			stats.JournalRecords, stats.JournalFsyncs, stats.JournalErrors)
-		if stats.JournalErrors > 0 {
-			log.Printf("WARNING: %d journal appends failed — completed apps may be missing "+
-				"from the checkpoint log; a resume will re-analyze them", stats.JournalErrors)
-		}
-	}
+	srcFlags.PrintJournal(stats)
 	if *metricsDump {
 		fmt.Fprint(os.Stderr, observer.Snapshot().Render())
 	}

@@ -56,7 +56,7 @@ func run() int {
 		queue        = flag.Int("queue", 0, "admission queue depth (0 = 4x workers)")
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request analysis timeout (0 = no bound)")
 		retries      = flag.Int("retries", 1, "extra attempts for a hard-failed analysis")
-		backoff      = flag.Duration("backoff", 50*time.Millisecond, "pause before each retry")
+		backoff      = flag.Duration("backoff", 50*time.Millisecond, "base retry backoff (doubles per retry)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain")
 		trace        = flag.String("trace", "", "write a JSONL span trace to this file")
 		metricsDump  = flag.Bool("metrics", true, "print the final metrics snapshot on shutdown")

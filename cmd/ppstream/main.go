@@ -49,6 +49,7 @@ import (
 	"ppchecker/internal/eval"
 	"ppchecker/internal/obs"
 	"ppchecker/internal/stream"
+	"ppchecker/internal/streamcli"
 )
 
 func main() {
@@ -58,15 +59,9 @@ func main() {
 func run() int {
 	log.SetFlags(0)
 	log.SetPrefix("ppstream: ")
+	srcFlags := streamcli.Register()
 	var (
-		dir      = flag.String("dir", "", "stream an on-disk corpus directory (bundle layout)")
-		firehose = flag.Bool("firehose", false, "stream the synthetic Play-store firehose")
-		seed     = flag.Int64("seed", 1, "firehose generator seed")
-		apps     = flag.Int64("apps", 0, "firehose cap (0 = endless; bound with -duration or a signal)")
 		duration = flag.Duration("duration", 0, "drain gracefully after this long (0 = run to source end)")
-
-		journalPath = flag.String("journal", "", "durable checkpoint journal (reuse to resume a killed run)")
-		fsyncEvery  = flag.Int("fsync-every", 0, "journal records per fsync batch (0 = 32)")
 
 		workers    = flag.Int("workers", 0, "analysis pool size (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 0, "producer→worker queue bound (0 = 2x workers)")
@@ -98,12 +93,12 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
-	if *worker == "" && (*dir == "") == !*firehose {
+	if *worker == "" && srcFlags.Sources() != 1 {
 		fmt.Fprintln(os.Stderr, "ppstream: exactly one of -dir, -firehose or -worker is required")
 		flag.Usage()
 		return 2
 	}
-	if *worker != "" && (*dir != "" || *firehose) {
+	if *worker != "" && srcFlags.Sources() != 0 {
 		fmt.Fprintln(os.Stderr, "ppstream: -worker owns no source; drop -dir/-firehose (the coordinator has them)")
 		flag.Usage()
 		return 2
@@ -141,26 +136,12 @@ func run() int {
 		})
 	}
 
-	// Source.
-	var src stream.Source
-	var sourceName string
-	if *dir != "" {
-		ds, err := stream.NewDirSource(*dir)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		src, sourceName = ds, "dir:"+*dir
-		log.Printf("streaming %d app bundles from %s", ds.Len(), *dir)
-	} else {
-		src = stream.NewFirehoseSource(*seed, *apps)
-		sourceName = fmt.Sprintf("firehose:%d", *seed)
-		capDesc := "endless"
-		if *apps > 0 {
-			capDesc = fmt.Sprintf("%d apps", *apps)
-		}
-		log.Printf("streaming the synthetic firehose (seed %d, %s)", *seed, capDesc)
+	src, err := srcFlags.NewSource()
+	if err != nil {
+		log.Print(err)
+		return 1
 	}
+	log.Printf("streaming %s", srcFlags.Describe(src))
 	if *faults {
 		plan := stream.DefaultFaultPlan(*faultSeed)
 		src = stream.NewChaosSource(src, plan)
@@ -168,22 +149,13 @@ func run() int {
 			plan.PanicEvery, plan.StallEvery, plan.SlowEvery)
 	}
 
-	// Journal + resume.
-	var journal *stream.Journal
-	var replay *stream.Replay
-	if *journalPath != "" {
-		var err error
-		journal, replay, err = stream.OpenJournal(*journalPath, sourceName,
-			stream.JournalOptions{FsyncEvery: *fsyncEvery, Observer: observer})
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
+	journal, replay, err := srcFlags.OpenJournal(observer)
+	if err != nil {
+		log.Print(err)
+		return 1
+	}
+	if journal != nil {
 		defer journal.Close()
-		if replay.Records > 0 {
-			log.Printf("resuming: %d checkpointed apps recovered from %s (torn tail: %v)",
-				replay.Records, *journalPath, replay.Truncated)
-		}
 	}
 
 	// Shutdown: first SIGTERM/SIGINT (or -duration expiring) drains,
@@ -230,10 +202,7 @@ func run() int {
 	}
 	if err != nil {
 		log.Printf("stream failed: %v", err)
-		if stats.JournalErrors > 0 {
-			log.Printf("WARNING: %d journal appends failed — completed apps may be missing "+
-				"from the checkpoint log; a resume will re-analyze them", stats.JournalErrors)
-		}
+		streamcli.WarnJournal(stats)
 		return 1
 	}
 
@@ -245,14 +214,7 @@ func run() int {
 	fmt.Printf("Stream: queue high-water %d, %d backpressure stalls, %d breaker trips, %d quarantined, %d retry exhaustions\n",
 		stats.QueueHighWater, stats.BackpressureStalls, stats.BreakerTrips,
 		stats.Quarantined, stats.RetryExhaustions)
-	if journal != nil {
-		fmt.Printf("Journal: %d records, %d fsyncs, %d append errors\n",
-			stats.JournalRecords, stats.JournalFsyncs, stats.JournalErrors)
-		if stats.JournalErrors > 0 {
-			log.Printf("WARNING: %d journal appends failed — completed apps may be missing "+
-				"from the checkpoint log; a resume will re-analyze them", stats.JournalErrors)
-		}
-	}
+	srcFlags.PrintJournal(stats)
 	if *metricsDump {
 		fmt.Fprint(os.Stderr, observer.Snapshot().Render())
 	}
@@ -264,7 +226,7 @@ func run() int {
 	}
 
 	if *soak {
-		return soakVerdict(stats, sampler, rate, *minRate, *heapFactor, *journalPath, sourceName)
+		return soakVerdict(stats, sampler, rate, *minRate, *heapFactor, srcFlags.Journal, srcFlags.Name())
 	}
 	return 0
 }

@@ -360,7 +360,7 @@ func chaosFailoverScenario(ctx context.Context, t *testing.T, sc chaosScenario,
 		JournalPath:  journalPath,
 		SourceName:   "chaos",
 		JournalOpts:  stream.JournalOptions{FsyncEvery: 1},
-		NewSource:    func() stream.Source { return stream.NewFirehoseSource(sc.seed, sc.n) },
+		NewSource:    func() (stream.Source, error) { return stream.NewFirehoseSource(sc.seed, sc.n), nil },
 		Coordinator:  CoordinatorOptions{LeaseTTL: sc.ttl, Shards: newShards()},
 		TailInterval: 10 * time.Millisecond,
 	}

@@ -79,7 +79,7 @@ type Coordinator struct {
 	pending     []*workItem       // reclaimed leases, served before new source pulls
 	outstanding map[string]*lease // lease id -> lease
 	done        map[string]bool   // app name -> outcome folded
-	stats       stream.Stats
+	tally       *stream.Tally
 	granted     int64
 	reports     int64
 	expired     int64
@@ -88,7 +88,6 @@ type Coordinator struct {
 	renewDenied int64
 	srcDone     bool
 	srcErr      error
-	journalErr  error
 	seq         int64
 	folding     int // reports claimed but not yet folded (journal append in flight)
 
@@ -103,11 +102,10 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		opts:        opts,
 		outstanding: map[string]*lease{},
 		done:        map[string]bool{},
+		tally:       stream.NewTally(opts.Journal, opts.Replay, opts.Observer),
 		finished:    make(chan struct{}),
 	}
 	if opts.Replay != nil {
-		c.stats.RunStats = opts.Replay.Stats
-		c.stats.Replayed = len(opts.Replay.Done)
 		for name := range opts.Replay.Done {
 			c.done[name] = true
 		}
@@ -143,22 +141,12 @@ func (c *Coordinator) takeLocked() *workItem {
 			c.srcErr = fmt.Errorf("dist: source item %q has no portable spec (use DirSource or FirehoseSource)", item.Name)
 			return nil
 		}
-		if c.opts.Replay != nil {
-			if rec, ok := c.opts.Replay.Done[item.Name]; ok {
-				if rec.Hash == item.Hash {
-					// Checkpointed with matching inputs: folded at
-					// replay time, never re-leased.
-					continue
-				}
-				// Stale checkpoint — the inputs changed. Fold the old
-				// outcome back out and lease the item afresh.
-				c.stats.Reanalyzed++
-				if o, err := eval.ParseOutcome(rec.Outcome); err == nil {
-					c.stats.Remove(o, rec.Retries)
-				}
-				c.stats.Replayed--
-				delete(c.done, item.Name)
-			}
+		analyze, stale := c.tally.Admit(item.Name, item.Hash)
+		if !analyze {
+			continue
+		}
+		if stale {
+			delete(c.done, item.Name)
 		}
 		return &workItem{name: item.Name, hash: item.Hash, spec: *item.Spec}
 	}
@@ -403,10 +391,10 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, ReportResponse{Accepted: false})
 		return
 	}
-	// Claim the fold under the lock (the dedup point), then journal
-	// outside it — Append can fsync, and a sibling report must not
-	// block on our disk. The folding count holds the finish latch open
-	// until the claimed outcome actually lands in the stats.
+	// Claim the fold under the lock (the dedup point), then commit
+	// outside it — the journal append can fsync, and a sibling report
+	// must not block on our disk. The folding count holds the finish
+	// latch open until the claimed outcome actually lands in the stats.
 	c.done[req.Name] = true
 	c.folding++
 	// An expired-and-requeued copy may still sit in pending; drop it
@@ -419,38 +407,16 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 
-	var journalErr error
-	if c.opts.Journal != nil {
-		journalErr = c.opts.Journal.Append(stream.Record{
-			App:         req.Name,
-			Hash:        req.Hash,
-			Outcome:     req.Outcome,
-			Retries:     req.Retries,
-			Partial:     req.Partial,
-			Quarantined: req.Quarantined,
-		})
-		if journalErr != nil {
-			// Same degraded-durability contract as stream.Run: keep
-			// folding, surface the loss immediately.
-			c.opts.Observer.AddCounter("stream-journal-errors", 1)
-		}
-	}
+	c.tally.Commit(stream.Record{
+		App:         req.Name,
+		Hash:        req.Hash,
+		Retries:     req.Retries,
+		Partial:     req.Partial,
+		Quarantined: req.Quarantined,
+	}, outcome, req.Exhausted)
 
 	c.mu.Lock()
 	c.folding--
-	c.stats.Add(outcome, req.Retries)
-	if req.Quarantined {
-		c.stats.Quarantined++
-	}
-	if req.Exhausted {
-		c.stats.RetryExhaustions++
-	}
-	if journalErr != nil {
-		c.stats.JournalErrors++
-		if c.journalErr == nil {
-			c.journalErr = journalErr
-		}
-	}
 	c.maybeFinishLocked()
 	c.mu.Unlock()
 	c.opts.Observer.AddCounter("dist-reports-folded", 1)
@@ -483,16 +449,17 @@ func (c *Coordinator) StatsSnapshot() StatsResponse {
 		done = true
 	default:
 	}
+	stats := c.tally.Stats()
 	return StatsResponse{
 		Done:                done,
-		Apps:                c.stats.Apps,
-		Checked:             c.stats.Checked,
-		Degraded:            c.stats.Degraded,
-		Failed:              c.stats.Failed,
-		Retried:             c.stats.Retried,
-		Skipped:             c.stats.Skipped,
-		Replayed:            c.stats.Replayed,
-		Reanalyzed:          c.stats.Reanalyzed,
+		Apps:                stats.Apps,
+		Checked:             stats.Checked,
+		Degraded:            stats.Degraded,
+		Failed:              stats.Failed,
+		Retried:             stats.Retried,
+		Skipped:             stats.Skipped,
+		Replayed:            stats.Replayed,
+		Reanalyzed:          stats.Reanalyzed,
 		Granted:             c.granted,
 		Reports:             c.reports,
 		Expired:             c.expired,
@@ -531,31 +498,17 @@ func (c *Coordinator) Wait(ctx context.Context) (stream.Stats, error) {
 }
 
 func (c *Coordinator) finalStats() (stream.Stats, error) {
-	if c.opts.Journal != nil {
-		if err := c.opts.Journal.Sync(); err != nil {
-			c.mu.Lock()
-			if c.journalErr == nil {
-				c.journalErr = err
-			}
-			c.mu.Unlock()
-		}
-	}
+	stats, journalErr := c.tally.Finish()
 	c.mu.Lock()
-	stats := c.stats
-	srcErr, journalErr := c.srcErr, c.journalErr
+	srcErr := c.srcErr
 	expired, duplicates := c.expired, c.duplicates
 	c.mu.Unlock()
-	if c.opts.Journal != nil {
-		stats.JournalRecords, stats.JournalFsyncs = c.opts.Journal.Stats()
-	}
 	c.opts.Observer.SetCounter("dist-apps-folded", int64(stats.Apps-stats.Replayed))
 	c.opts.Observer.SetCounter("dist-leases-expired-total", expired)
 	c.opts.Observer.SetCounter("dist-duplicate-reports-total", duplicates)
 	stats.Metrics = c.opts.Observer.Snapshot()
-	switch {
-	case srcErr != nil:
+	if srcErr != nil {
 		return stats, srcErr
-	default:
-		return stats, journalErr
 	}
+	return stats, journalErr
 }

@@ -67,8 +67,9 @@ type StandbyOptions struct {
 	JournalOpts stream.JournalOptions
 	// NewSource builds a fresh source at promotion. It must describe
 	// the same corpus the primary served (same seed/dir), from the
-	// start — the replay skips what the journal already holds.
-	NewSource func() stream.Source
+	// start — the replay skips what the journal already holds. An
+	// error fails the promotion.
+	NewSource func() (stream.Source, error)
 	// Coordinator is the options template for the promoted
 	// coordinator; Source, Journal and Replay are filled in at
 	// promotion.
@@ -201,23 +202,33 @@ func (s *Standby) Promote() error {
 				s.tailErr = err
 			}
 		}
-		journal, replay, err := stream.OpenJournal(s.opts.JournalPath, s.opts.SourceName, s.opts.JournalOpts)
-		if err != nil {
-			s.promoteErr = fmt.Errorf("dist: promote: %w", err)
-			close(s.promoted)
-			return
+		s.coord, s.promoteErr = s.newCoordinator()
+		if s.coord != nil {
+			s.handler = s.coord.Handler()
 		}
-		copts := s.opts.Coordinator
-		copts.Source = s.opts.NewSource()
-		copts.Journal = journal
-		copts.Replay = replay
-		s.coord = NewCoordinator(copts)
-		s.handler = s.coord.Handler()
 		close(s.promoted)
 	})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.promoteErr
+}
+
+// newCoordinator builds the promoted coordinator: a fresh source over
+// the reopened journal.
+func (s *Standby) newCoordinator() (*Coordinator, error) {
+	src, err := s.opts.NewSource()
+	if err != nil {
+		return nil, fmt.Errorf("dist: promote: %w", err)
+	}
+	journal, replay, err := stream.OpenJournal(s.opts.JournalPath, s.opts.SourceName, s.opts.JournalOpts)
+	if err != nil {
+		return nil, fmt.Errorf("dist: promote: %w", err)
+	}
+	copts := s.opts.Coordinator
+	copts.Source = src
+	copts.Journal = journal
+	copts.Replay = replay
+	return NewCoordinator(copts), nil
 }
 
 // Stop ends the follow loop without promoting (shutdown of an unused

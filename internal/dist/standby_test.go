@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -28,7 +29,7 @@ func TestStandbyServes503UntilPromoted(t *testing.T) {
 	s, err := NewStandby(StandbyOptions{
 		JournalPath: filepath.Join(t.TempDir(), "s.journal"),
 		SourceName:  "standby-test",
-		NewSource:   func() stream.Source { return stream.NewFirehoseSource(1, 1) },
+		NewSource:   func() (stream.Source, error) { return stream.NewFirehoseSource(1, 1), nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +87,7 @@ func TestStandbyPromotionResumesBitIdentical(t *testing.T) {
 		JournalPath:  path,
 		SourceName:   "dist-test",
 		JournalOpts:  stream.JournalOptions{FsyncEvery: 1},
-		NewSource:    func() stream.Source { return stream.NewFirehoseSource(seed, n) },
+		NewSource:    func() (stream.Source, error) { return stream.NewFirehoseSource(seed, n), nil },
 		TailInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -182,7 +183,7 @@ func TestStandbyProbeSelfPromotes(t *testing.T) {
 	s, err := NewStandby(StandbyOptions{
 		JournalPath:   path,
 		SourceName:    "probe-test",
-		NewSource:     func() stream.Source { return stream.NewFirehoseSource(seed, n) },
+		NewSource:     func() (stream.Source, error) { return stream.NewFirehoseSource(seed, n), nil },
 		PrimaryURL:    srv1.URL,
 		ProbeInterval: 30 * time.Millisecond,
 		ProbeFailures: 2,
@@ -231,5 +232,50 @@ func TestStandbyProbeSelfPromotes(t *testing.T) {
 	}
 	if bareStats(got.RunStats) != bareStats(want.RunStats) {
 		t.Fatalf("self-promoted run %+v != reference %+v", got.RunStats, want.RunStats)
+	}
+}
+
+// TestStandbyPromotionFailsOnVanishedCorpus: a promotion whose source
+// cannot be built (the corpus dir vanished) fails cleanly instead of
+// panicking: /promote answers 500, Promoted closes, and Promote and
+// Wait return the error.
+func TestStandbyPromotionFailsOnVanishedCorpus(t *testing.T) {
+	corpus := writeFirehoseCorpus(t, 3, 2)
+	s, err := NewStandby(StandbyOptions{
+		JournalPath: filepath.Join(t.TempDir(), "vanished.journal"),
+		SourceName:  "standby-test",
+		NewSource:   func() (stream.Source, error) { return stream.NewDirSource(corpus) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newStandbyServer(t, s)
+	if err := os.RemoveAll(corpus); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Post(srv.URL+"/promote", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("POST /promote: %d, want 500", resp.StatusCode)
+	}
+	select {
+	case <-s.Promoted():
+	case <-time.After(5 * time.Second):
+		t.Fatal("Promoted never closed after a failed promotion")
+	}
+	if err := s.Promote(); err == nil {
+		t.Fatal("Promote reported success over a vanished corpus")
+	}
+	if s.Coordinator() != nil {
+		t.Fatal("failed promotion left a coordinator")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := s.Wait(ctx); err == nil {
+		t.Fatal("Wait reported success after a failed promotion")
 	}
 }

@@ -13,6 +13,8 @@
 //	         recovery on reopen)
 //	Source   pull-based app producer (DirSource, DatasetSource,
 //	         synth.Firehose via FirehoseSource)
+//	Tally    the resume contract (replay skip, journal-before-fold,
+//	         final sync), shared with the dist coordinator
 //	Run      the worker-pool runner tying them together, with an
 //	         optional eval.Breaker that trips a repeatedly failing
 //	         stage into quarantine-and-continue mode
@@ -97,7 +99,7 @@ type Replay struct {
 // failed append re-analyzes those apps on resume instead of replaying
 // them — the resume contract weakens from "nothing completed is lost"
 // to "nothing completed is double-counted". Callers must surface the
-// failure immediately (stream.Run publishes the stream-journal-errors
+// failure immediately (Tally.Commit publishes the stream-journal-errors
 // counter and Stats.JournalErrors) rather than deferring it to the end
 // of the run, because the window of unjournaled completions starts at
 // the first failure, not at Run's return.

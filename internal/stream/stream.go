@@ -112,11 +112,12 @@ type Stats struct {
 }
 
 // Run drives the stream: one producer goroutine pulls items from src
-// and feeds a bounded queue; Workers goroutines analyze, checkpoint
-// and account them. It returns when the source is exhausted, the drain
-// signal fires (after finishing in-flight work), or ctx dies (dropping
-// in-flight work as Skipped). The returned error is ctx's, or the
-// producer's first source error.
+// and feeds a bounded queue; Workers goroutines analyze them and
+// commit each to a Tally, which checkpoints and accounts it. It
+// returns when the source is exhausted, the drain signal fires (after
+// finishing in-flight work), or ctx dies (dropping in-flight work as
+// Skipped). The returned error is ctx's, the producer's first source
+// error, or the first journal error.
 func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -127,25 +128,23 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 		queueDepth = 2 * workers
 	}
 
-	var (
-		mu    sync.Mutex
-		stats Stats
-	)
-	if opts.Replay != nil {
-		stats.RunStats = opts.Replay.Stats
-		stats.Replayed = len(opts.Replay.Done)
-	}
-
+	tally := NewTally(opts.Journal, opts.Replay, opts.Observer)
 	pool := eval.NewPool("stream", opts.Attempt, opts.Breaker, opts.Observer,
 		opts.SharedAnalysisCache, opts.Config)
 
 	queue := make(chan *Item, queueDepth)
-	var queued, highWater int // guarded by mu
+	// The producer side's accounting; the tally owns the rest.
+	var (
+		mu                sync.Mutex
+		queued, highWater int
+		stalls            int64
+		drained           bool
+		srcErr            error
+	)
 
 	// Producer: pull, skip checkpointed, push with backpressure
 	// accounting. Closes the queue when the source ends or the drain
 	// signal fires.
-	var srcErr error
 	var producerWG sync.WaitGroup
 	producerWG.Add(1)
 	go func() {
@@ -155,7 +154,7 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 			select {
 			case <-drainCh(opts.Drain):
 				mu.Lock()
-				stats.Drained = true
+				drained = true
 				mu.Unlock()
 				return
 			case <-ctx.Done():
@@ -172,23 +171,8 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 				}
 				return
 			}
-			if opts.Replay != nil {
-				if rec, done := opts.Replay.Done[item.Name]; done {
-					if rec.Hash == item.Hash {
-						// Already analyzed in a previous run; its outcome
-						// was folded into the stats at replay time.
-						continue
-					}
-					// The inputs changed since the checkpoint: the
-					// journal record is stale, re-analyze.
-					mu.Lock()
-					stats.Reanalyzed++
-					if o, err := eval.ParseOutcome(rec.Outcome); err == nil {
-						stats.Remove(o, rec.Retries)
-					}
-					stats.Replayed--
-					mu.Unlock()
-				}
+			if analyze, _ := tally.Admit(item.Name, item.Hash); !analyze {
+				continue
 			}
 			// Count the item as queued before handing it over: a worker
 			// may receive and decrement the instant the send lands, so
@@ -212,7 +196,7 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 			case queue <- item:
 			default:
 				mu.Lock()
-				stats.BackpressureStalls++
+				stalls++
 				mu.Unlock()
 				opts.Observer.AddCounter("stream-backpressure-stalls", 1)
 				if opts.onStall != nil {
@@ -223,7 +207,7 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 				case <-drainCh(opts.Drain):
 					mu.Lock()
 					queued--
-					stats.Drained = true
+					drained = true
 					mu.Unlock()
 					return
 				case <-ctx.Done():
@@ -236,9 +220,8 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 		}
 	}()
 
-	// Workers: analyze, checkpoint, account.
+	// Workers: analyze, then checkpoint and account through the tally.
 	var workerWG sync.WaitGroup
-	var journalErr error
 	for w := 0; w < workers; w++ {
 		workerWG.Add(1)
 		go func() {
@@ -252,48 +235,13 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 				// finish (ctx cancellation still aborts them), so the
 				// analysis runs under ctx directly.
 				res := pool.Analyze(ctx, checker, item.Name, item.Run)
-
-				// Checkpoint before accounting: an app is only ever
-				// counted once it is journaled, so a crash between the
-				// two at worst re-analyzes (never double-counts) it.
-				// Skipped apps are deliberately not journaled — they
-				// produced nothing and must be re-analyzed on resume.
-				if opts.Journal != nil && res.Outcome != eval.OutcomeSkipped {
-					err := opts.Journal.Append(Record{
-						App:         item.Name,
-						Hash:        item.Hash,
-						Outcome:     res.Outcome.String(),
-						Retries:     res.Retries,
-						Partial:     res.Report.Partial,
-						Quarantined: res.Quarantined,
-					})
-					if err != nil {
-						// Surface the durability loss the moment it
-						// happens: the run keeps completing apps, but from
-						// this record on they may not be checkpointed, so
-						// the resume contract is degraded (see the Journal
-						// doc comment). The counter makes that visible to
-						// a live metrics scrape instead of only at Run's
-						// return.
-						opts.Observer.AddCounter("stream-journal-errors", 1)
-						mu.Lock()
-						stats.JournalErrors++
-						if journalErr == nil {
-							journalErr = err
-						}
-						mu.Unlock()
-					}
-				}
-
-				mu.Lock()
-				stats.Add(res.Outcome, res.Retries)
-				if res.Quarantined {
-					stats.Quarantined++
-				}
-				if res.Exhausted {
-					stats.RetryExhaustions++
-				}
-				mu.Unlock()
+				tally.Commit(Record{
+					App:         item.Name,
+					Hash:        item.Hash,
+					Retries:     res.Retries,
+					Partial:     res.Report.Partial,
+					Quarantined: res.Quarantined,
+				}, res.Outcome, res.Exhausted)
 
 				if opts.OnResult != nil {
 					opts.OnResult(Result{
@@ -308,15 +256,9 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 	producerWG.Wait()
 	workerWG.Wait()
 
-	// Final checkpoint flush: a graceful end leaves no tail at the
-	// mercy of the fsync batch.
-	if opts.Journal != nil {
-		if err := opts.Journal.Sync(); err != nil && journalErr == nil {
-			journalErr = err
-		}
-		stats.JournalRecords, stats.JournalFsyncs = opts.Journal.Stats()
-	}
-
+	stats, journalErr := tally.Finish()
+	stats.Drained = drained
+	stats.BackpressureStalls = stalls
 	stats.QueueHighWater = highWater
 	stats.BreakerTrips = opts.Breaker.Trips()
 	pool.Publish()
