@@ -455,9 +455,10 @@ func BenchmarkTaintAnalysis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		taint.Analyze(p)
+		taint.AnalyzeCtxWith(ctx, p, nil)
 	}
 }
 

@@ -186,10 +186,6 @@ func (b *Builder) Build() *Automaton {
 	return a
 }
 
-// Empty reports whether the automaton has no patterns (it then
-// matches nothing).
-func (a *Automaton) Empty() bool { return len(a.pats) == 0 }
-
 // ContainsAny reports whether any pattern occurs as a substring of
 // text — for an unfolded automaton, exactly strings.Contains(text, p)
 // for some pattern p; for a folded one, the ASCII-case-insensitive

@@ -172,3 +172,7 @@ func FuzzLexiconMatch(f *testing.F) {
 		}
 	})
 }
+
+// Empty reports whether the automaton has no patterns (it then
+// matches nothing).
+func (a *Automaton) Empty() bool { return len(a.pats) == 0 }

@@ -32,12 +32,10 @@ const (
 type Options struct {
 	// EdgeMiner enables implicit callback edges.
 	EdgeMiner bool
-	// ICC enables intent-resolved inter-component edges.
-	ICC bool
 }
 
 // DefaultOptions enables everything, as the paper's system does.
-func DefaultOptions() Options { return Options{EdgeMiner: true, ICC: true} }
+func DefaultOptions() Options { return Options{EdgeMiner: true} }
 
 // Size guards. Adversarial images (cycle-heavy generated call graphs,
 // fuzzed bytecode) must terminate with an error instead of exhausting
@@ -86,19 +84,15 @@ type BuildScratch struct {
 
 // Build constructs the APG for an app.
 func Build(a *apk.APK, opts Options) (*APG, error) {
-	return BuildCtx(context.Background(), a, opts)
+	return BuildCtxWith(context.Background(), a, opts, nil)
 }
 
-// BuildCtx constructs the APG for an app, honouring ctx cancellation
-// between classes. Malformed input — nil image, branch targets outside
-// their method, methods or images beyond the size guards — returns an
-// error instead of panicking.
-func BuildCtx(ctx context.Context, a *apk.APK, opts Options) (*APG, error) {
-	return BuildCtxWith(ctx, a, opts, nil)
-}
-
-// BuildCtxWith is BuildCtx with caller-provided build storage; a nil
-// scratch builds into storage the APG owns.
+// BuildCtxWith constructs the APG for an app, honouring ctx
+// cancellation between classes. Malformed input — nil image, nil
+// manifest, branch targets outside their method, methods or images
+// beyond the size guards — returns an error instead of panicking. The
+// build uses caller-provided storage; a nil scratch builds into
+// storage the APG owns.
 func BuildCtxWith(ctx context.Context, a *apk.APK, opts Options, s *BuildScratch) (*APG, error) {
 	if a == nil || a.Dex == nil {
 		return nil, errors.New("apg: nil apk or bytecode")
@@ -123,10 +117,8 @@ func BuildCtxWith(ctx context.Context, a *apk.APK, opts Options, s *BuildScratch
 	if opts.EdgeMiner {
 		p.addCallbackEdges()
 	}
-	if opts.ICC {
-		if err := p.addICCEdges(); err != nil {
-			return nil, err
-		}
+	if err := p.addICCEdges(); err != nil {
+		return nil, err
 	}
 	p.g.finish(len(p.mt.rows))
 	return p, nil
@@ -151,15 +143,6 @@ func (p *APG) eachInvoke(f func(caller Def, idx int, ins dex.Instr)) {
 			}
 		}
 	}
-}
-
-// Methods returns all defined method references in deterministic order.
-func (p *APG) Methods() []dex.MethodRef {
-	out := make([]dex.MethodRef, len(p.mt.defs))
-	for k, d := range p.mt.defs {
-		out[k] = d.Method.Ref()
-	}
-	return out
 }
 
 // regType scans backwards from instruction idx for the type held in

@@ -152,11 +152,15 @@ func TestICCEdge(t *testing.T) {
 		t.Fatalf("icc edges = %v", iccs)
 	}
 	var targets []string
-	for _, id := range p.ICCTargets(onCreate) {
-		targets = append(targets, p.Ref(id).Name)
+	for _, d := range p.Defs() {
+		for i := range d.Method.Code {
+			for _, id := range p.LaunchTargets(nil, d.Method, i) {
+				targets = append(targets, p.Ref(id).Name)
+			}
+		}
 	}
 	if !slices.Equal(targets, iccs) {
-		t.Fatalf("ICCTargets = %v, icc edges = %v", targets, iccs)
+		t.Fatalf("LaunchTargets = %v, icc edges = %v", targets, iccs)
 	}
 	// syncWork reached transitively through the ICC edge.
 	if !p.MethodReachable(methodRef("Lcom/example/app/SyncService;", "syncWork", "()V")) {
@@ -164,22 +168,8 @@ func TestICCEdge(t *testing.T) {
 	}
 }
 
-func TestICCDisabled(t *testing.T) {
-	// Component entries remain entry points without ICC (the paper's
-	// entry model), so reachability is unchanged — but the icc edges
-	// themselves must be absent.
-	p := mustBuild(t, fixtureAPK(t), Options{EdgeMiner: true, ICC: false})
-	onCreate := methodID(t, p, onCreateRef)
-	if iccs := outNames(p, onCreate, EdgeICC); len(iccs) != 0 {
-		t.Fatalf("icc edges with ICC disabled: %v", iccs)
-	}
-	if targets := p.ICCTargets(onCreate); len(targets) != 0 {
-		t.Fatalf("ICCTargets with ICC disabled: %v", targets)
-	}
-}
-
 func TestEdgeMinerDisabled(t *testing.T) {
-	p := mustBuild(t, fixtureAPK(t), Options{EdgeMiner: false, ICC: true})
+	p := mustBuild(t, fixtureAPK(t), Options{EdgeMiner: false})
 	onCreate := methodID(t, p, onCreateRef)
 	if cbs := outNames(p, onCreate, EdgeCallback); len(cbs) != 0 {
 		t.Fatalf("callback edges with EdgeMiner disabled: %v", cbs)
@@ -345,7 +335,7 @@ func TestIntentWithoutTargetIgnored(t *testing.T) {
 }
 
 func TestRegistrationsTable(t *testing.T) {
-	regs := Registrations()
+	regs := registrations
 	if len(regs) == 0 {
 		t.Fatal("no registrations")
 	}

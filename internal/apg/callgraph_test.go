@@ -83,7 +83,7 @@ func randomAPK(r *rand.Rand) *apk.APK {
 func randomAPGs(t *testing.T, seed int64, n int) []*APG {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	opts := []Options{DefaultOptions(), {EdgeMiner: true}, {ICC: true}, {}}
+	opts := []Options{DefaultOptions(), {}}
 	out := make([]*APG, n)
 	edges := 0
 	for i := range out {
@@ -98,7 +98,8 @@ func randomAPGs(t *testing.T, seed int64, n int) []*APG {
 
 // TestCallGraphRowsKeepBuildOrder: each method's row holds exactly its
 // edges in the order the build added them, and the icc edges are its
-// tail (what ICCTargets returns).
+// tail: the launch targets of its launch sites, site by site in
+// instruction order.
 func TestCallGraphRowsKeepBuildOrder(t *testing.T) {
 	for i, p := range randomAPGs(t, 1, 400) {
 		byFrom := make([][]edge, p.NumMethods())
@@ -123,8 +124,17 @@ func TestCallGraphRowsKeepBuildOrder(t *testing.T) {
 			for _, e := range icc {
 				targets = append(targets, e.to)
 			}
-			if got := p.ICCTargets(id); !slices.Equal(got, targets) {
-				t.Fatalf("app %d: ICCTargets(%s) = %v, icc edges to %v", i, p.Ref(id), got, targets)
+			var launched []MethodID
+			for _, d := range p.Defs() {
+				if d.ID != id {
+					continue
+				}
+				for k := range d.Method.Code {
+					launched = p.LaunchTargets(launched, d.Method, k)
+				}
+			}
+			if tail := to[len(to)-len(targets):]; !slices.Equal(tail, targets) || !slices.Equal(launched, targets) {
+				t.Fatalf("app %d: %s: row tail %v, launch targets %v, icc edges to %v", i, p.Ref(id), tail, launched, targets)
 			}
 		}
 	}

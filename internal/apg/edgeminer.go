@@ -40,11 +40,6 @@ var registrations = []Registration{
 	{"Landroid/hardware/SensorManager;", "registerListener", 1, "onSensorChanged", "(Landroid/hardware/SensorEvent;)V"},
 }
 
-// Registrations returns a copy of the EdgeMiner table.
-func Registrations() []Registration {
-	return append([]Registration(nil), registrations...)
-}
-
 // lookupRegistration matches an invoke target against the table. The
 // class must match exactly or be a defined subclass of the table class.
 func (p *APG) lookupRegistration(ref dex.MethodRef) (Registration, bool) {

@@ -110,7 +110,8 @@ func hashGraph(t *testing.T, h hash.Hash, c *graphCounts, name string, a *apk.AP
 	for _, e := range p.Entries() {
 		putString(h, "entry "+e.String())
 	}
-	for _, ref := range p.Methods() {
+	for _, d := range p.Defs() {
+		ref := d.Method.Ref()
 		reachable := p.MethodReachable(ref)
 		if reachable {
 			c.reachable++

@@ -10,7 +10,9 @@ import (
 // Inter-component communication (the IccTA role): resolve the target of
 // intents passed to startActivity/startService/sendBroadcast and add
 // icc edges from the launching method to the target component's entry
-// methods.
+// methods. The taint engine follows the same launch sites through
+// IntentArg and LaunchTargets, so an intent reaches only its own
+// target.
 
 // iccLaunchers maps launcher method names to the argument position of
 // the intent.
@@ -31,42 +33,63 @@ var intentEntryByKind = map[apk.ComponentKind][]string{
 	apk.KindProvider: {"onCreate", "query"},
 }
 
-// addICCEdges finds launcher invocations, traces the intent register to
-// its component target, and wires the launching method to the target's
-// entries.
+// addICCEdges wires every launching method to the entries of the
+// components its launches target, one launch site at a time.
 func (p *APG) addICCEdges() error {
 	if p.APK.Manifest == nil {
 		return fmt.Errorf("apg: nil manifest")
 	}
-	var components []apk.DeclaredComponent // listed at the first launch
+	var targets []MethodID
 	p.eachInvoke(func(caller Def, idx int, ins dex.Instr) {
-		argPos, ok := iccLaunchers[ins.Method.Name]
-		if !ok || argPos >= len(ins.Args) {
-			return
-		}
-		targetClass := p.resolveIntentTarget(caller.Method, idx, ins.Args[argPos])
-		if targetClass == "" {
-			return
-		}
-		if components == nil {
-			components = p.APK.Manifest.Components()
-		}
-		for _, comp := range components {
-			if comp.Name != targetClass {
-				continue
-			}
-			ci, ok := p.mt.componentClass(comp.Name)
-			if !ok {
-				continue
-			}
-			for _, entry := range intentEntryByKind[comp.Kind] {
-				if k := p.mt.firstNamed(ci, entry); k >= 0 {
-					p.g.add(caller.ID, p.mt.defs[k].ID, EdgeICC)
-				}
-			}
+		targets = p.LaunchTargets(targets[:0], caller.Method, idx)
+		for _, to := range targets {
+			p.g.add(caller.ID, to, EdgeICC)
 		}
 	})
 	return nil
+}
+
+// IntentArg returns the position of the intent among the arguments of
+// a launcher invoke (the receiver is argument 0), or -1 when ins
+// launches no component.
+func IntentArg(ins *dex.Instr) int {
+	if pos, ok := iccLaunchers[ins.Method.Name]; ok && pos < len(ins.Args) {
+		return pos
+	}
+	return -1
+}
+
+// LaunchTargets appends to dst the entry methods of the component that
+// the launch at instruction idx of m starts: the intent argument
+// traced back to its target class, then that declared component's
+// entries. These are the targets of the icc edges the launch adds, in
+// edge order; nothing is appended when the instruction is not a launch
+// or its intent has no resolvable target.
+func (p *APG) LaunchTargets(dst []MethodID, m *dex.Method, idx int) []MethodID {
+	ins := &m.Code[idx]
+	pos := IntentArg(ins)
+	if pos < 0 {
+		return dst
+	}
+	targetClass := p.resolveIntentTarget(m, idx, ins.Args[pos])
+	if targetClass == "" {
+		return dst
+	}
+	for _, comp := range p.APK.Manifest.Components() {
+		if comp.Name != targetClass {
+			continue
+		}
+		ci, ok := p.mt.componentClass(comp.Name)
+		if !ok {
+			continue
+		}
+		for _, entry := range intentEntryByKind[comp.Kind] {
+			if k := p.mt.firstNamed(ci, entry); k >= 0 {
+				dst = append(dst, p.mt.defs[k].ID)
+			}
+		}
+	}
+	return dst
 }
 
 // resolveIntentTarget traces an intent register backwards to the

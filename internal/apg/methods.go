@@ -201,9 +201,9 @@ func (t *methodTable) firstNamed(ci int32, name string) int32 {
 	return -1
 }
 
-// componentClass returns the class object of a dotted component name,
-// as dex.Dex.Class(dex.ObjectType(name)) would, without allocating the
-// descriptor.
+// componentClass returns the class object of a dotted component name
+// ("com.example.Main" names "Lcom/example/Main;"), without allocating
+// the descriptor.
 func (t *methodTable) componentClass(name string) (int32, bool) {
 	b := append(t.nameBuf[:0], 'L')
 	for i := 0; i < len(name); i++ {
@@ -249,17 +249,6 @@ func (p *APG) API(id MethodID) *sensitive.API { return p.mt.rows[id].api }
 
 // Sink returns the sink table entry id names, or nil.
 func (p *APG) Sink(id MethodID) *sensitive.Sink { return p.mt.rows[id].sink }
-
-// ICCTargets returns the component entry methods id's intents launch:
-// the targets of its icc edges, in edge order.
-func (p *APG) ICCTargets(id MethodID) []MethodID {
-	to, kind := p.Out(id)
-	k := len(kind)
-	for k > 0 && kind[k-1] == EdgeICC {
-		k--
-	}
-	return to[k:]
-}
 
 // Compare orders two identities as their smali strings order (see
 // dex.MethodRef.Compare): every ordering the analyses expose follows

@@ -75,7 +75,7 @@ func TestBuildScratchReuseIndependentOfHistory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("app %d: %v", i, err)
 		}
-		fresh, err := apg.BuildCtx(ctx, g.App.APK, apg.DefaultOptions())
+		fresh, err := apg.BuildCtxWith(ctx, g.App.APK, apg.DefaultOptions(), nil)
 		if err != nil {
 			t.Fatalf("app %d: %v", i, err)
 		}

@@ -20,9 +20,6 @@ func sampleManifest() *Manifest {
 			Activities: []Component{{
 				Name:     "com.example.app.MainActivity",
 				Exported: true,
-				Filters: []IntentFilter{{
-					Actions: []Action{{Name: "android.intent.action.MAIN"}},
-				}},
 			}},
 			Services: []Component{{Name: "com.example.app.SyncService"}},
 		},
@@ -63,8 +60,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if len(m2.Components()) != 2 {
 		t.Fatalf("components = %+v", m2.Components())
 	}
-	if m2.Application.Activities[0].Filters[0].Actions[0].Name != "android.intent.action.MAIN" {
-		t.Fatal("intent filter lost")
+	if !m2.Application.Activities[0].Exported {
+		t.Fatal("exported flag lost")
 	}
 }
 

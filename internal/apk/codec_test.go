@@ -95,21 +95,14 @@ func manifestShapes() []struct {
 	m    *apk.Manifest
 	fast bool
 } {
-	comp := func(name string, exported bool, filters ...apk.IntentFilter) apk.Component {
-		return apk.Component{Name: name, Exported: exported, Filters: filters}
-	}
-	filter := func(actions ...string) apk.IntentFilter {
-		f := apk.IntentFilter{}
-		for _, a := range actions {
-			f.Actions = append(f.Actions, apk.Action{Name: a})
-		}
-		return f
+	comp := func(name string, exported bool) apk.Component {
+		return apk.Component{Name: name, Exported: exported}
 	}
 	withName := func(name string) *apk.Manifest {
 		return &apk.Manifest{
 			Package:     "com.example.names",
 			Permissions: []apk.Permission{{Name: name}},
-			Application: apk.Application{Receivers: []apk.Component{comp(name, false, filter(name))}},
+			Application: apk.Application{Receivers: []apk.Component{comp(name, false)}},
 		}
 	}
 	return []struct {
@@ -117,26 +110,24 @@ func manifestShapes() []struct {
 		m    *apk.Manifest
 		fast bool
 	}{
-		{"filter-zero-actions", &apk.Manifest{Package: "com.example.f0",
-			Application: apk.Application{Activities: []apk.Component{comp("com.example.f0.Main", true, filter())}}}, true},
-		{"filter-one-action", &apk.Manifest{Package: "com.example.f1",
-			Application: apk.Application{Activities: []apk.Component{comp("com.example.f1.Main", false,
-				filter("android.intent.action.MAIN"))}}}, true},
-		{"filters-many-actions", &apk.Manifest{Package: "com.example.fn",
-			Application: apk.Application{Services: []apk.Component{comp("com.example.fn.Sync", true,
-				filter("a.ONE", "a.TWO", "a.THREE"), filter(), filter("a.FOUR"))}}}, true},
+		{"components-many-per-kind", &apk.Manifest{Package: "com.example.many", Application: apk.Application{
+			Activities: []apk.Component{comp("A1", false), comp("A2", true)},
+			Services:   []apk.Component{comp("S1", false), comp("S2", false)},
+			Receivers:  []apk.Component{comp("R1", true), comp("R2", false)},
+			Providers:  []apk.Component{comp("P1", false)},
+		}}, true},
 		{"empty-application", &apk.Manifest{Package: "com.example.empty",
 			Permissions: []apk.Permission{{Name: "android.permission.INTERNET"}}}, true},
 		{"package-only", &apk.Manifest{Package: "p"}, true},
 		{"exported-every-kind", &apk.Manifest{Package: "com.example.exp", Application: apk.Application{
 			Activities: []apk.Component{comp("A", true), comp("A2", false)},
 			Services:   []apk.Component{comp("S", true)},
-			Receivers:  []apk.Component{comp("R", true, filter("r.ACTION"))},
+			Receivers:  []apk.Component{comp("R", true)},
 			Providers:  []apk.Component{comp("P", true), comp("P2", true)},
 		}}, true},
 		{"empty-names", &apk.Manifest{Package: "com.example.blank",
 			Permissions: []apk.Permission{{Name: ""}, {Name: "x"}},
-			Application: apk.Application{Providers: []apk.Component{comp("", false, filter(""))}}}, true},
+			Application: apk.Application{Providers: []apk.Component{comp("", false)}}}, true},
 		{"spaces-and-punctuation", withName(" a b/c;d:e=f?g[h]i{j}k|l~m`n "), true},
 		{"xmlname-ignored", &apk.Manifest{XMLName: xml.Name{Space: "urn:x", Local: "other"}, Package: "com.example.xn"}, true},
 		{"empty-package", &apk.Manifest{}, true},
@@ -151,8 +142,6 @@ func manifestShapes() []struct {
 		{"name-non-ascii", withName("café"), false},
 		{"name-invalid-utf8", withName("a\xff\xfeb"), false},
 		{"package-ampersand", &apk.Manifest{Package: "a&b"}, false},
-		{"action-non-ascii", &apk.Manifest{Package: "com.example.act",
-			Application: apk.Application{Activities: []apk.Component{comp("M", false, filter("ok", "ü"))}}}, false},
 	}
 }
 
@@ -162,9 +151,8 @@ func canonicalSample() string {
 		Package:     "com.example.raw",
 		Permissions: []apk.Permission{{Name: "android.permission.CAMERA"}},
 		Application: apk.Application{
-			Activities: []apk.Component{{Name: "com.example.raw.Main", Exported: true,
-				Filters: []apk.IntentFilter{{Actions: []apk.Action{{Name: "android.intent.action.MAIN"}}}}}},
-			Services: []apk.Component{{Name: "com.example.raw.Sync"}},
+			Activities: []apk.Component{{Name: "com.example.raw.Main", Exported: true}},
+			Services:   []apk.Component{{Name: "com.example.raw.Sync"}},
 		},
 	})
 	if err != nil {
@@ -207,15 +195,53 @@ func rawManifests() []struct{ name, data string } {
 		{"no-package", strings.Replace(canon, ` package="com.example.raw"`, ``, 1)},
 		{"unknown-element", strings.Replace(canon, "\n  <application>", "\n  <uses-sdk></uses-sdk>\n  <application>", 1)},
 		{"empty-application-indented", xml.Header + "<manifest package=\"p\">\n  <application>\n  </application>\n</manifest>"},
-		{"empty-filter-indented", strings.Replace(canon,
-			"<intent-filter>\n        <action name=\"android.intent.action.MAIN\"></action>\n      </intent-filter>",
-			"<intent-filter>\n      </intent-filter>", 1)},
+		{"intent-filter", withIntentFilter(canon)},
+		{"empty-intent-filter", strings.Replace(canon, `></service>`, "><intent-filter></intent-filter></service>", 1)},
+		{"component-child-element", strings.Replace(canon, `></service>`,
+			">\n      <meta-data name=\"k\"></meta-data>\n    </service>", 1)},
+		{"empty-component-indented", strings.Replace(canon, `></service>`, ">\n    </service>", 1)},
 		{"namespaced-attribute", strings.Replace(canon, ` name="com.example.raw.Sync"`, ` android:name="com.example.raw.Sync"`, 1)},
 		{"wrong-root", strings.Replace(strings.Replace(canon, "<manifest ", "<package ", 1), "</manifest>", "</package>", 1)},
 		{"unclosed", strings.TrimSuffix(canon, "</manifest>")},
 		{"header-only", xml.Header},
 		{"not-xml", "not xml"},
 		{"empty", ""},
+	}
+}
+
+// withIntentFilter gives the canonical sample's activity an intent
+// filter, a child element the manifest model does not hold.
+func withIntentFilter(canon string) string {
+	return strings.Replace(canon, `exported="true"></activity>`, `exported="true">
+      <intent-filter>
+        <action name="android.intent.action.MAIN"></action>
+      </intent-filter>
+    </activity>`, 1)
+}
+
+// TestManifestDecodeSkipsIntentFilters: a manifest whose component
+// carries an intent filter goes to the encoding/xml fallback and
+// decodes to the same components as the manifest without it.
+func TestManifestDecodeSkipsIntentFilters(t *testing.T) {
+	canon := canonicalSample()
+	data := withIntentFilter(canon)
+	if data == canon {
+		t.Fatal("sample has no exported activity to give a filter")
+	}
+	if _, ok := apk.DecodeCanonical([]byte(data)); ok {
+		t.Fatal("hand-written decoder accepted an intent filter")
+	}
+	got, err := apk.DecodeManifest([]byte(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := apk.DecodeManifest([]byte(canon))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Components(), want.Components()) || got.Package != want.Package ||
+		!reflect.DeepEqual(got.Permissions, want.Permissions) {
+		t.Fatalf("with an intent filter decoded %+v, want %+v", got, want)
 	}
 }
 

@@ -30,21 +30,12 @@ type Application struct {
 	Providers  []Component `xml:"provider"`
 }
 
-// Component is one declared component.
+// Component is one declared component. Child elements such as
+// intent filters are not modelled: ICC resolves explicit intents by
+// class name, so nothing reads them, and decoding skips them.
 type Component struct {
-	Name     string         `xml:"name,attr"`
-	Exported bool           `xml:"exported,attr,omitempty"`
-	Filters  []IntentFilter `xml:"intent-filter"`
-}
-
-// IntentFilter carries the actions a component reacts to.
-type IntentFilter struct {
-	Actions []Action `xml:"action"`
-}
-
-// Action is one intent action string.
-type Action struct {
-	Name string `xml:"name,attr"`
+	Name     string `xml:"name,attr"`
+	Exported bool   `xml:"exported,attr,omitempty"`
 }
 
 // HasPermission reports whether the manifest requests the permission.
@@ -55,15 +46,6 @@ func (m *Manifest) HasPermission(name string) bool {
 		}
 	}
 	return false
-}
-
-// PermissionNames returns the requested permission names in order.
-func (m *Manifest) PermissionNames() []string {
-	out := make([]string, len(m.Permissions))
-	for i, p := range m.Permissions {
-		out[i] = p.Name
-	}
-	return out
 }
 
 // Components returns every component with its kind.
@@ -157,23 +139,16 @@ const (
 	applicationEnd  = "\n  </application>"
 	manifestEnd     = "\n</manifest>"
 	exportedAttr    = ` exported="true"`
-	filterOpen      = "\n      <intent-filter>"
-	filterNone      = "</intent-filter>"
-	filterEnd       = "\n      </intent-filter>"
-	actionOpen      = "\n        <action name=\""
-	actionClose     = `"></action>`
 )
 
 // Per-kind component framing, indexed by ComponentKind: the open tag
-// up to the name value, the close tag of a component without filters,
-// and the indented close tag of one with filters.
-var componentOpen, componentNone, componentEnd [len(kindNames)]string
+// up to the name value, and the close tag.
+var componentOpen, componentClose [len(kindNames)]string
 
 func init() {
 	for k, name := range kindNames {
 		componentOpen[k] = "\n    <" + name + ` name="`
-		componentNone[k] = "</" + name + ">"
-		componentEnd[k] = "\n    </" + name + ">"
+		componentClose[k] = "</" + name + ">"
 	}
 }
 
@@ -214,16 +189,7 @@ func encodeCanonical(m *Manifest) (out []byte, ok bool) {
 			if !plainValue(c.Name) {
 				return nil, false
 			}
-			size += len(componentOpen[k]) + len(c.Name) + len(`"`) + len(exportedAttr) + len(">") + len(componentEnd[k])
-			for _, f := range c.Filters {
-				size += len(filterOpen) + len(filterEnd)
-				for _, a := range f.Actions {
-					if !plainValue(a.Name) {
-						return nil, false
-					}
-					size += len(actionOpen) + len(a.Name) + len(actionClose)
-				}
-			}
+			size += len(componentOpen[k]) + len(c.Name) + len(`"`) + len(exportedAttr) + len(">") + len(componentClose[k])
 		}
 		components += len(cs)
 	}
@@ -259,23 +225,7 @@ func appendComponent(b []byte, k int, c *Component) []byte {
 		b = append(b, exportedAttr...)
 	}
 	b = append(b, '>')
-	if len(c.Filters) == 0 {
-		return append(b, componentNone[k]...)
-	}
-	for _, f := range c.Filters {
-		b = append(b, filterOpen...)
-		if len(f.Actions) == 0 {
-			b = append(b, filterNone...)
-			continue
-		}
-		for _, a := range f.Actions {
-			b = append(b, actionOpen...)
-			b = append(b, a.Name...)
-			b = append(b, actionClose...)
-		}
-		b = append(b, filterEnd...)
-	}
-	return append(b, componentEnd[k]...)
+	return append(b, componentClose[k]...)
 }
 
 // decodeCanonical reads input in exactly the shape encodeCanonical
@@ -368,24 +318,5 @@ func (r *manifestReader) component(k int) (c Component, ok bool) {
 	if !r.lit(">") {
 		return c, false
 	}
-	if r.lit(componentNone[k]) {
-		return c, true
-	}
-	for r.lit(filterOpen) {
-		var f IntentFilter
-		if !r.lit(filterNone) {
-			for r.lit(actionOpen) {
-				name, ok := r.value()
-				if !ok || !r.lit(actionClose) {
-					return c, false
-				}
-				f.Actions = append(f.Actions, Action{Name: name})
-			}
-			if len(f.Actions) == 0 || !r.lit(filterEnd) {
-				return c, false
-			}
-		}
-		c.Filters = append(c.Filters, f)
-	}
-	return c, len(c.Filters) > 0 && r.lit(componentEnd[k])
+	return c, r.lit(componentClose[k])
 }

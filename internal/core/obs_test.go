@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"ppchecker/internal/core"
@@ -42,8 +43,9 @@ func TestObserverStageSpans(t *testing.T) {
 	if len(r.Timings) != 7 {
 		t.Fatalf("timings = %v, want 7 stages", r.Timings)
 	}
-	if d, ok := r.StageDuration(core.StagePolicy); !ok || d <= 0 {
-		t.Fatalf("policy-nlp timing = %v ok=%v", d, ok)
+	i := slices.IndexFunc(r.Timings, func(st core.StageTiming) bool { return st.Stage == core.StagePolicy })
+	if i < 0 || r.Timings[i].Duration <= 0 {
+		t.Fatalf("policy-nlp timing missing or not positive: %v", r.Timings)
 	}
 	if r.TotalDuration() <= 0 {
 		t.Fatal("total duration not positive")

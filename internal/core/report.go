@@ -94,17 +94,6 @@ type StageTiming struct {
 	Duration time.Duration
 }
 
-// StageDuration returns the recorded duration for a stage and whether
-// the stage ran.
-func (r *Report) StageDuration(s Stage) (time.Duration, bool) {
-	for _, t := range r.Timings {
-		if t.Stage == s {
-			return t.Duration, true
-		}
-	}
-	return 0, false
-}
-
 // TotalDuration sums the recorded stage durations — the analysis time
 // spent on this app (excluding bundle I/O, which happens outside the
 // pipeline).

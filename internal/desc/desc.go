@@ -177,14 +177,8 @@ type phraseScratch struct {
 	buf    []byte
 }
 
-// candidatePhrases extracts the phrases to project: noun phrases plus
-// verb+object bigrams ("scan barcodes", "record audio").
-func candidatePhrases(toks []nlp.Token) []string {
-	var ps phraseScratch
-	return candidatePhrasesInto(&ps, toks)
-}
-
-// candidatePhrasesInto is candidatePhrases building into ps. The
+// candidatePhrasesInto extracts the phrases to project: noun phrases
+// plus verb+object bigrams ("scan barcodes", "record audio"). The
 // returned slice aliases ps and is valid until the next call; phrases
 // are assembled in one reused scratch buffer, so each costs a single
 // allocation regardless of word count.

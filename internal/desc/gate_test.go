@@ -14,9 +14,10 @@ import (
 func (a *Analyzer) analyzeUngated(description string) *Result {
 	res := &Result{Evidence: map[string]string{}}
 	matched := map[string]bool{}
+	var ps phraseScratch
 	for _, sent := range nlp.SplitSentences(description) {
 		toks := nlp.TagText(sent)
-		for _, phrase := range candidatePhrases(toks) {
+		for _, phrase := range candidatePhrasesInto(&ps, toks) {
 			perm, sim, support := profileIndex.ClassifyWithSupportScoped(phrase, a.scope)
 			if perm == "" || sim < a.threshold || support < 2 {
 				continue

@@ -49,13 +49,6 @@ func (t TypeDesc) ClassNameHasPrefix(prefix string) bool {
 	return true
 }
 
-// ObjectType builds an object descriptor from a dotted or slashed
-// class name.
-func ObjectType(name string) TypeDesc {
-	name = strings.ReplaceAll(name, ".", "/")
-	return TypeDesc("L" + name + ";")
-}
-
 // MethodRef identifies a method by class, name, and signature.
 type MethodRef struct {
 	Class TypeDesc

@@ -296,9 +296,6 @@ func TestTypeDescHelpers(t *testing.T) {
 	if got := TypeDesc("Lcom/example/Foo;").ClassName(); got != "com.example.Foo" {
 		t.Fatalf("ClassName = %q", got)
 	}
-	if got := ObjectType("com.example.Foo"); got != "Lcom/example/Foo;" {
-		t.Fatalf("ObjectType = %q", got)
-	}
 	if got := TypeDesc("I").ClassName(); got != "I" {
 		t.Fatalf("primitive ClassName = %q", got)
 	}

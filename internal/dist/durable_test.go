@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ppchecker/internal/core"
 	"ppchecker/internal/longi"
 	"ppchecker/internal/stream"
 )
@@ -101,6 +102,44 @@ func TestDirStoreShardsSurviveRestart(t *testing.T) {
 		t.Fatalf("clean artifacts failed to decode: %d remote fails", ws2.RemoteFails)
 	}
 	t.Logf("restart: %d artifacts on disk, %d remote hits", c2, ws2.RemoteHits)
+}
+
+// TestWorkerCacheKeysBindConfig: workers of two checker configurations
+// sharing one shard set key their library-policy analyses apart. A
+// worker of a second configuration reads none of the first's analyses
+// and stores its own beside them; a later worker of the first
+// configuration reads the first run's analyses back.
+func TestWorkerCacheKeysBindConfig(t *testing.T) {
+	const seed, n = 62, 12
+	root := t.TempDir()
+	run := func(worker string, cfg core.Config) WorkerStats {
+		c := NewCoordinator(CoordinatorOptions{
+			Source: stream.NewFirehoseSource(seed, n),
+			Shards: dirShards(t, root, 2),
+		})
+		ws, _ := runWorkerAndWait(t, c, WorkerOptions{
+			Coordinator:    newCoordServer(t, c).URL,
+			Name:           worker,
+			PollInterval:   5 * time.Millisecond,
+			UseRemoteCache: true,
+			Config:         cfg,
+		})
+		return ws
+	}
+	run("default", core.Config{})
+	first := countArtifacts(t, root)
+	if first < 1 {
+		t.Fatal("first run stored no artifacts — is the remote tier wired?")
+	}
+	if ws := run("strict", core.Config{Threshold: 0.85}); ws.RemoteHits != 0 {
+		t.Fatalf("a worker of another configuration read %d analyses of the first", ws.RemoteHits)
+	}
+	if second := countArtifacts(t, root); second != 2*first {
+		t.Fatalf("second configuration stored %d artifacts beside the first's %d, want as many again", second-first, first)
+	}
+	if ws := run("default-again", core.Config{}); ws.RemoteHits < 1 {
+		t.Fatal("a worker of the first configuration never hit its own analyses")
+	}
 }
 
 // TestCorruptShardArtifactIsMissNotPoison: every on-disk artifact is

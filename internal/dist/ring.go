@@ -6,13 +6,13 @@ import (
 )
 
 // Ring is a consistent-hash ring over a fixed endpoint list. Each
-// endpoint owns vnodes points on a 64-bit circle; a key maps to the
+// endpoint owns DefaultVnodes points on a 64-bit circle; a key maps to the
 // endpoint owning the first point at or after the key's hash. The
 // properties the distributed cache tier needs:
 //
 //   - stable: the same key always picks the same endpoint for a given
 //     endpoint list, across processes and runs (fnv-1a, no seeding);
-//   - balanced: vnodes spread each endpoint around the circle so load
+//   - balanced: the points spread each endpoint around the circle so load
 //     splits roughly evenly;
 //   - minimal movement: growing the list by one endpoint remaps only
 //     the keys that endpoint takes over (~1/n of the space), so a
@@ -33,15 +33,11 @@ type ringPoint struct {
 const DefaultVnodes = 128
 
 // NewRing builds a ring over endpoints (identified by their string
-// form; the returned picks are indexes into this slice). vnodes <= 0
-// means DefaultVnodes.
-func NewRing(endpoints []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
-	r := &Ring{points: make([]ringPoint, 0, len(endpoints)*vnodes)}
+// form; the returned picks are indexes into this slice).
+func NewRing(endpoints []string) *Ring {
+	r := &Ring{points: make([]ringPoint, 0, len(endpoints)*DefaultVnodes)}
 	for i, ep := range endpoints {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVnodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash: fnv64a(ep + "#" + strconv.Itoa(v)),
 				idx:  i,

@@ -19,8 +19,8 @@ func ringKeys(n int) []string {
 // each other.
 func TestRingStable(t *testing.T) {
 	eps := []string{"http://a:1", "http://b:2", "http://c:3"}
-	r1 := NewRing(eps, 0)
-	r2 := NewRing(eps, 0)
+	r1 := NewRing(eps)
+	r2 := NewRing(eps)
 	for _, k := range ringKeys(500) {
 		if r1.Pick(k) != r2.Pick(k) {
 			t.Fatalf("rings disagree on %q: %d vs %d", k, r1.Pick(k), r2.Pick(k))
@@ -31,7 +31,7 @@ func TestRingStable(t *testing.T) {
 // TestRingBalance: vnodes spread keys so no endpoint starves or hoards.
 func TestRingBalance(t *testing.T) {
 	eps := []string{"s0", "s1", "s2", "s3"}
-	r := NewRing(eps, 0)
+	r := NewRing(eps)
 	counts := make([]int, len(eps))
 	const n = 4000
 	for _, k := range ringKeys(n) {
@@ -50,8 +50,8 @@ func TestRingBalance(t *testing.T) {
 // roughly the new endpoint's share, so a resharded deployment keeps
 // most of its warm cache.
 func TestRingMinimalMovement(t *testing.T) {
-	old := NewRing([]string{"s0", "s1", "s2"}, 0)
-	grown := NewRing([]string{"s0", "s1", "s2", "s3"}, 0)
+	old := NewRing([]string{"s0", "s1", "s2"})
+	grown := NewRing([]string{"s0", "s1", "s2", "s3"})
 	moved := 0
 	keys := ringKeys(4000)
 	for _, k := range keys {
@@ -71,7 +71,7 @@ func TestRingMinimalMovement(t *testing.T) {
 
 // TestRingEmpty: an empty ring picks -1 rather than panicking.
 func TestRingEmpty(t *testing.T) {
-	if got := NewRing(nil, 0).Pick("k"); got != -1 {
+	if got := NewRing(nil).Pick("k"); got != -1 {
 		t.Fatalf("empty ring picked %d", got)
 	}
 }

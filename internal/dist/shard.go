@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 
+	"ppchecker/internal/core"
 	"ppchecker/internal/longi"
 	"ppchecker/internal/obs"
 )
@@ -31,7 +32,7 @@ func NewShardedStore(shards []longi.Store, names []string, observer *obs.Observe
 	if len(shards) != len(names) {
 		return nil, fmt.Errorf("dist: %d shards but %d names", len(shards), len(names))
 	}
-	return &ShardedStore{shards: shards, ring: NewRing(names, 0), observer: observer}, nil
+	return &ShardedStore{shards: shards, ring: NewRing(names), observer: observer}, nil
 }
 
 // pick routes (stage, key) to its shard. The stage participates in the
@@ -71,23 +72,22 @@ const libAnalysisStage = "lib-analysis"
 
 // Backing adapts a longi.Store (typically a ShardedStore) into the
 // core.CacheBacking contract: policy texts are content-addressed with
-// longi.StageKey under libAnalysisStage, bound to a namespace so caches
-// filled by differently-configured checkers can never alias.
+// longi.StageKey under libAnalysisStage, bound to the checker
+// configuration's fingerprint so caches filled by differently
+// configured checkers can never alias.
 type Backing struct {
-	store     longi.Store
-	namespace string
+	store       longi.Store
+	fingerprint []byte
 }
 
-// NewBacking builds the library-policy cache backing over a store. The
-// namespace must encode everything that changes an analysis result
-// (checker configuration); every worker sharing a shard set must use
-// the same namespace for the same configuration.
-func NewBacking(store longi.Store, namespace string) *Backing {
-	return &Backing{store: store, namespace: namespace}
+// NewBacking builds the library-policy cache backing over a store for
+// checkers of configuration cfg.
+func NewBacking(store longi.Store, cfg core.Config) *Backing {
+	return &Backing{store: store, fingerprint: cfg.Fingerprint()}
 }
 
 func (b *Backing) key(text string) string {
-	return longi.StageKey(libAnalysisStage, []byte(b.namespace), []byte(text))
+	return longi.StageKey(libAnalysisStage, b.fingerprint, []byte(text))
 }
 
 // Load fetches the serialized analysis for a text; any error is a miss

@@ -93,7 +93,7 @@ func TestBackingOverDeadShardsFallsBackToCompute(t *testing.T) {
 	for _, srv := range servers {
 		srv.Close()
 	}
-	cache := core.NewBackedAnalysisCache(NewBacking(s, "test-ns"))
+	cache := core.NewBackedAnalysisCache(NewBacking(s, core.Config{}))
 	computes := 0
 	got, cached := cache.Get("some policy text", func() *policy.Analysis {
 		computes++
@@ -105,14 +105,17 @@ func TestBackingOverDeadShardsFallsBackToCompute(t *testing.T) {
 }
 
 // TestBackingNamespacesDoNotAlias: the same policy text under two
-// namespaces (two checker configurations) occupies distinct keys.
+// checker configurations occupies distinct keys.
 func TestBackingNamespacesDoNotAlias(t *testing.T) {
 	store := longi.NewMemStore(0)
-	a := NewBacking(store, "config-a")
-	b := NewBacking(store, "config-b")
+	a := NewBacking(store, core.Config{})
+	b := NewBacking(store, core.Config{Threshold: 0.85})
+	if a.key("text") == b.key("text") {
+		t.Fatal("two configurations share a key")
+	}
 	a.Store("text", []byte("analysis-a"))
 	if _, hit := b.Load("text"); hit {
-		t.Fatal("namespaces alias")
+		t.Fatal("configurations alias")
 	}
 	if data, hit := a.Load("text"); !hit || string(data) != "analysis-a" {
 		t.Fatalf("own namespace: hit=%v data=%q", hit, data)

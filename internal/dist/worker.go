@@ -42,9 +42,9 @@ type WorkerOptions struct {
 
 	// Attempt bounds each app's analysis (timeout and retry budget).
 	Attempt eval.AttemptOptions
-	// Config is the per-goroutine checkers' configuration. Every
-	// worker sharing a coordinator must use the same configuration, or
-	// the shared remote cache would alias results.
+	// Config is the per-goroutine checkers' configuration. Remote
+	// cache keys bind its fingerprint, so workers of different
+	// configurations can share one shard set without aliasing.
 	Config core.Config
 	// Observer instruments the worker's checkers and dist counters.
 	Observer *obs.Observer
@@ -59,10 +59,6 @@ type WorkerOptions struct {
 	// tier (read-through over /shard/<i>). Off, every worker computes
 	// library-policy analyses locally.
 	UseRemoteCache bool
-	// CacheNamespace scopes remote cache keys; every worker sharing a
-	// shard set must pair the same namespace with the same checker
-	// configuration. Empty means "default".
-	CacheNamespace string
 
 	// MaxApps, when > 0, stops the worker after that many accepted
 	// reports — a test hook for exercising coordinator resume.
@@ -85,9 +81,6 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	}
 	if o.Name == "" {
 		o.Name = "worker"
-	}
-	if o.CacheNamespace == "" {
-		o.CacheNamespace = "default"
 	}
 	if len(o.Coordinators) == 0 {
 		o.Coordinators = []string{o.Coordinator}
@@ -209,7 +202,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 		if err != nil {
 			return WorkerStats{}, err
 		}
-		libCache = core.NewBackedAnalysisCache(NewBacking(sharded, opts.CacheNamespace))
+		libCache = core.NewBackedAnalysisCache(NewBacking(sharded, opts.Config))
 	}
 
 	pool := eval.NewPool("dist", opts.Attempt, nil, opts.Observer, libCache, opts.Config)

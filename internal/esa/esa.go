@@ -98,9 +98,6 @@ func Default() *Index { return defaultIndex }
 
 var defaultIndex = New(BuiltinKB())
 
-// Concepts returns the concept titles of the index, in order.
-func (x *Index) Concepts() []string { return append([]string(nil), x.concepts...) }
-
 // Interpret maps a text to its concept vector. It is the reference
 // implementation the vectorized path (InterpretVec/CosineVec) is
 // verified against; hot-path callers should prefer InterpretVec, which
@@ -128,44 +125,16 @@ func top(v *ConceptVec) int {
 	return best
 }
 
-// TopConcept returns the highest-weighted concept title for a text and
-// its weight, or ("", 0) when the text maps to nothing.
-func (x *Index) TopConcept(text string) (string, float64) {
-	v := x.InterpretVec(text)
-	best := top(v)
-	if best < 0 {
-		return "", 0
-	}
-	return x.concepts[v.concepts[best]], v.weights[best]
-}
-
-// Classify returns the concept whose axis is closest to the text's
-// concept vector, with the cosine of the vector against that axis
-// (v[c]/‖v‖). Unlike TopConcept's raw weight, the result is
-// length-normalized, so it is comparable against a threshold.
-func (x *Index) Classify(text string) (string, float64) {
-	v := x.InterpretVec(text)
-	best := top(v)
-	if best < 0 || v.norm == 0 {
-		return "", 0
-	}
-	return x.concepts[v.concepts[best]], v.weights[best] / v.norm
-}
-
-// ClassifyWithSupport is Classify plus the number of distinct terms of
-// the text that support the winning concept. Callers that must resist
-// single-word coincidences (a generic word appearing in only one
-// concept yields cosine 1.0) can demand support ≥ 2. The text is
-// tokenized at most once — not at all when both the vector and its
-// support count are already cached — and the winning concept index is
-// taken straight from the vector rather than re-derived from scratch.
-func (x *Index) ClassifyWithSupport(text string) (string, float64, int) {
-	return x.ClassifyWithSupportScoped(text, nil)
-}
-
-// ClassifyWithSupportScoped is ClassifyWithSupport with per-run stat
-// attribution (see StatScope). A nil scope makes it identical to
-// ClassifyWithSupport.
+// ClassifyWithSupportScoped returns the concept whose axis is closest
+// to the text's concept vector, the cosine of the vector against that
+// axis (v[c]/‖v‖, length-normalized, so comparable against a
+// threshold), and the number of distinct terms of the text that
+// support the winning concept. Callers that must resist single-word
+// coincidences (a generic word appearing in only one concept yields
+// cosine 1.0) can demand support ≥ 2. The text is tokenized at most
+// once — not at all when both the vector and its support count are
+// already cached. Stats are attributed to sc as well as to the
+// process-wide counters (see StatScope); sc may be nil.
 func (x *Index) ClassifyWithSupportScoped(text string, sc *StatScope) (string, float64, int) {
 	v, terms := x.interpret(text, sc)
 	best := top(v)
@@ -202,12 +171,6 @@ func (x *Index) ClassifyWithSupportScoped(text string, sc *StatScope) (string, f
 // recurring phrases tokenize once per process.
 func (x *Index) Similarity(a, b string) float64 {
 	return CosineVec(x.InterpretVec(a), x.InterpretVec(b))
-}
-
-// Same reports whether two texts refer to the same thing under the
-// default threshold.
-func (x *Index) Same(a, b string) bool {
-	return x.Similarity(a, b) >= DefaultThreshold
 }
 
 // Cosine computes the cosine similarity of two sparse map vectors. It

@@ -79,6 +79,12 @@ func TestSimilarityProperties(t *testing.T) {
 	}
 }
 
+// classify is ClassifyWithSupportScoped without the support count.
+func classify(x *Index, text string) (string, float64) {
+	title, cos, _ := x.ClassifyWithSupportScoped(text, nil)
+	return title, cos
+}
+
 func TestTopConcept(t *testing.T) {
 	x := Default()
 	cases := map[string]string{
@@ -88,9 +94,9 @@ func TestTopConcept(t *testing.T) {
 		"your real phone number":             "phone number",
 	}
 	for text, want := range cases {
-		got, w := x.TopConcept(text)
+		got, cos := classify(x, text)
 		if got != want {
-			t.Errorf("TopConcept(%q) = %q (%.3f), want %q", text, got, w, want)
+			t.Errorf("classify(%q) = %q (%.3f), want %q", text, got, cos, want)
 		}
 	}
 }
@@ -103,8 +109,8 @@ func TestEmptyAndUnknown(t *testing.T) {
 	if s := x.Similarity("qwzx bnmp", "location"); s != 0 {
 		t.Errorf("unknown text similarity = %v", s)
 	}
-	if c, _ := x.TopConcept(""); c != "" {
-		t.Errorf("TopConcept empty = %q", c)
+	if c, _ := classify(x, ""); c != "" {
+		t.Errorf("classify empty = %q", c)
 	}
 }
 
@@ -116,26 +122,26 @@ func TestNewEmptyKB(t *testing.T) {
 }
 
 func TestConcepts(t *testing.T) {
-	x := Default()
-	concepts := Concepts(t)
-	if len(concepts) == 0 {
+	if len(Default().concepts) == 0 {
 		t.Fatal("no concepts")
 	}
-	_ = x
 }
 
-func Concepts(t *testing.T) []string {
-	t.Helper()
-	return Default().Concepts()
-}
-
+// TestTopConceptVsClassify: classification picks the concept of
+// highest raw weight in the reference interpretation, and reports a
+// length-normalized cosine rather than that raw weight.
 func TestTopConceptVsClassify(t *testing.T) {
 	x := Default()
-	// TopConcept returns raw interpretation weight; Classify a cosine.
-	title1, w := x.TopConcept("your current location")
-	title2, cos := x.Classify("your current location")
-	if title1 != title2 {
-		t.Fatalf("TopConcept %q vs Classify %q", title1, title2)
+	const text = "your current location"
+	top, w := -1, 0.0
+	for c, cw := range x.Interpret(text) {
+		if cw > w || cw == w && c < top {
+			top, w = c, cw
+		}
+	}
+	title, cos := classify(x, text)
+	if top < 0 || title != x.concepts[top] {
+		t.Fatalf("classify = %q, reference top concept %d", title, top)
 	}
 	if w <= 0 || cos <= 0 || cos > 1 {
 		t.Fatalf("weights: raw %v cos %v", w, cos)
@@ -144,17 +150,17 @@ func TestTopConceptVsClassify(t *testing.T) {
 
 func TestClassifyEmpty(t *testing.T) {
 	x := Default()
-	if title, cos := x.Classify(""); title != "" || cos != 0 {
-		t.Fatalf("Classify empty = %q %v", title, cos)
+	if title, cos := classify(x, ""); title != "" || cos != 0 {
+		t.Fatalf("classify empty = %q %v", title, cos)
 	}
-	if _, _, support := x.ClassifyWithSupport("zzz qqq"); support != 0 {
+	if _, _, support := x.ClassifyWithSupportScoped("zzz qqq", nil); support != 0 {
 		t.Fatalf("support for unknown text = %d", support)
 	}
 }
 
 func TestClassifyWithSupportCounts(t *testing.T) {
 	x := Default()
-	title, _, support := x.ClassifyWithSupport("gps latitude longitude coordinates")
+	title, _, support := x.ClassifyWithSupportScoped("gps latitude longitude coordinates", nil)
 	if title != "location" {
 		t.Fatalf("title = %q", title)
 	}

@@ -27,18 +27,12 @@ type ConceptVec struct {
 	weights  []float64
 	norm     float64
 
-	// topSupport lazily caches ClassifyWithSupport's distinct-term
+	// topSupport lazily caches ClassifyWithSupportScoped's distinct-term
 	// support count for the top concept, stored as support+1 (0 =
 	// unset). The value is deterministic for a given text, so the
 	// idempotent atomic store keeps the vector shareable.
 	topSupport atomic.Int32
 }
-
-// Len returns the number of nonzero concepts.
-func (v *ConceptVec) Len() int { return len(v.concepts) }
-
-// Norm returns the precomputed Euclidean norm.
-func (v *ConceptVec) Norm() float64 { return v.norm }
 
 // Map converts the vector back to the map representation, for callers
 // (and tests) that interoperate with the reference path.
@@ -224,7 +218,7 @@ func (x *Index) InterpretVecScoped(text string, sc *StatScope) *ConceptVec {
 // interpret is the one interpret-memo probe: the memoized vector on a
 // hit, else a local build, memoized when the text is short enough to
 // recur. On a build it also returns the terms it tokenized, so
-// ClassifyWithSupport can reuse them.
+// ClassifyWithSupportScoped can reuse them.
 func (x *Index) interpret(text string, sc *StatScope) (*ConceptVec, []string) {
 	var terms []string
 	v, hit, evicted := x.shardFor(text).Do(text, func(key string) *ConceptVec {

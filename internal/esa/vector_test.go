@@ -71,8 +71,8 @@ func TestVecMatchesReference(t *testing.T) {
 	}
 }
 
-// classifyReference reimplements the pre-vectorization Classify over
-// the map path, tie-break included.
+// classifyReference reimplements the classification over the map
+// path, tie-break included.
 func classifyReference(x *Index, text string) (string, float64) {
 	v := x.Interpret(text)
 	if len(v) == 0 {
@@ -95,7 +95,7 @@ func classifyReference(x *Index, text string) (string, float64) {
 	return x.concepts[best], bw / norm
 }
 
-// TestClassifyMatchesReference: the vectorized Classify picks the same
+// TestClassifyMatchesReference: the vectorized classification picks the same
 // concept and a cosine within 1e-12 of the reference on random
 // phrases.
 func TestClassifyMatchesReference(t *testing.T) {
@@ -105,19 +105,19 @@ func TestClassifyMatchesReference(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		text := randomPhrase(rng, vocab)
 		refTitle, refCos := classifyReference(x, text)
-		title, cos := x.Classify(text)
+		title, cos := classify(x, text)
 		if title != refTitle {
-			t.Fatalf("Classify(%q) = %q, reference %q", text, title, refTitle)
+			t.Fatalf("classify(%q) = %q, reference %q", text, title, refTitle)
 		}
 		if math.Abs(cos-refCos) > 1e-12 {
-			t.Fatalf("Classify(%q) cosine %.17g, reference %.17g", text, cos, refCos)
+			t.Fatalf("classify(%q) cosine %.17g, reference %.17g", text, cos, refCos)
 		}
 	}
 }
 
-// TestClassifyWithSupportSingleTokenization: the rewritten
-// ClassifyWithSupport returns the same triple as composing Classify
-// with the old support scan.
+// TestClassifyWithSupportSingleTokenization: ClassifyWithSupportScoped
+// returns the same triple as composing the reference classification
+// with a separate support scan.
 func TestClassifyWithSupportSingleTokenization(t *testing.T) {
 	x := New(BuiltinKB())
 	vocab := kbVocabulary()
@@ -150,9 +150,9 @@ func TestClassifyWithSupportSingleTokenization(t *testing.T) {
 				}
 			}
 		}
-		title, cos, support := x.ClassifyWithSupport(text)
+		title, cos, support := x.ClassifyWithSupportScoped(text, nil)
 		if title != wantTitle || support != wantSupport || math.Abs(cos-wantCos) > 1e-12 {
-			t.Fatalf("ClassifyWithSupport(%q) = (%q, %.17g, %d), want (%q, %.17g, %d)",
+			t.Fatalf("ClassifyWithSupportScoped(%q) = (%q, %.17g, %d), want (%q, %.17g, %d)",
 				text, title, cos, support, wantTitle, wantCos, wantSupport)
 		}
 	}
@@ -181,7 +181,7 @@ func TestInterpretMemoSkipsHugeTexts(t *testing.T) {
 	x := New(BuiltinKB())
 	huge := strings.Repeat("location ", memoMaxKeyLen)
 	v := x.InterpretVec(huge)
-	if v.Len() == 0 {
+	if len(v.concepts) == 0 {
 		t.Fatal("huge text should still interpret")
 	}
 	if n := x.memoLen(); n != 0 {
@@ -195,7 +195,7 @@ func TestInterpretMemoKeysOwnTheirBytes(t *testing.T) {
 	x := New(BuiltinKB())
 	text := strings.Repeat("we collect your precise location and your contacts. ", 2)
 	x.InterpretVec(text[11:34])
-	x.ClassifyWithSupport(text[39:51])
+	x.ClassifyWithSupportScoped(text[39:51], nil)
 	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
 	hi := lo + uintptr(len(text))
 	if x.memoLen() != 2 {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -16,13 +17,16 @@ type ThresholdPoint struct {
 }
 
 // RunThresholdSweep re-evaluates the corpus at each similarity
-// threshold, extending the paper's fixed-0.67 choice into a
-// sensitivity analysis: low thresholds admit over-matches (lower
-// precision), high thresholds reject paraphrases (lower recall).
+// threshold on the corpus runner, extending the paper's fixed-0.67
+// choice into a sensitivity analysis: low thresholds admit
+// over-matches (lower precision), high thresholds reject paraphrases
+// (lower recall).
 func RunThresholdSweep(ds *synth.Dataset, thresholds []float64) []ThresholdPoint {
 	out := make([]ThresholdPoint, 0, len(thresholds))
+	jobs := DatasetJobs(ds)
 	for _, th := range thresholds {
-		res := EvaluateCorpus(ds, core.Config{Threshold: th}.CheckerOptions()...)
+		// The background context never cancels, so RunJobs cannot fail.
+		res, _, _ := RunJobs(context.Background(), jobs, RunOptions{Config: core.Config{Threshold: th}})
 		tab := res.ComputeTableIV()
 		out = append(out, ThresholdPoint{Threshold: th, CUR: tab.CUR, Disclose: tab.Disclose})
 	}

@@ -36,9 +36,11 @@ var entities = map[string]string{
 	"reg": "", "trade": "", "bull": " ", "middot": " ", "sect": " ",
 }
 
-// scrubber applies Scrub's per-byte state machine while the extraction
-// loop writes, so one pooled buffer replaces the former two full-size
-// builder passes (extract, then scrub).
+// scrubber cleans the text while the extraction loop writes it, the
+// cleaning step the paper applies after content extraction: it drops
+// non-ASCII bytes and meaningless ASCII symbols, keeps newlines as
+// sentence hints and collapses other whitespace runs to single spaces.
+// One pooled buffer serves the whole extraction.
 type scrubber struct {
 	buf       []byte
 	lastSpace bool
@@ -79,8 +81,7 @@ func (w *scrubber) writeString(s string) {
 
 // Extract returns the readable text of an HTML document. It also accepts
 // plain text (documents with no markup pass through unchanged apart from
-// whitespace normalisation and the ASCII scrub). The result equals
-// Scrub applied to the raw extracted text.
+// whitespace normalisation and the ASCII scrub).
 func Extract(html string) string {
 	w := scrubberPool.Get().(*scrubber)
 	defer scrubberPool.Put(w)
@@ -89,7 +90,7 @@ func Extract(html string) string {
 	} else {
 		w.buf = w.buf[:0]
 	}
-	// Initial state suppresses leading whitespace, like Scrub's.
+	// The initial state suppresses leading whitespace.
 	w.lastSpace, w.lastNL = true, true
 	i := 0
 	n := len(html)
@@ -256,44 +257,6 @@ func digitVal(c byte, base int) int {
 		return int(c-'A') + 10
 	}
 	return -1
-}
-
-// Scrub removes non-ASCII bytes and meaningless ASCII symbols, and
-// collapses runs of whitespace, mirroring the cleaning step the paper
-// applies after content extraction. Newlines are preserved as sentence
-// hints; other whitespace collapses to single spaces.
-func Scrub(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	lastSpace := true
-	lastNL := true
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '\n':
-			if !lastNL {
-				b.WriteByte('\n')
-				lastNL = true
-				lastSpace = true
-			}
-		case c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f':
-			if !lastSpace {
-				b.WriteByte(' ')
-				lastSpace = true
-			}
-		case c >= 32 && c < 127 && meaningful(c):
-			b.WriteByte(c)
-			lastSpace = false
-			lastNL = false
-		default:
-			// non-ASCII or meaningless: treated as a soft space
-			if !lastSpace {
-				b.WriteByte(' ')
-				lastSpace = true
-			}
-		}
-	}
-	return strings.TrimSpace(b.String())
 }
 
 // meaningful reports whether an ASCII character carries meaning for

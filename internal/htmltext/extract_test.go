@@ -87,7 +87,7 @@ func TestExtractMalformed(t *testing.T) {
 }
 
 func TestScrubNonASCII(t *testing.T) {
-	got := Scrub("caf\xc3\xa9 cr\xc3\xa8me — ok")
+	got := Extract("caf\xc3\xa9 cr\xc3\xa8me — ok")
 	if strings.ContainsAny(got, "\xc3\xa9") {
 		t.Fatalf("non-ASCII kept: %q", got)
 	}
@@ -97,9 +97,9 @@ func TestScrubNonASCII(t *testing.T) {
 }
 
 func TestScrubCollapsesWhitespace(t *testing.T) {
-	got := Scrub("a   b\t\tc\n\n\nd")
+	got := Extract("a   b\t\tc\n\n\nd")
 	if got != "a b c\nd" {
-		t.Fatalf("Scrub = %q", got)
+		t.Fatalf("Extract = %q", got)
 	}
 }
 

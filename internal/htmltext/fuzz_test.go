@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzHTMLExtract: extraction must never panic, and its output must be
-// ASCII-clean (the Scrub contract) for any input, including the
+// ASCII-clean (the scrub contract) for any input, including the
 // Corruptor's policy fault classes.
 func FuzzHTMLExtract(f *testing.F) {
 	base := "<html><body><p>We collect your location information.</p></body></html>"
@@ -42,7 +42,7 @@ func FuzzHTMLExtract(f *testing.F) {
 		}
 		for i := 0; i < len(text); i++ {
 			if text[i] > 127 {
-				t.Fatalf("non-ASCII byte %#x survived Scrub", text[i])
+				t.Fatalf("non-ASCII byte %#x survived the scrub", text[i])
 			}
 		}
 	})

@@ -121,17 +121,6 @@ var registry = []Library{
 // Registry returns a copy of the library registry.
 func Registry() []Library { return append([]Library(nil), registry...) }
 
-// ByCategory returns the registry entries of one category.
-func ByCategory(c Category) []Library {
-	var out []Library
-	for _, l := range registry {
-		if l.Category == c {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // ByName finds a registry entry by library name.
 func ByName(name string) (Library, bool) {
 	for _, l := range registry {

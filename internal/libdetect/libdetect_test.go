@@ -86,3 +86,14 @@ func TestByName(t *testing.T) {
 		t.Fatal("unknown lib found")
 	}
 }
+
+// ByCategory returns the registry entries of one category.
+func ByCategory(c Category) []Library {
+	var out []Library
+	for _, l := range registry {
+		if l.Category == c {
+			out = append(out, l)
+		}
+	}
+	return out
+}

@@ -105,3 +105,10 @@ func TestCheckVersionRefusesForeignAnalyzer(t *testing.T) {
 		t.Fatalf("pool-built checker refused: %v", err)
 	}
 }
+
+// Len reports the number of stored artifacts.
+func (s *MemStore) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.m)
+}

@@ -46,9 +46,6 @@ func NewDirStore(root string) (*DirStore, error) {
 	return &DirStore{root: root}, nil
 }
 
-// Root returns the store's directory.
-func (s *DirStore) Root() string { return s.root }
-
 func (s *DirStore) path(stage, key string) (string, error) {
 	if err := validateAddr(stage, key); err != nil {
 		return "", err
@@ -175,11 +172,4 @@ func (s *MemStore) Put(stage, key string, data []byte) error {
 	}
 	s.m[mk] = append([]byte(nil), data...)
 	return nil
-}
-
-// Len reports the number of stored artifacts.
-func (s *MemStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
 }

@@ -111,3 +111,6 @@ func TestCorruptedAPKWithTransformedPolicy(t *testing.T) {
 		t.Error("policy analysis lost alongside the APK fault")
 	}
 }
+
+// App returns the i-th corpus app.
+func (h *Harness) App(i int) *core.App { return h.ds.Apps[i].App }

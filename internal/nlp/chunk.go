@@ -7,18 +7,13 @@ type Chunk struct {
 	Head       int
 }
 
-// ChunkNPs finds base noun phrases in a tagged sentence. A base NP is
-// an optional determiner/possessive/cardinal, a run of premodifiers
-// (adjectives, participles, nouns), and a head noun; a bare pronoun is
-// also an NP. Participles are only premodifiers when a noun follows, so
-// main verbs are never swallowed.
-func ChunkNPs(toks []Token) []Chunk {
-	return ChunkNPsInto(make([]Chunk, 0, len(toks)/3+1), toks)
-}
-
-// ChunkNPsInto is ChunkNPs appending into a caller-provided slice, for
-// callers that reuse one chunk buffer across sentences (ParseBuffer,
-// the description analyzer's phrase scan).
+// ChunkNPsInto appends the base noun phrases of a tagged sentence to
+// chunks. A base NP is an optional determiner/possessive/cardinal, a
+// run of premodifiers (adjectives, participles, nouns), and a head
+// noun; a bare pronoun is also an NP. Participles are only
+// premodifiers when a noun follows, so main verbs are never swallowed.
+// Callers reuse one chunk buffer across sentences (ParseBuffer, the
+// description analyzer's phrase scan).
 func ChunkNPsInto(chunks []Chunk, toks []Token) []Chunk {
 	n := len(toks)
 	i := 0

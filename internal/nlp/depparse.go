@@ -638,12 +638,6 @@ func (p *Parse) attachConjVerbs(vg verbGroup, subj int) {
 
 // --- accessors used by the policy analyzer and pattern miner ---
 
-// HeadOf returns the head token index of token i (-1 root, -2 unattached).
-func (p *Parse) HeadOf(i int) int { return p.heads[i] }
-
-// RelOf returns the relation of token i to its head.
-func (p *Parse) RelOf(i int) Rel { return p.rels[i] }
-
 // Dependents returns the dependents of token i with the given relation;
 // rel == "" matches all.
 func (p *Parse) Dependents(i int, rel Rel) []int {
@@ -672,18 +666,6 @@ func (p *Parse) Subject(i int) int {
 		return s[0]
 	}
 	return -1
-}
-
-// Objects returns direct-object token heads of the predicate at i,
-// including conjoined objects.
-func (p *Parse) Objects(i int) []int {
-	objs := p.Dependents(i, RelDobj)
-	var all []int
-	for _, o := range objs {
-		all = append(all, o)
-		all = append(all, p.conjChain(o)...)
-	}
-	return all
 }
 
 // PrepObjects returns the pobj heads under the predicate at i, with

@@ -154,3 +154,15 @@ func phrases(p *Parse, idx []int) []string {
 	}
 	return out
 }
+
+// Objects returns direct-object token heads of the predicate at i,
+// including conjoined objects.
+func (p *Parse) Objects(i int) []int {
+	objs := p.Dependents(i, RelDobj)
+	var all []int
+	for _, o := range objs {
+		all = append(all, o)
+		all = append(all, p.conjChain(o)...)
+	}
+	return all
+}

@@ -156,7 +156,7 @@ func TestTagging(t *testing.T) {
 
 func TestChunkNPs(t *testing.T) {
 	toks := TagText("we will provide your personal information to third party companies")
-	chunks := ChunkNPs(toks)
+	chunks := ChunkNPsInto(nil, toks)
 	var phrases []string
 	for _, c := range chunks {
 		phrases = append(phrases, JoinTokens(toks[c.Start:c.End]))
@@ -173,7 +173,7 @@ func TestChunkNPs(t *testing.T) {
 
 func TestChunkDoesNotSwallowMainVerb(t *testing.T) {
 	toks := TagText("we are collecting location data")
-	chunks := ChunkNPs(toks)
+	chunks := ChunkNPsInto(nil, toks)
 	for _, c := range chunks {
 		for i := c.Start; i < c.End; i++ {
 			if toks[i].Lower == "collecting" {

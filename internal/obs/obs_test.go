@@ -224,3 +224,11 @@ func TestMaxCounter(t *testing.T) {
 		t.Fatalf("race-hwm = %d, want 7999", v)
 	}
 }
+
+// Mean is the average duration per run.
+func (s StageSnapshot) Mean() time.Duration {
+	if s.Runs == 0 {
+		return 0
+	}
+	return s.Total / time.Duration(s.Runs)
+}

@@ -23,14 +23,6 @@ type StageSnapshot struct {
 	Max time.Duration
 }
 
-// Mean is the average duration per run.
-func (s StageSnapshot) Mean() time.Duration {
-	if s.Runs == 0 {
-		return 0
-	}
-	return s.Total / time.Duration(s.Runs)
-}
-
 // CounterSnapshot is one frozen named counter.
 type CounterSnapshot struct {
 	Name  string

@@ -151,9 +151,6 @@ func familyPatterns(lemmas []string) []Pattern {
 	return pats
 }
 
-// Len returns the number of patterns in the matcher.
-func (m *Matcher) Len() int { return m.n }
-
 // CouldMatch reports whether the sentence text can contain a pattern
 // realization at all. Every candidate path element is the lemma of a
 // sentence token, so a sentence with no token lemmatizing to any
@@ -190,14 +187,4 @@ func (m *Matcher) MatchParse(p *nlp.Parse) []Match {
 		out = append(out, Match{Candidate: c, Category: cat})
 	}
 	return out
-}
-
-// Useful reports whether the sentence parse matches any pattern.
-func (m *Matcher) Useful(p *nlp.Parse) bool {
-	for _, c := range Extract(p) {
-		if _, ok := m.lookup(c.Pattern); ok {
-			return true
-		}
-	}
-	return false
 }

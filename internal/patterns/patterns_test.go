@@ -328,3 +328,16 @@ func TestMinerIterationBound(t *testing.T) {
 		t.Fatalf("patterns = %d", len(pats))
 	}
 }
+
+// Len returns the number of patterns in the matcher.
+func (m *Matcher) Len() int { return m.n }
+
+// Useful reports whether the sentence parse matches any pattern.
+func (m *Matcher) Useful(p *nlp.Parse) bool {
+	for _, c := range Extract(p) {
+		if _, ok := m.lookup(c.Pattern); ok {
+			return true
+		}
+	}
+	return false
+}

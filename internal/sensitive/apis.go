@@ -64,8 +64,7 @@ type API struct {
 // tableErrs collects malformed method-ref literals found while building
 // the package tables. A bad literal no longer panics at init: the entry
 // parses to the zero MethodRef, is dropped from every index, and the
-// problem is reported through TableErrors so callers (and tests) can
-// surface it.
+// problem is recorded here, where the package tests find it.
 var tableErrs []error
 
 func ref(s string) dex.MethodRef {
@@ -76,11 +75,6 @@ func ref(s string) dex.MethodRef {
 	}
 	return r
 }
-
-// TableErrors returns the errors encountered while parsing the built-in
-// API and sink tables. A correct build returns nil; entries listed here
-// were skipped rather than crashing package initialization.
-func TableErrors() []error { return append([]error(nil), tableErrs...) }
 
 // apiSpec is one row of the sensitive API table as written below.
 type apiSpec struct {
@@ -201,7 +195,7 @@ var byRef = func() map[dex.MethodRef]*API {
 }()
 
 // APIs returns a copy of the sensitive API table (malformed entries
-// excluded; see TableErrors).
+// excluded; see tableErrs).
 func APIs() []API {
 	out := make([]API, 0, len(apis))
 	for _, a := range apis {

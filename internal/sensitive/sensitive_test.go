@@ -14,6 +14,9 @@ func TestAPICount(t *testing.T) {
 }
 
 func TestAPITableWellFormed(t *testing.T) {
+	for _, err := range tableErrs {
+		t.Error(err)
+	}
 	seen := map[string]bool{}
 	for _, a := range APIs() {
 		key := a.Ref.String()

@@ -64,7 +64,7 @@ var sinkByRef = func() map[dex.MethodRef]*Sink {
 }()
 
 // Sinks returns a copy of the sink table (malformed entries excluded;
-// see TableErrors).
+// see tableErrs).
 func Sinks() []Sink {
 	out := make([]Sink, 0, len(sinks))
 	for _, s := range sinks {

@@ -86,9 +86,6 @@ var uriFields = []URIField{
 	{"Landroid/provider/VoicemailContract$Voicemails;->CONTENT_URI:Landroid/net/Uri;", "content://com.android.voicemail/voicemail", PermReadCallLog},
 }
 
-// URIFields returns a copy of the URI field table.
-func URIFields() []URIField { return append([]URIField(nil), uriFields...) }
-
 // LookupURIField resolves a field spec to its entry.
 func LookupURIField(field string) (URIField, bool) {
 	for _, f := range uriFields {

@@ -45,11 +45,6 @@ func DefaultFaultPlan(seed int64) FaultPlan {
 	}
 }
 
-// Active reports whether the plan injects anything at all.
-func (p FaultPlan) Active() bool {
-	return p.PanicEvery > 0 || p.StallEvery > 0 || p.SlowEvery > 0
-}
-
 // ChaosSource wraps a source with the plan's producer- and
 // analysis-side faults.
 type ChaosSource struct {

@@ -11,8 +11,8 @@
 //
 //	Journal  durable JSONL checkpoint log (fsync-batched, torn-tail
 //	         recovery on reopen)
-//	Source   pull-based app producer (DirSource, DatasetSource,
-//	         synth.Firehose via FirehoseSource)
+//	Source   pull-based app producer (DirSource, synth.Firehose via
+//	         FirehoseSource)
 //	Tally    the resume contract (replay skip, journal-before-fold,
 //	         final sync), shared with the dist coordinator
 //	Run      the worker-pool runner tying them together, with an

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ppchecker/internal/apk"
+	"ppchecker/internal/bundle"
 	"ppchecker/internal/core"
 	"ppchecker/internal/obs"
 	"ppchecker/internal/synth"
@@ -94,11 +95,11 @@ func TestQueueHighWaterCoversStalledProducer(t *testing.T) {
 }
 
 // TestResumePermissionOnlyChangeReanalyzed pins the resume identity of
-// in-memory datasets: mutating only an app's manifest permissions —
+// on-disk bundles: rewriting only an app's manifest permissions —
 // policy and description untouched — must invalidate its journal
-// checkpoint and force re-analysis on resume. The old DatasetSource
-// hash covered only (policy, description, name), so a permission or
-// bytecode change between runs silently replayed stale findings.
+// checkpoint and force re-analysis on resume. A hash over only
+// (policy, description, name) would silently replay stale findings
+// after a permission or bytecode change between runs.
 func TestResumePermissionOnlyChangeReanalyzed(t *testing.T) {
 	const seed, n, victim = 5, 6, 2
 	fh := synth.NewFirehose(seed)
@@ -110,14 +111,24 @@ func TestResumePermissionOnlyChangeReanalyzed(t *testing.T) {
 		}
 		apps[i] = ga
 	}
-	ds := &synth.Dataset{Apps: apps}
+	corpus := t.TempDir()
+	if err := bundle.WriteDataset(&synth.Dataset{Apps: apps}, corpus); err != nil {
+		t.Fatal(err)
+	}
+	dirSource := func() Source {
+		src, err := NewDirSource(corpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
 
 	path := filepath.Join(t.TempDir(), "run.journal")
 	j, replay, err := OpenJournal(path, "dataset", JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), NewDatasetSource(ds), Options{
+	if _, err := Run(context.Background(), dirSource(), Options{
 		Workers: 2, Journal: j, Replay: replay,
 	}); err != nil {
 		t.Fatal(err)
@@ -126,8 +137,12 @@ func TestResumePermissionOnlyChangeReanalyzed(t *testing.T) {
 
 	// Mutate ONLY the code inputs of one app between journal and
 	// resume: one extra uses-permission, nothing else.
-	m := apps[victim].App.APK.Manifest
+	victimApp := apps[victim].App
+	m := victimApp.APK.Manifest
 	m.Permissions = append(m.Permissions, apk.Permission{Name: "android.permission.READ_CALL_LOG"})
+	if err := bundle.WriteApp(filepath.Join(corpus, bundle.DirApps, victimApp.Name), victimApp); err != nil {
+		t.Fatal(err)
+	}
 
 	j2, replay2, err := OpenJournal(path, "dataset", JournalOptions{})
 	if err != nil {
@@ -136,7 +151,7 @@ func TestResumePermissionOnlyChangeReanalyzed(t *testing.T) {
 	defer j2.Close()
 	var analyzed []string
 	var mu sync.Mutex
-	got, err := Run(context.Background(), NewDatasetSource(ds), Options{
+	got, err := Run(context.Background(), dirSource(), Options{
 		Workers: 2, Journal: j2, Replay: replay2,
 		OnResult: func(r Result) {
 			mu.Lock()

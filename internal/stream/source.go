@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 
-	"ppchecker/internal/apk"
 	"ppchecker/internal/bundle"
 	"ppchecker/internal/core"
 	"ppchecker/internal/synth"
@@ -162,70 +160,6 @@ func dirItem(dir, libsDir string) *Item {
 			return rep, err
 		},
 	}
-}
-
-// DatasetSource streams an in-memory synthetic dataset — the test and
-// bench path that needs no disk.
-type DatasetSource struct {
-	ds   *synth.Dataset
-	next int
-}
-
-// NewDatasetSource wraps a generated dataset.
-func NewDatasetSource(ds *synth.Dataset) *DatasetSource { return &DatasetSource{ds: ds} }
-
-// Next emits the next generated app. The item's hash is HashApp over
-// every analysis input, so a resumed run re-analyzes an app whose code
-// or permissions changed even when its policy and description did not.
-func (s *DatasetSource) Next(ctx context.Context) (*Item, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.next >= len(s.ds.Apps) {
-		return nil, io.EOF
-	}
-	app := s.ds.Apps[s.next].App
-	s.next++
-	return &Item{
-		Name: app.Name,
-		Hash: HashApp(app),
-		Run: func(ctx context.Context, checker *core.Checker) (*core.Report, error) {
-			return checker.CheckSafe(ctx, app)
-		},
-	}, nil
-}
-
-// HashApp is the resume identity of an in-memory app: like a dir
-// item's hash it covers all four input sections — policy,
-// description, APK (manifest permissions, components and bytecode) and
-// library policies — so mutating any analysis input invalidates a
-// journal checkpoint. An unencodable APK hashes as an empty section,
-// mirroring a dir item's treatment of an unreadable file: the
-// analysis will degrade it, and the hash still changes if it later
-// becomes encodable.
-func HashApp(app *core.App) string {
-	var apkBytes []byte
-	if app.APK != nil {
-		if data, err := apk.Encode(app.APK); err == nil {
-			apkBytes = data
-		}
-	}
-	var libs []byte
-	if len(app.LibPolicies) > 0 {
-		names := make([]string, 0, len(app.LibPolicies))
-		for name := range app.LibPolicies {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			// Length-prefix name and text so shifting bytes between
-			// adjacent fields cannot collide.
-			libs = append(libs, []byte(strconv.Itoa(len(name))+":"+name)...)
-			text := app.LibPolicies[name]
-			libs = append(libs, []byte(strconv.Itoa(len(text))+":"+text)...)
-		}
-	}
-	return HashBytes([]byte(app.PolicyHTML), []byte(app.Description), apkBytes, libs)
 }
 
 // FirehoseSource streams the synthetic Play-store firehose: apps are

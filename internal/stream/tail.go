@@ -85,6 +85,3 @@ func (t *Tail) Replay() *Replay { return t.replay }
 
 // Records returns how many app records have been folded so far.
 func (t *Tail) Records() int { return t.replay.Records }
-
-// Offset returns the byte position just past the last consumed record.
-func (t *Tail) Offset() int64 { return t.offset }

@@ -46,9 +46,9 @@ func TestTailFollowsAppends(t *testing.T) {
 		t.Fatalf("second batch: n=%d err=%v", n, err)
 	}
 	// Idle poll folds nothing and keeps the offset put.
-	off := tail.Offset()
-	if n, err := tail.Poll(); err != nil || n != 0 || tail.Offset() != off {
-		t.Fatalf("idle poll: n=%d err=%v offset %d -> %d", n, err, off, tail.Offset())
+	off := tail.offset
+	if n, err := tail.Poll(); err != nil || n != 0 || tail.offset != off {
+		t.Fatalf("idle poll: n=%d err=%v offset %d -> %d", n, err, off, tail.offset)
 	}
 
 	if tail.Records() != 3 {
@@ -118,8 +118,8 @@ func TestTailMissingFile(t *testing.T) {
 	if n, err := tail.Poll(); err != nil || n != 0 {
 		t.Fatalf("missing file: n=%d err=%v", n, err)
 	}
-	if tail.Records() != 0 || tail.Offset() != 0 {
-		t.Fatalf("missing file mutated state: records=%d offset=%d", tail.Records(), tail.Offset())
+	if tail.Records() != 0 || tail.offset != 0 {
+		t.Fatalf("missing file mutated state: records=%d offset=%d", tail.Records(), tail.offset)
 	}
 }
 

@@ -205,12 +205,6 @@ type GroundTruth struct {
 	InconsistDisc  bool // truly inconsistent, disclose group
 }
 
-// Problem reports whether the app truly has at least one problem.
-func (g *GroundTruth) Problem() bool {
-	return g.IncompleteDesc || g.IncompleteCode || g.Incorrect ||
-		g.InconsistCUR || g.InconsistDisc
-}
-
 // GeneratedApp pairs an app bundle with its labels.
 type GeneratedApp struct {
 	App   *core.App

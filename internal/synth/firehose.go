@@ -52,9 +52,6 @@ func NewFirehose(seed int64) *Firehose {
 // Seed returns the generator seed (part of each app's resume identity).
 func (f *Firehose) Seed() int64 { return f.seed }
 
-// LibPolicies exposes the shared library policy menu.
-func (f *Firehose) LibPolicies() map[string]string { return f.libPolicies }
-
 // firehoseInfos is the rotation of plantable information types (every
 // info with both policy phrases and code in the spec table).
 var firehoseInfos = []sensitive.Info{

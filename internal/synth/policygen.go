@@ -148,9 +148,6 @@ func (b *PolicyBuilder) Disclaimer() {
 	b.Add("We encourage you to review the privacy practices of these third parties before disclosing any personally identifiable information, as we are not responsible for the privacy practices of those sites.")
 }
 
-// Sentences returns the accumulated sentences.
-func (b *PolicyBuilder) Sentences() []string { return append([]string(nil), b.sentences...) }
-
 // HTML renders the policy as a web page.
 func (b *PolicyBuilder) HTML() string {
 	var sb strings.Builder

@@ -138,12 +138,6 @@ func NewVersionedFirehose(seed int64, versionsPerApp int) *VersionedFirehose {
 	return f
 }
 
-// Seed returns the generator seed (part of every version's identity).
-func (f *VersionedFirehose) Seed() int64 { return f.seed }
-
-// VersionsPerApp returns the history length.
-func (f *VersionedFirehose) VersionsPerApp() int { return f.versions }
-
 // LibPolicies exposes the shared library policy menu.
 func (f *VersionedFirehose) LibPolicies() map[string]string { return f.libPolicies }
 

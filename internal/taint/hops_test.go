@@ -1,6 +1,7 @@
 package taint_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -44,7 +45,8 @@ func checkHopEdges(t *testing.T, name string, a *apk.APK, c *hopCounts) {
 		}
 		return false
 	}
-	for _, l := range taint.Analyze(p).Leaks {
+	res, _ := taint.AnalyzeCtxWith(context.Background(), p, nil)
+	for _, l := range res.Leaks {
 		for _, s := range l.Path {
 			method := s.Method.String()
 			var ok bool

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,21 +48,6 @@ func (s Step) String() string {
 // Result is the analysis outcome.
 type Result struct {
 	Leaks []Leak
-}
-
-// RetainedInfo returns the distinct information types that reach any
-// sink (Retain_code of the paper), sorted.
-func (r *Result) RetainedInfo() []sensitive.Info {
-	seen := map[sensitive.Info]bool{}
-	for _, l := range r.Leaks {
-		seen[l.Info] = true
-	}
-	out := make([]sensitive.Info, 0, len(seen))
-	for i := range seen {
-		out = append(out, i)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }
 
 // hopKind classifies one step of a trace. A step is kept structured
@@ -277,25 +261,12 @@ const maxWorklistRounds = 100000
 // before reaching a fixpoint.
 var ErrBudgetExhausted = errors.New("taint: fixpoint budget exhausted")
 
-// Analyze runs the taint analysis using the given APG. It preserves the
-// historical contract of never failing: budget exhaustion silently
-// returns the leaks found so far. Use AnalyzeCtx when cancellation and
-// budget errors must be observable.
-func Analyze(p *apg.APG) *Result {
-	res, _ := AnalyzeCtx(context.Background(), p)
-	return res
-}
-
-// AnalyzeCtx runs the taint analysis, honouring ctx cancellation inside
-// the worklist loop. On cancellation or budget exhaustion it returns
-// the (partial) result found so far together with the error.
-func AnalyzeCtx(ctx context.Context, p *apg.APG) (*Result, error) {
-	return AnalyzeCtxWith(ctx, p, nil)
-}
-
-// AnalyzeCtxWith is AnalyzeCtx with caller-provided scratch state; a
-// nil scratch borrows one from an internal pool. The returned Result
-// owns its leaks — only the intermediate fixpoint state is pooled.
+// AnalyzeCtxWith runs the taint analysis over the APG, honouring ctx
+// cancellation inside the worklist loop. On cancellation or budget
+// exhaustion it returns the (partial) result found so far together
+// with the error. s is caller-provided scratch state; a nil scratch
+// borrows one from an internal pool. The returned Result owns its
+// leaks — only the intermediate fixpoint state is pooled.
 func AnalyzeCtxWith(ctx context.Context, p *apg.APG, s *Scratch) (*Result, error) {
 	if p == nil {
 		return &Result{}, errors.New("taint: nil APG")
@@ -466,14 +437,14 @@ func (a *Analyzer) step(id apg.MethodID, d apg.Def, rs []factSet,
 			return true
 		}
 	case dex.OpInvokeVirtual, dex.OpInvokeStatic:
-		return a.stepInvoke(id, rs, uriOf, i, ins, d.Calls[i])
+		return a.stepInvoke(id, d.Method, rs, uriOf, i, ins, d.Calls[i])
 	}
 	return false
 }
 
-// stepInvoke interprets the invoke at instruction i, whose target has
-// identity callee.
-func (a *Analyzer) stepInvoke(id apg.MethodID, rs []factSet,
+// stepInvoke interprets the invoke at instruction i of m, whose target
+// has identity callee.
+func (a *Analyzer) stepInvoke(id apg.MethodID, m *dex.Method, rs []factSet,
 	uriOf map[int]sensitive.URIString, i int, ins *dex.Instr, callee apg.MethodID) bool {
 
 	// Source: sensitive API.
@@ -506,11 +477,11 @@ func (a *Analyzer) stepInvoke(id apg.MethodID, rs []factSet,
 		return changed
 	}
 	// ICC: launching a component with a tainted intent taints the
-	// target entry's intent parameter (the IccTA hop).
-	if iccLaunchers[ins.Method.Name] && len(ins.Args) >= 2 {
-		intentReg := ins.Args[len(ins.Args)-1]
+	// intent parameter of that launch's target entries (the IccTA hop).
+	if pos := apg.IntentArg(ins); pos >= 0 {
+		intentReg := ins.Args[pos]
 		if inRange(rs, intentReg) && len(rs[intentReg]) > 0 {
-			for _, target := range a.p.ICCTargets(id) {
+			for _, target := range a.p.LaunchTargets(nil, m, i) {
 				cd, ok := a.p.Resolve(target)
 				if !ok {
 					continue
@@ -713,13 +684,6 @@ func (a *Analyzer) uriRegisters(m *dex.Method) map[int]sensitive.URIString {
 		}
 	}
 	return out
-}
-
-// iccLaunchers mirrors the APG's launcher table: method name → the
-// intent occupies the last argument by our conventions.
-var iccLaunchers = map[string]bool{
-	"startActivity": true, "startActivityForResult": true,
-	"startService": true, "sendBroadcast": true, "bindService": true,
 }
 
 // intentParamIndex returns the index of the first Intent-typed

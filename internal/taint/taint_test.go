@@ -1,6 +1,8 @@
 package taint
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,7 +27,16 @@ func buildAPK(t *testing.T, pkg, asm string, components ...apk.Component) *apk.A
 
 func analyze(t *testing.T, a *apk.APK) *Result {
 	t.Helper()
-	return Analyze(mustAPG(t, a, apg.DefaultOptions()))
+	return analyzeAPG(t, mustAPG(t, a, apg.DefaultOptions()))
+}
+
+func analyzeAPG(t *testing.T, p *apg.APG) *Result {
+	t.Helper()
+	res, err := AnalyzeCtxWith(context.Background(), p, nil)
+	if err != nil {
+		t.Fatalf("AnalyzeCtxWith: %v", err)
+	}
+	return res
 }
 
 func mustAPG(t *testing.T, a *apk.APK, opts apg.Options) *apg.APG {
@@ -298,7 +309,13 @@ func TestRetainedInfo(t *testing.T) {
 .end class
 `, apk.Component{Name: "com.example.multi.Main"})
 	res := analyze(t, a)
-	infos := res.RetainedInfo()
+	var infos []sensitive.Info
+	for _, l := range res.Leaks {
+		if !slices.Contains(infos, l.Info) {
+			infos = append(infos, l.Info)
+		}
+	}
+	slices.Sort(infos)
 	if len(infos) != 2 {
 		t.Fatalf("retained = %v", infos)
 	}
@@ -340,7 +357,7 @@ func TestICCIntentExtraLeak(t *testing.T) {
 	m.Application.Services = []apk.Component{{Name: "com.example.icc.Uploader"}}
 	a := apk.New(m, d)
 
-	res := Analyze(mustAPG(t, a, apg.DefaultOptions()))
+	res := analyze(t, a)
 	found := false
 	for _, l := range res.Leaks {
 		if l.Info == sensitive.InfoDeviceID && l.Method.Class == "Lcom/example/icc/Uploader;" {
@@ -360,14 +377,103 @@ func TestICCIntentExtraLeak(t *testing.T) {
 	if !found {
 		t.Fatalf("cross-component leak missed: %+v", res.Leaks)
 	}
+}
 
-	// Without ICC edges the flow is invisible (the IccTA ablation).
-	res = Analyze(mustAPG(t, a, apg.Options{EdgeMiner: true, ICC: false}))
+// TestICCIntentReachesOnlyItsTarget: one method starts Quiet with a
+// clean intent and Other with a device-id extra. Only Other's entry
+// receives the tainted intent; Quiet's log leaks nothing.
+func TestICCIntentReachesOnlyItsTarget(t *testing.T) {
+	d, err := dex.Assemble(`
+.class Lcom/example/icc/Main; extends Landroid/app/Activity;
+.method onCreate(Landroid/os/Bundle;)V regs=12
+    new-instance v2, Landroid/content/Intent;
+    const-string v3, "com.example.icc.Quiet"
+    invoke-virtual {v2, v3}, Landroid/content/Intent;->setClassName(Ljava/lang/String;)Landroid/content/Intent;
+    invoke-virtual {v0, v2}, Landroid/content/Context;->startService(Landroid/content/Intent;)Landroid/content/ComponentName;
+    invoke-virtual {v0}, Landroid/telephony/TelephonyManager;->getDeviceId()Ljava/lang/String; -> v1
+    new-instance v5, Landroid/content/Intent;
+    const-string v6, "com.example.icc.Other"
+    invoke-virtual {v5, v6}, Landroid/content/Intent;->setClassName(Ljava/lang/String;)Landroid/content/Intent;
+    invoke-virtual {v5, v4, v1}, Landroid/content/Intent;->putExtra(Ljava/lang/String;Ljava/lang/String;)Landroid/content/Intent;
+    invoke-virtual {v0, v5}, Landroid/content/Context;->startService(Landroid/content/Intent;)Landroid/content/ComponentName;
+    return-void
+.end method
+.end class
+.class Lcom/example/icc/Quiet; extends Landroid/app/Service;
+.method onStartCommand(Landroid/content/Intent;II)I regs=8
+    invoke-virtual {v1, v4}, Landroid/content/Intent;->getStringExtra(Ljava/lang/String;)Ljava/lang/String; -> v5
+    invoke-static {v6, v5}, Landroid/util/Log;->e(Ljava/lang/String;Ljava/lang/String;)I
+    const v7, 1
+    return v7
+.end method
+.end class
+.class Lcom/example/icc/Other; extends Landroid/app/Service;
+.method onStartCommand(Landroid/content/Intent;II)I regs=8
+    invoke-virtual {v1, v4}, Landroid/content/Intent;->getStringExtra(Ljava/lang/String;)Ljava/lang/String; -> v5
+    invoke-static {v6, v5}, Landroid/util/Log;->e(Ljava/lang/String;Ljava/lang/String;)I
+    const v7, 1
+    return v7
+.end method
+.end class
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &apk.Manifest{Package: "com.example.icc"}
+	m.Application.Activities = []apk.Component{{Name: "com.example.icc.Main"}}
+	m.Application.Services = []apk.Component{{Name: "com.example.icc.Quiet"}, {Name: "com.example.icc.Other"}}
+	res := analyze(t, apk.New(m, d))
+	var other int
 	for _, l := range res.Leaks {
-		if l.Method.Class == "Lcom/example/icc/Uploader;" {
-			t.Fatalf("leak found without ICC edges: %+v", l)
+		switch l.Method.Class {
+		case "Lcom/example/icc/Quiet;":
+			t.Errorf("leak reported from the clean intent's target: %+v", l)
+		case "Lcom/example/icc/Other;":
+			other++
 		}
 	}
+	if other == 0 {
+		t.Fatalf("tainted intent's target leaks nothing: %+v", res.Leaks)
+	}
+}
+
+// TestICCForResultIntentLeak: startActivityForResult(intent, code)
+// carries the intent in argument 1, not in its last argument, and a
+// tainted one reaches the target activity's onNewIntent.
+func TestICCForResultIntentLeak(t *testing.T) {
+	d, err := dex.Assemble(`
+.class Lcom/example/icc/Main; extends Landroid/app/Activity;
+.method onCreate(Landroid/os/Bundle;)V regs=10
+    invoke-virtual {v0}, Landroid/telephony/TelephonyManager;->getDeviceId()Ljava/lang/String; -> v1
+    new-instance v2, Landroid/content/Intent;
+    const-string v3, "com.example.icc.Shown"
+    invoke-virtual {v2, v3}, Landroid/content/Intent;->setClassName(Ljava/lang/String;)Landroid/content/Intent;
+    invoke-virtual {v2, v4, v1}, Landroid/content/Intent;->putExtra(Ljava/lang/String;Ljava/lang/String;)Landroid/content/Intent;
+    const v5, 7
+    invoke-virtual {v0, v2, v5}, Landroid/app/Activity;->startActivityForResult(Landroid/content/Intent;I)V
+    return-void
+.end method
+.end class
+.class Lcom/example/icc/Shown; extends Landroid/app/Activity;
+.method onNewIntent(Landroid/content/Intent;)V regs=8
+    invoke-virtual {v1, v4}, Landroid/content/Intent;->getStringExtra(Ljava/lang/String;)Ljava/lang/String; -> v5
+    invoke-static {v6, v5}, Landroid/util/Log;->e(Ljava/lang/String;Ljava/lang/String;)I
+    return-void
+.end method
+.end class
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &apk.Manifest{Package: "com.example.icc"}
+	m.Application.Activities = []apk.Component{{Name: "com.example.icc.Main"}, {Name: "com.example.icc.Shown"}}
+	res := analyze(t, apk.New(m, d))
+	for _, l := range res.Leaks {
+		if l.Info == sensitive.InfoDeviceID && l.Method.Class == "Lcom/example/icc/Shown;" {
+			return
+		}
+	}
+	t.Fatalf("startActivityForResult intent leak missed: %+v", res.Leaks)
 }
 
 // TestMoveLeak: a source value copied to another register by a move

@@ -35,12 +35,6 @@ func ExtendedCategoryOf(verb string) Category {
 	return synonymByLemma[nlp.Lemma(verb)]
 }
 
-// ExtendedMaskOf is MaskOf with the synonym lists included.
-func ExtendedMaskOf(verb string) Mask { return extendedMask[nlp.Lemma(verb)] }
-
-// ExtendedLemmaMaskOf is ExtendedMaskOf for an already-lemmatized verb.
-func ExtendedLemmaMaskOf(lemma string) Mask { return extendedMask[lemma] }
-
 // ExtendedLemmas returns the category lemmas plus all synonyms,
 // deduplicated in first-seen order.
 func ExtendedLemmas() []string {

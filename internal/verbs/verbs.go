@@ -65,9 +65,6 @@ func (c Category) Bit() Mask {
 	return 1 << (uint(c) - 1)
 }
 
-// Has reports whether the mask contains the category.
-func (m Mask) Has(c Category) bool { return m&c.Bit() != 0 }
-
 var (
 	byLemma   = map[string]Category{}
 	lemmaMask = map[string]Mask{}
@@ -113,11 +110,8 @@ func CategoryOf(verb string) Category {
 	return byLemma[nlp.Lemma(verb)]
 }
 
-// MaskOf returns the category bitmask of a verb (any inflection) over
-// the core lists.
-func MaskOf(verb string) Mask { return lemmaMask[nlp.Lemma(verb)] }
-
-// LemmaMaskOf is MaskOf for an already-lemmatized verb.
+// LemmaMaskOf returns the category bitmask of an already-lemmatized
+// verb over the core lists.
 func LemmaMaskOf(lemma string) Mask { return lemmaMask[lemma] }
 
 // IsMainVerb reports whether the verb belongs to any category.

@@ -91,33 +91,33 @@ func TestMaskOf(t *testing.T) {
 		cases = append(cases, l)
 	}
 	for _, verb := range cases {
-		m, em := MaskOf(verb), ExtendedMaskOf(verb)
+		m, em := LemmaMaskOf(nlp.Lemma(verb)), extendedMask[nlp.Lemma(verb)]
 		for _, c := range Categories() {
 			if m.Has(c) != (CategoryOf(verb) == c && c != None) && CategoryOf(verb) != None {
 				// A lemma may sit in several lists under the mask even
 				// though CategoryOf reports one; assert containment.
 				if CategoryOf(verb) == c && !m.Has(c) {
-					t.Errorf("MaskOf(%q) missing %v", verb, c)
+					t.Errorf("mask of %q missing %v", verb, c)
 				}
 			}
 		}
 		if c := CategoryOf(verb); c != None && !m.Has(c) {
-			t.Errorf("MaskOf(%q) missing CategoryOf %v", verb, c)
+			t.Errorf("mask of %q missing CategoryOf %v", verb, c)
 		}
 		if c := ExtendedCategoryOf(verb); c != None && !em.Has(c) {
-			t.Errorf("ExtendedMaskOf(%q) missing %v", verb, c)
+			t.Errorf("extended mask of %q missing %v", verb, c)
 		}
 		if m != 0 && ExtendedCategoryOf(verb) == None {
 			t.Errorf("mask %q set but no category", verb)
 		}
 		if em&^maskUnion(verb) != 0 {
-			t.Errorf("ExtendedMaskOf(%q) = %b has bits beyond list membership", verb, em)
+			t.Errorf("extended mask of %q = %b has bits beyond list membership", verb, em)
 		}
 	}
-	if MaskOf("display") != 0 {
+	if LemmaMaskOf(nlp.Lemma("display")) != 0 {
 		t.Fatal("core mask includes synonym-only verb")
 	}
-	if !ExtendedMaskOf("display").Has(Disclose) {
+	if !extendedMask[nlp.Lemma("display")].Has(Disclose) {
 		t.Fatal("extended mask misses display")
 	}
 }
@@ -187,3 +187,6 @@ func TestExtendedLemmasSuperset(t *testing.T) {
 		}
 	}
 }
+
+// Has reports whether the mask contains the category.
+func (m Mask) Has(c Category) bool { return m&c.Bit() != 0 }

@@ -154,11 +154,10 @@ func writeManifestSeeds() {
 		Package:     "com.example.fuzz",
 		Permissions: []apk.Permission{{Name: sensitive.PermFineLocation}, {Name: ""}},
 		Application: apk.Application{
-			Activities: []apk.Component{{Name: "com.example.fuzz.Main", Exported: true,
-				Filters: []apk.IntentFilter{{Actions: []apk.Action{{Name: "android.intent.action.MAIN"}, {Name: "b"}}}, {}}}},
-			Services:  []apk.Component{{Name: "com.example.fuzz.Sync"}},
-			Receivers: []apk.Component{{Name: "com.example.fuzz.Boot", Exported: true}},
-			Providers: []apk.Component{{Name: "com.example.fuzz.Data"}},
+			Activities: []apk.Component{{Name: "com.example.fuzz.Main", Exported: true}},
+			Services:   []apk.Component{{Name: "com.example.fuzz.Sync"}},
+			Receivers:  []apk.Component{{Name: "com.example.fuzz.Boot", Exported: true}},
+			Providers:  []apk.Component{{Name: "com.example.fuzz.Data"}},
 		},
 	})
 	emit("canonical", []byte(canon))
