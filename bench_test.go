@@ -55,6 +55,17 @@ func paperCorpus(b *testing.B) *synth.Dataset {
 	return corpus
 }
 
+// evaluate runs the corpus through the production corpus runner with
+// checkers of configuration cfg.
+func evaluate(b *testing.B, ds *synth.Dataset, cfg core.Config) *eval.CorpusResult {
+	b.Helper()
+	res, _, err := eval.RunJobs(context.Background(), eval.DatasetJobs(ds), eval.RunOptions{Config: cfg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkFig12PatternSelection regenerates Fig. 12: mining, ranking,
 // and sweeping the pattern count.
 func BenchmarkFig12PatternSelection(b *testing.B) {
@@ -75,7 +86,7 @@ func BenchmarkTableIIIIncompleteByDescription(b *testing.B) {
 	b.ResetTimer()
 	var apps int
 	for i := 0; i < b.N; i++ {
-		res := eval.EvaluateCorpus(ds)
+		res := evaluate(b, ds, core.Config{})
 		apps = 0
 		for _, row := range res.TableIII() {
 			apps += row.Apps
@@ -90,7 +101,7 @@ func BenchmarkFig13MissedInfoDistribution(b *testing.B) {
 	b.ResetTimer()
 	var records int
 	for i := 0; i < b.N; i++ {
-		res := eval.EvaluateCorpus(ds)
+		res := evaluate(b, ds, core.Config{})
 		records = 0
 		for _, row := range res.Fig13() {
 			records += row.Records
@@ -105,7 +116,7 @@ func BenchmarkTableIVInconsistency(b *testing.B) {
 	b.ResetTimer()
 	var tab eval.TableIV
 	for i := 0; i < b.N; i++ {
-		tab = eval.EvaluateCorpus(ds).ComputeTableIV()
+		tab = evaluate(b, ds, core.Config{}).ComputeTableIV()
 	}
 	b.ReportMetric(100*tab.CUR.Precision(), "cur-precision-%")
 	b.ReportMetric(100*tab.CUR.Recall(), "cur-recall-%")
@@ -120,7 +131,7 @@ func BenchmarkIncorrectPolicies(b *testing.B) {
 	b.ResetTimer()
 	var s eval.SummaryStats
 	for i := 0; i < b.N; i++ {
-		s = eval.EvaluateCorpus(ds).Summary()
+		s = evaluate(b, ds, core.Config{}).Summary()
 	}
 	b.ReportMetric(float64(s.IncorrectApps), "verified-incorrect")
 	b.ReportMetric(float64(s.DetectedIncorrect), "detected-incorrect")
@@ -132,7 +143,7 @@ func BenchmarkSummary(b *testing.B) {
 	b.ResetTimer()
 	var s eval.SummaryStats
 	for i := 0; i < b.N; i++ {
-		s = eval.EvaluateCorpus(ds).Summary()
+		s = evaluate(b, ds, core.Config{}).Summary()
 	}
 	b.ReportMetric(float64(s.AppsWithProblem), "apps-with-problem")
 	b.ReportMetric(100*float64(s.AppsWithProblem)/float64(s.NumApps), "problem-rate-%")
@@ -149,7 +160,7 @@ func benchAblationStatic(b *testing.B, cfg core.Config) float64 {
 	b.ResetTimer()
 	var raw int
 	for i := 0; i < b.N; i++ {
-		res := eval.EvaluateCorpus(ds, cfg.CheckerOptions()...)
+		res := evaluate(b, ds, cfg)
 		raw = res.Summary().DetectedViaCode
 	}
 	return float64(raw)
@@ -185,7 +196,7 @@ func BenchmarkAblationDisclaimer(b *testing.B) {
 	b.ResetTimer()
 	var tab eval.TableIV
 	for i := 0; i < b.N; i++ {
-		tab = eval.EvaluateCorpus(ds, core.Config{DisableDisclaimers: true}.CheckerOptions()...).ComputeTableIV()
+		tab = evaluate(b, ds, core.Config{DisableDisclaimers: true}).ComputeTableIV()
 	}
 	b.ReportMetric(float64(tab.CUR.FP), "cur-fp")
 	b.ReportMetric(100*tab.CUR.Precision(), "cur-precision-%")
@@ -198,7 +209,7 @@ func BenchmarkAblationESAThreshold(b *testing.B) {
 	b.ResetTimer()
 	var tab eval.TableIV
 	for i := 0; i < b.N; i++ {
-		tab = eval.EvaluateCorpus(ds, core.Config{Threshold: 0.85}.CheckerOptions()...).ComputeTableIV()
+		tab = evaluate(b, ds, core.Config{Threshold: 0.85}).ComputeTableIV()
 	}
 	b.ReportMetric(100*tab.CUR.Precision(), "cur-precision-at-0.85-%")
 	b.ReportMetric(100*tab.CUR.Recall(), "cur-recall-at-0.85-%")
@@ -214,7 +225,7 @@ func BenchmarkExtensionSynonymVerbs(b *testing.B) {
 	b.ResetTimer()
 	var tab eval.TableIV
 	for i := 0; i < b.N; i++ {
-		tab = eval.EvaluateCorpus(ds, core.Config{SynonymExpansion: true}.CheckerOptions()...).ComputeTableIV()
+		tab = evaluate(b, ds, core.Config{SynonymExpansion: true}).ComputeTableIV()
 	}
 	b.ReportMetric(100*tab.CUR.Recall(), "cur-recall-%")
 	b.ReportMetric(100*tab.Disclose.Recall(), "disclose-recall-%")
@@ -229,7 +240,7 @@ func BenchmarkExtensionConstraints(b *testing.B) {
 	b.ResetTimer()
 	var tab eval.TableIV
 	for i := 0; i < b.N; i++ {
-		tab = eval.EvaluateCorpus(ds, core.Config{ConstraintAnalysis: true}.CheckerOptions()...).ComputeTableIV()
+		tab = evaluate(b, ds, core.Config{ConstraintAnalysis: true}).ComputeTableIV()
 	}
 	b.ReportMetric(100*tab.CUR.Precision(), "cur-precision-%")
 	b.ReportMetric(100*tab.CUR.Recall(), "cur-recall-%")

@@ -10,7 +10,7 @@
 //	POST /check          {"name":..., "policy_html":..., ...} → JSON report
 //	POST /check-batch    {"apps":[...]}                       → per-app reports
 //	POST /check-history  {"name":..., "versions":[...]}       → per-version
-//	                     reports + cross-version drift (needs -longi)
+//	                     reports + cross-version drift
 //	GET  /healthz        JSON health state machine (ok/degraded/draining
 //	                     with queue + breaker state; draining is 503)
 //	GET  /metrics        per-stage latency table + cache gauges
@@ -34,7 +34,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -56,12 +55,9 @@ func run() int {
 		queue        = flag.Int("queue", 0, "admission queue depth (0 = 4x workers)")
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request analysis timeout (0 = no bound)")
 		retries      = flag.Int("retries", 1, "extra attempts for a hard-failed analysis")
-		backoff      = flag.Duration("backoff", 50*time.Millisecond, "base retry backoff (doubles per retry)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain")
 		trace        = flag.String("trace", "", "write a JSONL span trace to this file")
 		metricsDump  = flag.Bool("metrics", true, "print the final metrics snapshot on shutdown")
-		longiFlag    = flag.Bool("longi", false, "enable POST /check-history backed by a server-lifetime artifact store")
-		longiCache   = flag.Int("longi-cache", 0, "artifact-store entry bound for -longi (0 = default)")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -81,33 +77,20 @@ func run() int {
 		obsOpts = append(obsOpts, obs.WithSink(traceSink))
 	}
 
-	srvOpts := serve.Options{
+	srv := serve.New(serve.Options{
 		Workers:    *workers,
 		QueueDepth: *queue,
-		Attempt:    eval.AttemptOptions{Timeout: *timeout, MaxRetries: *retries, RetryBackoff: *backoff},
+		Attempt:    eval.AttemptOptions{Timeout: *timeout, MaxRetries: *retries},
 		Observer:   obs.New(obsOpts...),
-	}
-	if *longiFlag {
-		srvOpts.History = true
-		srvOpts.LongiCacheEntries = *longiCache
-	}
-	srv := serve.New(srvOpts)
+	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
 	srv.Start(ln)
-	nWorkers := *workers
-	if nWorkers <= 0 {
-		nWorkers = runtime.GOMAXPROCS(0)
-	}
-	nQueue := *queue
-	if nQueue <= 0 {
-		nQueue = 4 * nWorkers
-	}
-	log.Printf("serving on http://%s (workers=%d queue=%d timeout=%s)",
-		srv.Addr(), nWorkers, nQueue, *timeout)
+	log.Printf("serving on http://%s (queue=%d timeout=%s)",
+		srv.Addr(), srv.Health().QueueDepth, *timeout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()

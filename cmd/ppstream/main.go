@@ -63,14 +63,11 @@ func run() int {
 	var (
 		duration = flag.Duration("duration", 0, "drain gracefully after this long (0 = run to source end)")
 
-		workers    = flag.Int("workers", 0, "analysis pool size (0 = GOMAXPROCS)")
-		queue      = flag.Int("queue", 0, "producer→worker queue bound (0 = 2x workers)")
-		timeout    = flag.Duration("timeout", 30*time.Second, "per-attempt analysis timeout (0 = no bound)")
-		retries    = flag.Int("retries", 1, "extra attempts for a hard-failed analysis")
-		backoff    = flag.Duration("backoff", 50*time.Millisecond, "base retry backoff (doubles per retry)")
-		backoffMax = flag.Duration("backoff-max", 0, "retry backoff cap (0 = 32x base)")
-		jitter     = flag.Float64("jitter", 0.5, "retry backoff jitter fraction in [0,1]")
-		threshold  = flag.Int("breaker-threshold", 8, "consecutive same-stage failures that trip the breaker (0 disables)")
+		workers   = flag.Int("workers", 0, "analysis pool size (0 = GOMAXPROCS)")
+		queue     = flag.Int("queue", 0, "producer→worker queue bound (0 = 2x workers)")
+		timeout   = flag.Duration("timeout", 30*time.Second, "per-attempt analysis timeout (0 = no bound)")
+		retries   = flag.Int("retries", 1, "extra attempts for a hard-failed analysis")
+		threshold = flag.Int("breaker-threshold", eval.DefaultBreakerThreshold, "consecutive same-stage failures that trip the breaker (0 disables)")
 
 		faults    = flag.Bool("faults", false, "inject the chaos fault mix (worker panics, producer stalls, slow I/O)")
 		faultSeed = flag.Int64("fault-seed", 1, "chaos plan seed")
@@ -83,10 +80,8 @@ func run() int {
 		metricsDump = flag.Bool("metrics", false, "print the final metrics snapshot to stderr")
 		trace       = flag.String("trace", "", "write a JSONL span trace to this file")
 
-		worker      = flag.String("worker", "", "worker mode: pull leases from these comma-separated ppcoord URLs (primary first, standbys after)")
-		workerName  = flag.String("worker-name", "", "worker mode: name reported in leases (default host:pid)")
-		remoteCache = flag.Bool("remote-cache", true, "worker mode: read library-policy analyses through the coordinator-hosted cache shards")
-		renew       = flag.Bool("renew", true, "worker mode: heartbeat held leases every TTL/3 so slow apps survive short lease TTLs")
+		worker     = flag.String("worker", "", "worker mode: pull leases from these comma-separated ppcoord URLs (primary first, standbys after)")
+		workerName = flag.String("worker-name", "", "worker mode: name reported in leases (default host:pid)")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -116,13 +111,7 @@ func run() int {
 		obsOpts = append(obsOpts, obs.WithSink(traceSink))
 	}
 	observer := obs.New(obsOpts...)
-	attempt := eval.AttemptOptions{
-		Timeout:      *timeout,
-		MaxRetries:   *retries,
-		RetryBackoff: *backoff,
-		BackoffMax:   *backoffMax,
-		Jitter:       *jitter,
-	}
+	attempt := eval.AttemptOptions{Timeout: *timeout, MaxRetries: *retries}
 
 	if *worker != "" {
 		return runWorker(observer, workerConfig{
@@ -130,8 +119,6 @@ func run() int {
 			name:         *workerName,
 			concurrency:  *workers,
 			attempt:      attempt,
-			remoteCache:  *remoteCache,
-			renew:        *renew,
 			metricsDump:  *metricsDump,
 		})
 	}
@@ -193,7 +180,7 @@ func run() int {
 		Observer:   observer,
 		Journal:    journal,
 		Replay:     replay,
-		Breaker:    eval.NewBreaker(eval.BreakerConfig{Threshold: *threshold}),
+		Breaker:    eval.NewBreaker(*threshold),
 		Drain:      drain,
 	})
 	elapsed := time.Since(start)
@@ -237,15 +224,16 @@ type workerConfig struct {
 	name         string
 	concurrency  int
 	attempt      eval.AttemptOptions
-	remoteCache  bool
-	renew        bool
 	metricsDump  bool
 }
 
 // runWorker joins a ppcoord coordinator and pulls leases until the run
-// completes or a signal stops the process. On SIGTERM/SIGINT in-flight
-// apps are abandoned and reported as skipped — the coordinator requeues
-// them for the surviving workers.
+// completes or a signal stops the process. The worker heartbeats held
+// leases every TTL/3, so slow apps survive short lease TTLs, and reads
+// library-policy analyses through the coordinator-hosted cache shards
+// (a coordinator started with -shards 0 hosts none). On SIGTERM/SIGINT
+// in-flight apps are abandoned and reported as skipped — the
+// coordinator requeues them for the surviving workers.
 func runWorker(observer *obs.Observer, cfg workerConfig) int {
 	if cfg.name == "" {
 		host, _ := os.Hostname()
@@ -257,28 +245,23 @@ func runWorker(observer *obs.Observer, cfg workerConfig) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	log.Printf("worker %s: joining %s (%d concurrent analyses, renew=%v)",
-		cfg.name, strings.Join(cfg.coordinators, ","), cfg.concurrency, cfg.renew)
+	log.Printf("worker %s: joining %s (%d concurrent analyses)",
+		cfg.name, strings.Join(cfg.coordinators, ","), cfg.concurrency)
 	start := time.Now()
 	ws, err := dist.RunWorker(ctx, dist.WorkerOptions{
-		Coordinator:    cfg.coordinators[0],
 		Coordinators:   cfg.coordinators,
 		Name:           cfg.name,
 		Concurrency:    cfg.concurrency,
-		RenewLeases:    cfg.renew,
+		RenewLeases:    true,
 		Attempt:        cfg.attempt,
 		Observer:       observer,
-		UseRemoteCache: cfg.remoteCache,
+		UseRemoteCache: true,
 	})
 	elapsed := time.Since(start)
 	fmt.Printf("Worker: %d leased, %d folded, %d duplicates, %d report errors in %s\n",
 		ws.Leased, ws.Reported, ws.Duplicates, ws.ReportErrors, elapsed.Round(time.Millisecond))
-	if cfg.renew {
-		fmt.Printf("Worker: %d lease renewals, %d leases lost mid-app\n", ws.Renewals, ws.RenewalsLost)
-	}
-	if cfg.remoteCache {
-		fmt.Printf("Worker: remote analysis cache %d hits, %d failures\n", ws.RemoteHits, ws.RemoteFails)
-	}
+	fmt.Printf("Worker: %d lease renewals, %d leases lost mid-app\n", ws.Renewals, ws.RenewalsLost)
+	fmt.Printf("Worker: remote analysis cache %d hits, %d failures\n", ws.RemoteHits, ws.RemoteFails)
 	if cfg.metricsDump {
 		fmt.Fprint(os.Stderr, observer.Snapshot().Render())
 	}

@@ -21,7 +21,6 @@ import (
 var deadcodeAllowlist = map[string]string{
 	"ppchecker/internal/actrie.Automaton.TokenValues":  "the gated BenchmarkLexiconMatch calls it",
 	"ppchecker/internal/verbs.LemmaMaskOf":             "the gated BenchmarkLexiconMatch calls it",
-	"ppchecker/internal/eval.EvaluateCorpus":           "serial oracle of the corpus runner; the gated BenchmarkTableIVInconsistency calls it",
 	"ppchecker/internal/apg.APG.Entries":               "call-graph query TestMethodGraphInvariant pins",
 	"ppchecker/internal/apg.APG.MethodReachable":       "call-graph query TestMethodGraphInvariant pins",
 	"ppchecker/internal/apg.APG.CallPath":              "call-graph query TestMethodGraphInvariant pins",

@@ -1,68 +1,62 @@
 package eval
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
 
-// TestBackoffForExponentialNoJitter: with jitter off the schedule is
-// the exact doubling series capped at BackoffMax.
+// The one retry schedule every tier shares: 50ms doubling per retry,
+// capped at 32x (1.6s), jittered over ±50% of the nominal value.
+var nominalBackoff = []time.Duration{
+	0,                       // retry 0: no pause
+	50 * time.Millisecond,   // retry 1
+	100 * time.Millisecond,  // retry 2
+	200 * time.Millisecond,  // retry 3
+	400 * time.Millisecond,  // retry 4
+	800 * time.Millisecond,  // retry 5
+	1600 * time.Millisecond, // retry 6: the cap
+	1600 * time.Millisecond, // retry 7: stays capped
+}
+
+// TestBackoffForExponentialNoJitter: at the centre of the jitter band
+// (u = 0.5) the schedule is the exact doubling series capped at
+// backoffMax.
 func TestBackoffForExponentialNoJitter(t *testing.T) {
-	opts := AttemptOptions{RetryBackoff: 10 * time.Millisecond, BackoffMax: 60 * time.Millisecond}
-	want := []time.Duration{
-		0,                     // retry 0: no pause
-		10 * time.Millisecond, // retry 1
-		20 * time.Millisecond, // retry 2
-		40 * time.Millisecond, // retry 3
-		60 * time.Millisecond, // retry 4: capped
-		60 * time.Millisecond, // retry 5: stays capped
-	}
-	for retry, w := range want {
-		if got := opts.BackoffFor(retry); got != w {
-			t.Errorf("BackoffFor(%d) = %v, want %v", retry, got, w)
+	for retry, want := range nominalBackoff {
+		if got := backoffFor(retry, 0.5); got != want {
+			t.Errorf("nominal backoff for retry %d = %v, want %v", retry, got, want)
 		}
 	}
 }
 
-// TestBackoffForDefaultCap: a zero BackoffMax caps at 32x the base, so
-// a long retry chain cannot sleep unboundedly (or overflow the shift).
+// TestBackoffForDefaultCap: a long retry chain cannot sleep unboundedly
+// (or overflow the shift); it stays at the 32x cap.
 func TestBackoffForDefaultCap(t *testing.T) {
-	opts := AttemptOptions{RetryBackoff: time.Millisecond}
-	if got, want := opts.BackoffFor(1000), 32*time.Millisecond; got != want {
-		t.Fatalf("BackoffFor(1000) = %v, want default cap %v", got, want)
+	if got, want := backoffFor(1000, 0.5), 32*backoffBase; got != want || got != backoffMax {
+		t.Fatalf("nominal backoff for retry 1000 = %v, want the cap %v", got, want)
 	}
 }
 
-// TestBackoffForJitterBounds: jittered backoffs stay within the
-// ±Jitter band around the nominal value and actually vary (the whole
-// point is desynchronizing workers that failed together).
+// TestBackoffForJitterBounds: jittered backoffs span exactly ±50% of
+// the nominal value and actually vary (the whole point is
+// desynchronizing workers that failed together).
 func TestBackoffForJitterBounds(t *testing.T) {
-	opts := AttemptOptions{RetryBackoff: 100 * time.Millisecond, Jitter: 0.5}
-	lo, hi := 50*time.Millisecond, 150*time.Millisecond
+	for retry, want := range nominalBackoff {
+		if lo, hi := backoffFor(retry, 0), backoffFor(retry, 1); lo != want/2 || hi != want*3/2 {
+			t.Errorf("retry %d band = [%v, %v], want [%v, %v]", retry, lo, hi, want/2, want*3/2)
+		}
+	}
+
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 200; i++ {
-		d := opts.BackoffFor(1)
-		if d < lo || d > hi {
-			t.Fatalf("jittered backoff %v outside [%v, %v]", d, lo, hi)
+		d := backoffFor(2, rand.Float64())
+		if d < 50*time.Millisecond || d > 150*time.Millisecond {
+			t.Fatalf("jittered backoff %v outside [50ms, 150ms]", d)
 		}
 		seen[d] = true
 	}
 	if len(seen) < 10 {
 		t.Fatalf("jitter produced only %d distinct backoffs in 200 draws", len(seen))
-	}
-}
-
-// TestBackoffForJitterClamped: out-of-range jitter values are clamped
-// rather than producing negative sleeps.
-func TestBackoffForJitterClamped(t *testing.T) {
-	opts := AttemptOptions{RetryBackoff: 10 * time.Millisecond, Jitter: 5}
-	for i := 0; i < 100; i++ {
-		if d := opts.BackoffFor(1); d < 0 || d > 20*time.Millisecond {
-			t.Fatalf("clamped jitter gave %v", d)
-		}
-	}
-	neg := AttemptOptions{RetryBackoff: 10 * time.Millisecond, Jitter: -3}
-	if d := neg.BackoffFor(1); d != 10*time.Millisecond {
-		t.Fatalf("negative jitter not clamped to none: %v", d)
 	}
 }

@@ -16,32 +16,23 @@ type BreakerState string
 const (
 	// BreakerClosed: the stage is healthy; full retry budgets apply.
 	BreakerClosed BreakerState = "closed"
-	// BreakerOpen: the stage failed on Threshold consecutive apps —
+	// BreakerOpen: the stage failed on threshold consecutive apps —
 	// something systemic (a poisoned lexicon, a corrupt shard) is
 	// wrong. The pool keeps going in quarantine mode: apps run with
 	// their retry budget withheld, so a run over a poisoned corpus
 	// degrades in throughput-preserving fashion instead of burning
 	// its whole retry budget on every app.
 	BreakerOpen BreakerState = "open"
-	// BreakerHalfOpen: Cooldown apps have passed since the trip; the
-	// next app probes with a full budget. Success closes the breaker,
-	// another stage failure re-opens it.
+	// BreakerHalfOpen: the cooldown (4x the threshold, counted in
+	// apps) has passed since the trip; the next app probes with a full
+	// budget. Success closes the breaker, another stage failure
+	// re-opens it.
 	BreakerHalfOpen BreakerState = "half-open"
 )
 
-// BreakerConfig tunes the circuit breaker.
-type BreakerConfig struct {
-	// Threshold is how many consecutive apps must fail at the same
-	// stage to trip it; <= 0 disables the breaker.
-	Threshold int
-	// Cooldown is how many apps are processed in quarantine before the
-	// breaker half-opens for a probe; <= 0 means 4x Threshold.
-	Cooldown int
-}
-
-// DefaultBreakerConfig trips a stage after 8 consecutive failing apps
-// and probes again 32 apps later.
-func DefaultBreakerConfig() BreakerConfig { return BreakerConfig{Threshold: 8, Cooldown: 32} }
+// DefaultBreakerThreshold trips a stage after 8 consecutive failing
+// apps; the breaker then probes again 32 apps later.
+const DefaultBreakerThreshold = 8
 
 // stageBreaker is the per-stage state.
 type stageBreaker struct {
@@ -57,19 +48,21 @@ type stageBreaker struct {
 // Breaker serves all workers; the per-app bookkeeping is two short
 // critical sections.
 type Breaker struct {
-	cfg    BreakerConfig
+	// threshold is how many consecutive apps must fail at the same
+	// stage to trip it; cooldown is how many apps run in quarantine
+	// before the breaker half-opens for a probe, always 4x threshold.
+	threshold, cooldown int
+
 	mu     sync.Mutex
 	stages map[string]*stageBreaker
 	trips  int64
 }
 
-// NewBreaker builds a breaker; a zero-Threshold config disables it
-// (Quarantine always reports false).
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	if cfg.Threshold > 0 && cfg.Cooldown <= 0 {
-		cfg.Cooldown = 4 * cfg.Threshold
-	}
-	return &Breaker{cfg: cfg, stages: map[string]*stageBreaker{}}
+// NewBreaker builds a breaker that trips a stage after threshold
+// consecutive failing apps; threshold <= 0 disables it (Quarantine
+// always reports false).
+func NewBreaker(threshold int) *Breaker {
+	return &Breaker{threshold: threshold, cooldown: 4 * threshold, stages: map[string]*stageBreaker{}}
 }
 
 // Quarantine reports whether the next app should run in quarantine
@@ -77,7 +70,7 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 // and not yet due for its half-open probe. The call advances open
 // breakers' cooldowns, so it must be made exactly once per app.
 func (b *Breaker) Quarantine() bool {
-	if b == nil || b.cfg.Threshold <= 0 {
+	if b == nil || b.threshold <= 0 {
 		return false
 	}
 	b.mu.Lock()
@@ -103,7 +96,7 @@ func (b *Breaker) Quarantine() bool {
 // stages absent from the report's degraded list reset theirs. Returns
 // the stages that tripped on this observation (for logging/metrics).
 func (b *Breaker) Observe(rep *core.Report, outcome Outcome) []string {
-	if b == nil || b.cfg.Threshold <= 0 || outcome == OutcomeSkipped {
+	if b == nil || b.threshold <= 0 || outcome == OutcomeSkipped {
 		return nil
 	}
 	failed := map[string]bool{}
@@ -128,15 +121,15 @@ func (b *Breaker) Observe(rep *core.Report, outcome Outcome) []string {
 		case BreakerHalfOpen:
 			// The probe failed: straight back to quarantine.
 			sb.state = BreakerOpen
-			sb.cooldown = b.cfg.Cooldown
+			sb.cooldown = b.cooldown
 			sb.trips++
 			b.trips++
 			tripped = append(tripped, stage)
 		default:
 			sb.consec++
-			if sb.consec >= b.cfg.Threshold {
+			if sb.consec >= b.threshold {
 				sb.state = BreakerOpen
-				sb.cooldown = b.cfg.Cooldown
+				sb.cooldown = b.cooldown
 				sb.trips++
 				b.trips++
 				tripped = append(tripped, stage)
@@ -182,7 +175,7 @@ type StageStatus struct {
 // failure, sorted by stage name, plus the overall state: open if any
 // stage is open, half-open if any is probing, closed otherwise.
 func (b *Breaker) Status() (BreakerState, []StageStatus) {
-	if b == nil || b.cfg.Threshold <= 0 {
+	if b == nil || b.threshold <= 0 {
 		return BreakerClosed, nil
 	}
 	b.mu.Lock()

@@ -14,11 +14,45 @@ func degradedAt(stage core.Stage) *core.Report {
 	return r
 }
 
-// TestBreakerTripAndQuarantine: Threshold consecutive same-stage
-// failures trip the breaker; the next apps run quarantined; after
-// Cooldown apps it half-opens and a clean probe closes it.
+// quarantineFor drains an open breaker's cooldown: it requires the
+// next n-1 apps to run quarantined, then the n-th to be the half-open
+// probe.
+func quarantineFor(t *testing.T, b *Breaker, n int) {
+	t.Helper()
+	for i := 1; i < n; i++ {
+		if !b.Quarantine() {
+			t.Fatalf("app %d after trip not quarantined", i)
+		}
+	}
+	if b.Quarantine() {
+		t.Fatal("cooldown expiry did not half-open")
+	}
+	if state, _ := b.Status(); state != BreakerHalfOpen {
+		t.Fatalf("state = %v, want half-open", state)
+	}
+}
+
+// TestBreakerCooldownIsFourThresholds: an open breaker quarantines
+// 4x-threshold minus one apps, and the 4x-threshold-th app is the
+// half-open probe.
+func TestBreakerCooldownIsFourThresholds(t *testing.T) {
+	for _, threshold := range []int{1, DefaultBreakerThreshold} {
+		b := NewBreaker(threshold)
+		for i := 0; i < threshold; i++ {
+			b.Observe(degradedAt(core.StageDecode), OutcomeDegraded)
+		}
+		if state, _ := b.Status(); state != BreakerOpen {
+			t.Fatalf("threshold %d: state = %v, want open", threshold, state)
+		}
+		quarantineFor(t, b, 4*threshold)
+	}
+}
+
+// TestBreakerTripAndQuarantine: threshold consecutive same-stage
+// failures trip the breaker; the next apps run quarantined; after the
+// cooldown it half-opens and a clean probe closes it.
 func TestBreakerTripAndQuarantine(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: 2})
+	b := NewBreaker(3)
 	if b.Quarantine() {
 		t.Fatal("fresh breaker quarantines")
 	}
@@ -33,17 +67,9 @@ func TestBreakerTripAndQuarantine(t *testing.T) {
 	if state, _ := b.Status(); state != BreakerOpen {
 		t.Fatalf("state = %v, want open", state)
 	}
-	// Cooldown = 2: the next app is quarantined, then the window
-	// expires and the breaker half-opens for a probe.
-	if !b.Quarantine() {
-		t.Fatal("app 1 after trip not quarantined")
-	}
-	if b.Quarantine() {
-		t.Fatal("cooldown expiry did not half-open")
-	}
-	if state, _ := b.Status(); state != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", state)
-	}
+	// Cooldown = 12: the next 11 apps are quarantined, then the
+	// window expires and the breaker half-opens for a probe.
+	quarantineFor(t, b, 12)
 	// Clean probe closes it.
 	b.Observe(&core.Report{App: "probe"}, OutcomeChecked)
 	if state, _ := b.Status(); state != BreakerClosed {
@@ -57,16 +83,13 @@ func TestBreakerTripAndQuarantine(t *testing.T) {
 // TestBreakerFailedProbeReopens: a failing probe goes straight back to
 // open and counts a second trip.
 func TestBreakerFailedProbeReopens(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 2, Cooldown: 1})
+	b := NewBreaker(2)
 	b.Observe(degradedAt(core.StageStatic), OutcomeDegraded)
 	b.Observe(degradedAt(core.StageStatic), OutcomeDegraded)
 	if state, _ := b.Status(); state != BreakerOpen {
 		t.Fatalf("not open after threshold: %v", state)
 	}
-	b.Quarantine() // cooldown 1 → half-open
-	if state, _ := b.Status(); state != BreakerHalfOpen {
-		t.Fatalf("not half-open: %v", state)
-	}
+	quarantineFor(t, b, 8) // cooldown 8 → half-open
 	if tripped := b.Observe(degradedAt(core.StageStatic), OutcomeDegraded); len(tripped) != 1 {
 		t.Fatalf("failed probe did not re-trip: %v", tripped)
 	}
@@ -78,7 +101,7 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 // TestBreakerResetOnSuccess: a clean app between failures resets the
 // consecutive count — only sustained cross-app failure trips.
 func TestBreakerResetOnSuccess(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 2})
+	b := NewBreaker(2)
 	b.Observe(degradedAt(core.StageDecode), OutcomeDegraded)
 	b.Observe(&core.Report{App: "ok"}, OutcomeChecked)
 	if tripped := b.Observe(degradedAt(core.StageDecode), OutcomeDegraded); len(tripped) != 0 {
@@ -92,7 +115,7 @@ func TestBreakerResetOnSuccess(t *testing.T) {
 // TestBreakerPerStageIndependence: failures at different stages track
 // independently; one stage tripping does not count for another.
 func TestBreakerPerStageIndependence(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 2, Cooldown: 100})
+	b := NewBreaker(2)
 	b.Observe(degradedAt(core.StageDecode), OutcomeDegraded)
 	b.Observe(degradedAt(core.StageStatic), OutcomeDegraded)
 	b.Observe(degradedAt(core.StageDecode), OutcomeDegraded)
@@ -107,14 +130,14 @@ func TestBreakerPerStageIndependence(t *testing.T) {
 	}
 }
 
-// TestBreakerDisabledAndNil: a zero config and a nil breaker are
+// TestBreakerDisabledAndNil: a zero threshold and a nil breaker are
 // inert.
 func TestBreakerDisabledAndNil(t *testing.T) {
 	var nilB *Breaker
 	if nilB.Quarantine() || nilB.Observe(degradedAt(core.StageDecode), OutcomeDegraded) != nil || nilB.Trips() != 0 {
 		t.Fatal("nil breaker not inert")
 	}
-	b := NewBreaker(BreakerConfig{})
+	b := NewBreaker(0)
 	for i := 0; i < 100; i++ {
 		b.Observe(degradedAt(core.StageDecode), OutcomeDegraded)
 	}

@@ -17,20 +17,6 @@ type CorpusResult struct {
 	Truths  []synth.GroundTruth
 }
 
-// EvaluateCorpus runs one checker over the whole dataset.
-func EvaluateCorpus(ds *synth.Dataset, opts ...core.CheckerOption) *CorpusResult {
-	checker := core.NewChecker(opts...)
-	res := &CorpusResult{
-		Reports: make([]*core.Report, 0, len(ds.Apps)),
-		Truths:  make([]synth.GroundTruth, 0, len(ds.Apps)),
-	}
-	for _, ga := range ds.Apps {
-		res.Reports = append(res.Reports, checker.Check(ga.App))
-		res.Truths = append(res.Truths, ga.Truth)
-	}
-	return res
-}
-
 // SummaryStats reproduces §V-F.
 type SummaryStats struct {
 	NumApps int

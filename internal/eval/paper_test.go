@@ -22,7 +22,7 @@ func paperCorpus(t *testing.T) *CorpusResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paperResult = EvaluateCorpus(ds)
+	paperResult = evaluateCorpus(ds)
 	return paperResult
 }
 

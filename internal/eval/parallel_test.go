@@ -6,9 +6,25 @@ import (
 	"testing"
 
 	"ppchecker/internal/bundle"
+	"ppchecker/internal/core"
 	"ppchecker/internal/obs"
 	"ppchecker/internal/synth"
 )
+
+// evaluateCorpus is the serial oracle of the corpus runner: one
+// checker analyzes the whole dataset in order.
+func evaluateCorpus(ds *synth.Dataset, opts ...core.CheckerOption) *CorpusResult {
+	checker := core.NewChecker(opts...)
+	res := &CorpusResult{
+		Reports: make([]*core.Report, 0, len(ds.Apps)),
+		Truths:  make([]synth.GroundTruth, 0, len(ds.Apps)),
+	}
+	for _, ga := range ds.Apps {
+		res.Reports = append(res.Reports, checker.Check(ga.App))
+		res.Truths = append(res.Truths, ga.Truth)
+	}
+	return res
+}
 
 // TestParallelMatchesSerial: the worker-pool path produces identical
 // reports to the serial path.
@@ -17,7 +33,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := EvaluateCorpus(ds)
+	serial := evaluateCorpus(ds)
 	parallel, _, _ := RunJobs(context.Background(), DatasetJobs(ds), RunOptions{Workers: 4})
 	if len(serial.Reports) != len(parallel.Reports) {
 		t.Fatalf("report counts differ: %d vs %d", len(serial.Reports), len(parallel.Reports))
@@ -104,7 +120,7 @@ func TestEvaluateCorpusDir(t *testing.T) {
 	if len(fromDisk.Reports) != 25 {
 		t.Fatalf("reports = %d", len(fromDisk.Reports))
 	}
-	inMem := EvaluateCorpus(small)
+	inMem := evaluateCorpus(small)
 	// Disk order is lexicographic by package; compare per-app by name.
 	bySummary := map[string]string{}
 	for _, r := range inMem.Reports {

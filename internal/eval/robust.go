@@ -56,7 +56,7 @@ type RunOptions struct {
 	// Workers is the worker-pool size; <= 0 means GOMAXPROCS.
 	Workers int
 	// Attempt bounds each app's analysis: per-attempt timeout and the
-	// retry budget with its backoff schedule.
+	// retry budget.
 	Attempt AttemptOptions
 	// Config is the per-worker checkers' configuration.
 	Config core.Config
@@ -75,9 +75,9 @@ type RunOptions struct {
 }
 
 // DefaultRunOptions returns the runner defaults: GOMAXPROCS workers,
-// no per-app timeout, one retry after a short jittered backoff.
+// no per-app timeout, one retry.
 func DefaultRunOptions() RunOptions {
-	return RunOptions{Attempt: AttemptOptions{MaxRetries: 1, RetryBackoff: 50 * time.Millisecond, Jitter: 0.5}}
+	return RunOptions{Attempt: AttemptOptions{MaxRetries: 1}}
 }
 
 // Outcome classifies one app's analysis, mapped one-to-one onto the
@@ -216,7 +216,8 @@ func DirJobs(dir string) ([]Job, error) {
 // with the remaining apps counted as Skipped. Each report lands at its
 // job's index; every slot is filled — apps never attempted get a
 // Skipped stub — so downstream table code needs no nil checks. On an
-// all-clean run the result is identical to EvaluateCorpus.
+// all-clean run the result is identical to one checker analyzing the
+// jobs in order.
 func RunJobs(ctx context.Context, jobs []Job, opts RunOptions) (*CorpusResult, RunStats, error) {
 	n := len(jobs)
 	var stats RunStats
@@ -279,60 +280,43 @@ feed:
 }
 
 // AttemptOptions bounds one app's analysis in CheckApp. The batch,
-// stream, service and distributed tiers each carry one value of it, so
-// they share identical timeout/retry semantics.
+// stream, service and distributed tiers each carry one value of it,
+// and every tier retries on the same fixed backoff schedule
+// (backoffFor), so they share identical timeout/retry semantics.
 type AttemptOptions struct {
 	// Timeout bounds one analysis attempt; 0 means no bound.
 	Timeout time.Duration
 	// MaxRetries is how many extra attempts a hard failure gets.
 	MaxRetries int
-	// RetryBackoff is the base pause before the first retry; retry n
-	// nominally waits RetryBackoff << (n-1).
-	RetryBackoff time.Duration
-	// BackoffMax caps the exponential growth; 0 means 32x the base.
-	BackoffMax time.Duration
-	// Jitter spreads each backoff uniformly over ±Jitter fraction of
-	// its nominal value (clamped to [0, 1]); 0 keeps it fixed. A fixed
-	// backoff synchronizes the retries of every worker that failed in
-	// the same burst, so under load they all hit the same contended
-	// resource again together; jitter decorrelates them.
-	Jitter float64
 }
 
-// BackoffFor returns the pause before the retry-th retry (1-based):
-// exponential doubling from RetryBackoff, capped at BackoffMax, then
-// jittered over [nominal*(1-Jitter), nominal*(1+Jitter)]. Exposed so
-// the streaming ingestion layer and tests share the exact schedule the
-// runner sleeps on.
-func (o AttemptOptions) BackoffFor(retry int) time.Duration {
-	if o.RetryBackoff <= 0 || retry <= 0 {
+// The retry backoff schedule: retry n nominally waits
+// backoffBase << (n-1), capped at backoffMax, and the pause is spread
+// uniformly over ±backoffJitter of that nominal value. A fixed pause
+// synchronizes the retries of every worker that failed in the same
+// burst, so under load they all hit the same contended resource again
+// together; jitter decorrelates them.
+const (
+	backoffBase   = 50 * time.Millisecond
+	backoffMax    = 32 * backoffBase // 1.6s
+	backoffJitter = 0.5
+)
+
+// backoffFor returns the pause before the retry-th retry (1-based) for
+// a uniform draw u in [0, 1): u = 0 gives the band's low end, 0.5 the
+// nominal value.
+func backoffFor(retry int, u float64) time.Duration {
+	if retry <= 0 {
 		return 0
 	}
-	max := o.BackoffMax
-	if max <= 0 {
-		max = 32 * o.RetryBackoff
-	}
-	d := o.RetryBackoff
-	for i := 1; i < retry && d < max; i++ {
+	d := backoffBase
+	for i := 1; i < retry && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
+	if d > backoffMax {
+		d = backoffMax
 	}
-	j := o.Jitter
-	if j < 0 {
-		j = 0
-	}
-	if j > 1 {
-		j = 1
-	}
-	if j > 0 {
-		// Uniform in [d*(1-j), d*(1+j)]; the global source is
-		// goroutine-safe and deliberately unseeded — decorrelation is
-		// the whole point.
-		d = time.Duration((1 - j + 2*j*rand.Float64()) * float64(d))
-	}
-	return d
+	return time.Duration((1 - backoffJitter + 2*backoffJitter*u) * float64(d))
 }
 
 // Exhausted reports whether a CheckApp result spent the whole non-zero
@@ -355,8 +339,9 @@ func (o AttemptOptions) Exhausted(outcome Outcome, rep *core.Report, retries int
 // contract behind Pool.Analyze.
 // Hard failures (a panic outside the pipeline's own recovery, or a
 // per-attempt timeout that produced nothing) are retried up to
-// MaxRetries with RetryBackoff between attempts; a degraded-but-
-// complete report is an answer, not a failure, and is never retried.
+// MaxRetries, pausing on the backoff schedule between attempts; a
+// degraded-but-complete report is an answer, not a failure, and is
+// never retried.
 // Parent-context cancellation always wins over retry.
 //
 // The returned report is never nil: OutcomeFailed and OutcomeSkipped
@@ -397,15 +382,15 @@ func CheckApp(ctx context.Context, checker *core.Checker, name string,
 			return stubReport(name, err), OutcomeFailed, retries
 		}
 		retries++
-		if backoff := opts.BackoffFor(retries); backoff > 0 {
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				if rep == nil {
-					rep = stubReport(name, ctx.Err())
-				}
-				return rep, OutcomeSkipped, retries
+		// The global source is goroutine-safe and deliberately
+		// unseeded: decorrelation is the whole point.
+		select {
+		case <-time.After(backoffFor(retries, rand.Float64())):
+		case <-ctx.Done():
+			if rep == nil {
+				rep = stubReport(name, ctx.Err())
 			}
+			return rep, OutcomeSkipped, retries
 		}
 	}
 }

@@ -151,11 +151,7 @@ func TestRobustPerAppTimeoutRetries(t *testing.T) {
 	ds.Apps = ds.Apps[:8]
 	opts := RunOptions{
 		Workers: 2,
-		Attempt: AttemptOptions{
-			Timeout:      time.Nanosecond,
-			MaxRetries:   1,
-			RetryBackoff: time.Millisecond,
-		},
+		Attempt: AttemptOptions{Timeout: time.Nanosecond, MaxRetries: 1},
 	}
 	res, stats, err := RunJobs(context.Background(), DatasetJobs(ds), opts)
 	if err != nil {

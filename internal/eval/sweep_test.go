@@ -21,7 +21,7 @@ func TestThresholdSweepMatchesSerial(t *testing.T) {
 		t.Fatalf("%d points for %d thresholds", len(points), len(thresholds))
 	}
 	for i, th := range thresholds {
-		tab := EvaluateCorpus(ds, core.Config{Threshold: th}.CheckerOptions()...).ComputeTableIV()
+		tab := evaluateCorpus(ds, core.Config{Threshold: th}.CheckerOptions()...).ComputeTableIV()
 		want := ThresholdPoint{Threshold: th, CUR: tab.CUR, Disclose: tab.Disclose}
 		if points[i] != want {
 			t.Errorf("threshold %.2f: sweep %+v, serial %+v", th, points[i], want)

@@ -1,6 +1,7 @@
 package longi
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -142,7 +143,7 @@ func (s *HTTPStore) Put(stage, key string, data []byte) error {
 	if err := validateAddr(stage, key); err != nil {
 		return err
 	}
-	req, err := http.NewRequest(http.MethodPut, s.url(stage, key), strings.NewReader(string(data)))
+	req, err := http.NewRequest(http.MethodPut, s.url(stage, key), bytes.NewReader(data))
 	if err != nil {
 		return err
 	}

@@ -64,11 +64,7 @@ func TestExhaustedRetriesNeverPoisonStore(t *testing.T) {
 		}
 	}
 	checker := core.NewChecker(eng.Config().CheckerOptions()...)
-	opts := eval.AttemptOptions{
-		Timeout:      50 * time.Millisecond,
-		MaxRetries:   2,
-		RetryBackoff: time.Millisecond,
-	}
+	opts := eval.AttemptOptions{Timeout: 50 * time.Millisecond, MaxRetries: 2}
 	run := func(ctx context.Context, c *core.Checker) (*core.Report, error) {
 		return eng.CheckVersion(ctx, c, ga.App)
 	}

@@ -24,7 +24,7 @@ func historyRequest(t testing.TB, va synth.VersionedApp) serve.HistoryRequest {
 // drift findings, and that a repeated post is served from the
 // server-lifetime artifact store without changing the answer.
 func TestServeCheckHistory(t *testing.T) {
-	srv := startServer(t, serve.Options{Workers: 2, History: true})
+	srv := startServer(t, serve.Options{Workers: 2})
 	fh := synth.NewVersionedFirehose(51, 5)
 
 	// Find an app whose history has planted drift.
@@ -93,19 +93,12 @@ func TestServeCheckHistory(t *testing.T) {
 	}
 }
 
-// TestServeCheckHistoryDisabled: without Options.History the endpoint
-// answers 501, and an empty chain is 400.
-func TestServeCheckHistoryDisabled(t *testing.T) {
+// TestServeCheckHistoryEmptyChain: /check-history is served with no
+// option set, and an empty chain is 400.
+func TestServeCheckHistoryEmptyChain(t *testing.T) {
 	srv := startServer(t, serve.Options{Workers: 1})
-	url := "http://" + srv.Addr() + "/check-history"
-	resp, body := postJSON(t, url, serve.HistoryRequest{Name: "x"})
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("disabled endpoint status = %d, body %s", resp.StatusCode, body)
-	}
-
-	srv2 := startServer(t, serve.Options{Workers: 1, History: true})
-	resp2, body2 := postJSON(t, "http://"+srv2.Addr()+"/check-history", serve.HistoryRequest{Name: "x"})
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty chain status = %d, body %s", resp2.StatusCode, body2)
+	resp, body := postJSON(t, "http://"+srv.Addr()+"/check-history", serve.HistoryRequest{Name: "x"})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("empty chain status = %d, body %s", resp.StatusCode, body)
 	}
 }

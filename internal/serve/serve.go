@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -31,8 +30,6 @@ type Options struct {
 	QueueDepth int
 	// Attempt bounds each app's analysis (timeout and retry budget).
 	Attempt eval.AttemptOptions
-	// MaxBodyBytes bounds a request body; <= 0 means 64 MiB.
-	MaxBodyBytes int64
 	// Config is the per-worker checkers' configuration (threshold,
 	// extensions, ...), and the /check-history engine's: both are built
 	// from this one value, so the artifact store's config fingerprint
@@ -41,18 +38,6 @@ type Options struct {
 	// Observer instruments the server; nil constructs a fresh one.
 	// The /metrics endpoint renders its snapshot.
 	Observer *obs.Observer
-	// Breaker configures the cross-request circuit breaker: a stage
-	// failing on Threshold consecutive apps trips into quarantine
-	// (retry budget withheld) and turns /healthz degraded. The zero
-	// value uses eval.DefaultBreakerConfig; a negative Threshold
-	// disables the breaker.
-	Breaker eval.BreakerConfig
-	// History enables /check-history backed by a server-lifetime
-	// longitudinal engine.
-	History bool
-	// LongiCacheEntries bounds the in-memory artifact store backing
-	// /check-history; <= 0 means 4096 artifacts.
-	LongiCacheEntries int
 	// AdmissionNotify, when non-nil, observes every admission-queue
 	// transition with the new occupancy. It is called synchronously
 	// with the admission lock held — it must return promptly and must
@@ -69,20 +54,15 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 4 * o.Workers
 	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 64 << 20
-	}
 	if o.Observer == nil {
 		o.Observer = obs.New()
 	}
-	if o.Breaker.Threshold == 0 {
-		o.Breaker = eval.DefaultBreakerConfig()
-	}
-	if o.LongiCacheEntries <= 0 {
-		o.LongiCacheEntries = 4096
-	}
 	return o
 }
+
+// longiCacheEntries bounds the in-memory artifact store backing
+// /check-history.
+const longiCacheEntries = 4096
 
 // job is one admitted app: the request context travels with it so a
 // canceled request is skipped cheaply instead of analyzed for nobody.
@@ -104,12 +84,16 @@ type job struct {
 // precisely because the caches re-arm poisoned entries instead of
 // serving them (see core.AnalysisCache.Get).
 type Server struct {
-	opts    Options
-	pool    *eval.Pool
-	obs     *obs.Observer
+	opts Options
+	pool *eval.Pool
+	obs  *obs.Observer
+	// breaker is the cross-request circuit breaker: a stage failing on
+	// eval.DefaultBreakerThreshold consecutive apps trips into
+	// quarantine (retry budget withheld) and turns /healthz degraded.
 	breaker *eval.Breaker
-
-	longiEng *longi.Engine // nil unless Options.History is set
+	// longiEng backs /check-history with a server-lifetime artifact
+	// store.
+	longiEng *longi.Engine
 
 	jobs    chan *job
 	mu      sync.Mutex // guards queued
@@ -126,13 +110,11 @@ type Server struct {
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:    opts,
-		obs:     opts.Observer,
-		breaker: eval.NewBreaker(opts.Breaker),
-		jobs:    make(chan *job, opts.QueueDepth),
-	}
-	if opts.History {
-		s.longiEng = longi.NewEngine(longi.NewMemStore(opts.LongiCacheEntries), opts.Config)
+		opts:     opts,
+		obs:      opts.Observer,
+		breaker:  eval.NewBreaker(eval.DefaultBreakerThreshold),
+		longiEng: longi.NewEngine(longi.NewMemStore(longiCacheEntries), opts.Config),
+		jobs:     make(chan *job, opts.QueueDepth),
 	}
 	s.pool = eval.NewPool("serve", opts.Attempt, s.breaker, s.obs, nil, opts.Config)
 	mux := http.NewServeMux()
@@ -260,7 +242,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CheckRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := DecodeJSON(w, r, maxBodyBytes, &req); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -292,7 +274,7 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var batch BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)).Decode(&batch); err != nil {
+	if err := DecodeJSON(w, r, maxBodyBytes, &batch); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -341,16 +323,12 @@ func (s *Server) handleCheckHistory(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if s.longiEng == nil {
-		WriteError(w, http.StatusNotImplemented, "longitudinal analysis is not enabled (Options.History)")
-		return
-	}
 	if s.draining.Load() {
 		WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	var req HistoryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := DecodeJSON(w, r, maxBodyBytes, &req); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -460,13 +438,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // counters (see eval.Pool.Publish) and the longitudinal artifact store.
 func (s *Server) publishCacheGauges() {
 	s.pool.Publish()
-	if s.longiEng != nil {
-		cs := s.longiEng.Stats()
-		s.obs.SetCounter("longi-artifact-hits", cs.Hits)
-		s.obs.SetCounter("longi-artifact-misses", cs.Misses)
-		s.obs.SetCounter("longi-artifact-puts", cs.Puts)
-		s.obs.SetCounter("longi-artifact-store-errors", cs.StoreErrors)
-	}
+	cs := s.longiEng.Stats()
+	s.obs.SetCounter("longi-artifact-hits", cs.Hits)
+	s.obs.SetCounter("longi-artifact-misses", cs.Misses)
+	s.obs.SetCounter("longi-artifact-puts", cs.Puts)
+	s.obs.SetCounter("longi-artifact-store-errors", cs.StoreErrors)
 }
 
 // Metrics returns the current snapshot with the cache gauges

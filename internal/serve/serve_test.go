@@ -387,20 +387,20 @@ func TestServeHealthz(t *testing.T) {
 
 // TestServeRetryExhaustionAndQuarantine drives the server into
 // sustained hard failure (a per-attempt timeout no analysis can meet):
-// early apps burn and exhaust their retry budget, the breaker trips,
-// later apps run quarantined, and /healthz turns degraded — all
-// distinguishable on the wire.
+// early apps burn and exhaust their retry budget, the breaker trips at
+// its default threshold, later apps run quarantined, and /healthz
+// turns degraded — all distinguishable on the wire.
 func TestServeRetryExhaustionAndQuarantine(t *testing.T) {
+	const threshold, quarantined = eval.DefaultBreakerThreshold, 4
 	srv := startServer(t, serve.Options{
 		Workers:    1, // deterministic failure ordering
 		QueueDepth: 16,
 		Attempt:    eval.AttemptOptions{Timeout: time.Nanosecond, MaxRetries: 1},
-		Breaker:    eval.BreakerConfig{Threshold: 2, Cooldown: 50},
 	})
 	base := "http://" + srv.Addr()
 	ds := testDataset()
 	var batch serve.BatchRequest
-	for _, ga := range ds.Apps[:6] {
+	for _, ga := range ds.Apps[:threshold+quarantined] {
 		batch.Apps = append(batch.Apps, wireApp(t, ga))
 	}
 	resp, body := postJSON(t, base+"/check-batch", batch)
@@ -414,16 +414,17 @@ func TestServeRetryExhaustionAndQuarantine(t *testing.T) {
 	// The 1ns timeout leaves partial reports, so the outcomes are
 	// degraded (salvaged findings), not hard failures — exhaustion is
 	// the signal that separates them from healthy degraded apps.
-	if br.Stats.Degraded != 6 {
-		t.Fatalf("stats = %+v, want all 6 degraded", br.Stats)
+	if br.Stats.Degraded != len(batch.Apps) {
+		t.Fatalf("stats = %+v, want all %d degraded", br.Stats, len(batch.Apps))
 	}
-	// Apps 1-2 exhaust their budget and trip the breaker; apps 3-6 run
-	// quarantined with no budget to exhaust.
-	if br.Stats.RetryExhaustions != 2 || br.Stats.Quarantined != 4 {
-		t.Fatalf("stats = %+v, want 2 exhaustions and 4 quarantined", br.Stats)
+	// The first threshold apps exhaust their budget and trip the
+	// breaker; the rest run quarantined with no budget to exhaust (the
+	// cooldown, 4x the threshold, outlasts the batch).
+	if br.Stats.RetryExhaustions != threshold || br.Stats.Quarantined != quarantined {
+		t.Fatalf("stats = %+v, want %d exhaustions and %d quarantined", br.Stats, threshold, quarantined)
 	}
 	for i, cr := range br.Apps {
-		wantExhausted, wantQuarantined := i < 2, i >= 2
+		wantExhausted, wantQuarantined := i < threshold, i >= threshold
 		if cr.RetriesExhausted != wantExhausted || cr.Quarantined != wantQuarantined {
 			t.Fatalf("app %d = exhausted %v quarantined %v, want %v/%v",
 				i, cr.RetriesExhausted, cr.Quarantined, wantExhausted, wantQuarantined)
@@ -441,7 +442,7 @@ func TestServeRetryExhaustionAndQuarantine(t *testing.T) {
 
 	// And in the counters.
 	snap := srv.Metrics()
-	if v, _ := snap.Counter("serve-retry-exhaustions"); v != 2 {
+	if v, _ := snap.Counter("serve-retry-exhaustions"); v != threshold {
 		t.Fatalf("serve-retry-exhaustions = %d", v)
 	}
 	// Every stage degrades under the dead context, so several stage
@@ -449,7 +450,7 @@ func TestServeRetryExhaustionAndQuarantine(t *testing.T) {
 	if v, _ := snap.Counter("serve-breaker-trips"); v < 1 {
 		t.Fatalf("serve-breaker-trips = %d", v)
 	}
-	if v, _ := snap.Counter("serve-quarantined"); v != 4 {
+	if v, _ := snap.Counter("serve-quarantined"); v != quarantined {
 		t.Fatalf("serve-quarantined = %d", v)
 	}
 }

@@ -9,10 +9,10 @@
 //	POST /check          one app bundle in, one JSON report out
 //	POST /check-batch    a list of bundles in, per-app reports + counts out
 //	POST /check-history  one app's release chain in, per-version reports
-//	                     plus cross-version drift findings out (requires
-//	                     Options.History; unchanged sections of consecutive
-//	                     versions are served from the server-lifetime
-//	                     artifact store instead of re-analyzed)
+//	                     plus cross-version drift findings out (unchanged
+//	                     sections of consecutive versions are served from
+//	                     the server-lifetime artifact store instead of
+//	                     re-analyzed)
 //	GET  /healthz        health state machine (JSON: ok/degraded/draining
 //	                     with queue depth and circuit-breaker state;
 //	                     draining answers 503)
@@ -56,11 +56,14 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, errorResponse{Error: msg})
 }
 
+// maxBodyBytes bounds a ppserve request body.
+const maxBodyBytes = 64 << 20
+
 // DecodeJSON decodes a bounded request body into v. maxBytes <= 0
-// means 64 MiB.
+// means maxBodyBytes.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
 	if maxBytes <= 0 {
-		maxBytes = 64 << 20
+		maxBytes = maxBodyBytes
 	}
 	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes)).Decode(v)
 }

@@ -93,25 +93,28 @@ func (s *poisonSource) Next(ctx context.Context) (*Item, error) {
 // trips the breaker mid-stream; subsequent apps run quarantined and
 // both land in the stats and the metrics.
 func TestChaosBreakerTripsAndQuarantines(t *testing.T) {
+	// Apps 1-8 trip the breaker at its default threshold and apps
+	// 10-32 see it open (app 9's Quarantine call observes the trip one
+	// app late at worst): the cooldown, 4x the threshold, outlasts the
+	// stream, so no probe re-trips it.
+	const threshold, n = eval.DefaultBreakerThreshold, 4 * eval.DefaultBreakerThreshold
 	observer := obs.New()
-	stats, err := Run(context.Background(), &poisonSource{n: 20}, Options{
+	stats, err := Run(context.Background(), &poisonSource{n: n}, Options{
 		Workers:  1, // deterministic failure ordering
 		Observer: observer,
-		Breaker:  eval.NewBreaker(eval.BreakerConfig{Threshold: 4, Cooldown: 50}),
+		Breaker:  eval.NewBreaker(threshold),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Apps != 20 || stats.Degraded != 20 {
+	if stats.Apps != n || stats.Degraded != n {
 		t.Fatalf("stats = %+v", stats.RunStats)
 	}
 	if stats.BreakerTrips != 1 {
 		t.Fatalf("breaker trips = %d, want 1", stats.BreakerTrips)
 	}
-	// Threshold 4: apps 1-4 trip it, apps 6-20 see it open (app 5's
-	// Quarantine call observes the trip one app late at worst).
-	if stats.Quarantined < 14 {
-		t.Fatalf("quarantined = %d, want >= 14", stats.Quarantined)
+	if stats.Quarantined < n-threshold-2 {
+		t.Fatalf("quarantined = %d, want >= %d", stats.Quarantined, n-threshold-2)
 	}
 	snap := observer.Snapshot()
 	if v, _ := snap.Counter("stream-breaker-trips"); v != 1 {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test for cmd/ppserve: build the server, start it, push one
-# bundle through /check, scrape /metrics, then send SIGTERM and
-# require a clean graceful drain (exit 0).
+# bundle through /check and a two-version chain through
+# /check-history, scrape /metrics, then send SIGTERM and require a
+# clean graceful drain (exit 0).
 #
 # Usage: ./scripts/serve_smoke.sh [addr]
 set -euo pipefail
@@ -41,10 +42,21 @@ echo "$RESP" | grep -q '"outcome":"checked"' || { echo "bad /check response: $RE
 echo "$RESP" | grep -q '"report":{' || { echo "/check response has no report: $RESP" >&2; exit 1; }
 echo "$RESP" | grep -q '"app":"com.example.smoke"' || { echo "report names wrong app: $RESP" >&2; exit 1; }
 
+echo "== POST /check-history"
+HIST="$(curl -sf -X POST "$BASE/check-history" -H 'Content-Type: application/json' -d '{
+  "name": "com.example.smoke",
+  "versions": [
+    {"name": "com.example.smoke", "policy_html": "<p>We collect your location information.</p>"},
+    {"name": "com.example.smoke", "policy_html": "<p>We collect your location information and your contact data.</p>"}
+  ]
+}')" || { echo "/check-history did not answer 200" >&2; exit 1; }
+echo "$HIST" | grep -q '"versions":\[' || { echo "bad /check-history response: $HIST" >&2; exit 1; }
+
 echo "== GET /metrics"
 METRICS="$(curl -sf "$BASE/metrics")"
 echo "$METRICS" | grep -q 'serve-requests-checked' || { echo "metrics missing request counters:" >&2; echo "$METRICS" >&2; exit 1; }
 echo "$METRICS" | grep -q 'lib-policy-analyses' || { echo "metrics missing cache gauges:" >&2; echo "$METRICS" >&2; exit 1; }
+echo "$METRICS" | grep -q 'longi-artifact-puts' || { echo "metrics missing artifact-store gauges:" >&2; echo "$METRICS" >&2; exit 1; }
 
 echo "== SIGTERM drain"
 kill -TERM "$SRV_PID"
