@@ -23,11 +23,12 @@
 // (longi.DirStore, temp+rename crash-safe), so a restarted or promoted
 // coordinator keeps the warm cache.
 //
-// -standby runs the process as a failover follower over the shared
-// -journal: it tails the journal, answers work endpoints with 503, and
-// promotes itself to a full coordinator on POST /promote — or
-// automatically when -primary is set and its /healthz stops answering.
-// The source flags (-dir/-firehose/-seed/-apps) must match the
+// -standby runs the process as a failover coordinator over the shared
+// -journal: it answers work endpoints with 503 until it promotes itself
+// on POST /promote — or automatically when -primary is set and its
+// /healthz stops answering. Promotion is a restart: the standby runs
+// the primary's own start path (source, journal reopen, coordinator),
+// so the source flags (-dir/-firehose/-seed/-apps) must match the
 // primary's exactly; the journal replay decides what is left to lease.
 //
 // Exit codes: 0 clean, 1 on a run failure, 2 on a usage error.
@@ -70,7 +71,7 @@ func run() int {
 		shards         = flag.Int("shards", 2, "artifact shards hosted for the shared library-policy analysis cache (0 disables)")
 		shardDir       = flag.String("shard-dir", "", "root the shards on disk (longi.DirStore) instead of memory, so restarts and failovers keep warm caches")
 
-		standby       = flag.Bool("standby", false, "run as a failover follower: tail -journal, serve 503 until promoted (POST /promote or -primary death)")
+		standby       = flag.Bool("standby", false, "run as a failover standby: serve 503 until promoted (POST /promote or -primary death), then resume from -journal as a restarted primary would")
 		primary       = flag.String("primary", "", "standby: probe this coordinator URL and self-promote when it stops answering")
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "standby: primary health-probe interval")
 		probeFailures = flag.Int("probe-failures", 3, "standby: consecutive probe failures that trigger self-promotion")
@@ -100,11 +101,32 @@ func run() int {
 			stores[i] = longi.NewMemStore(0)
 		}
 	}
-	coordOpts := dist.CoordinatorOptions{
-		MaxOutstanding: *maxOutstanding,
-		LeaseTTL:       *leaseTTL,
-		Observer:       observer,
-		Shards:         stores,
+	// startCoordinator is the coordinator's one start path: a fresh
+	// source, the journal reopened (replaying every checkpointed app and
+	// truncating a torn tail), and a coordinator over both. The primary
+	// runs it at once; a standby runs it at promotion, which makes
+	// failover a restart over the dead primary's journal.
+	var journal *stream.Journal
+	startCoordinator := func() (*dist.Coordinator, error) {
+		src, err := srcFlags.NewSource()
+		if err != nil {
+			return nil, err
+		}
+		log.Printf("serving %s", srcFlags.Describe(src))
+		j, replay, err := srcFlags.OpenJournal(observer)
+		if err != nil {
+			return nil, err
+		}
+		journal = j
+		return dist.NewCoordinator(dist.CoordinatorOptions{
+			Source:         src,
+			Journal:        j,
+			Replay:         replay,
+			MaxOutstanding: *maxOutstanding,
+			LeaseTTL:       *leaseTTL,
+			Observer:       observer,
+			Shards:         stores,
+		}), nil
 	}
 
 	// SIGTERM/SIGINT stops waiting; in-memory progress is abandoned but
@@ -114,22 +136,16 @@ func run() int {
 
 	var handler http.Handler
 	var wait func(context.Context) (stream.Stats, error)
-	var snapshot func() dist.StatsResponse
+	var coordinator func() *dist.Coordinator
 
 	if *standby {
 		if srcFlags.Journal == "" {
-			fmt.Fprintln(os.Stderr, "ppcoord: -standby requires -journal (the primary's journal to tail)")
+			fmt.Fprintln(os.Stderr, "ppcoord: -standby requires -journal (the primary's journal to resume from)")
 			flag.Usage()
 			return 2
 		}
-		// The source is built at promotion, so a source that holds
-		// position state (DirSource) starts fresh.
 		s, err := dist.NewStandby(dist.StandbyOptions{
-			JournalPath:   srcFlags.Journal,
-			SourceName:    srcFlags.Name(),
-			JournalOpts:   srcFlags.JournalOptions(observer),
-			NewSource:     srcFlags.NewSource,
-			Coordinator:   coordOpts,
+			Start:         startCoordinator,
 			PrimaryURL:    *primary,
 			ProbeInterval: *probeInterval,
 			ProbeFailures: *probeFailures,
@@ -139,43 +155,31 @@ func run() int {
 			return 1
 		}
 		defer s.Stop()
-		handler = s.Handler()
-		wait = s.Wait
-		snapshot = func() dist.StatsResponse {
-			if c := s.Coordinator(); c != nil {
-				return c.StatsSnapshot()
-			}
-			return dist.StatsResponse{}
-		}
+		handler, wait, coordinator = s.Handler(), s.Wait, s.Coordinator
 		if *primary != "" {
-			log.Printf("standby: tailing %s, probing %s every %s (%d failures promote)",
+			log.Printf("standby over %s: probing %s every %s (%d failures promote)",
 				srcFlags.Journal, *primary, *probeInterval, *probeFailures)
 		} else {
-			log.Printf("standby: tailing %s, waiting for POST /promote", srcFlags.Journal)
+			log.Printf("standby over %s: waiting for POST /promote", srcFlags.Journal)
 		}
 	} else {
-		src, err := srcFlags.NewSource()
+		c, err := startCoordinator()
 		if err != nil {
 			log.Print(err)
 			return 1
 		}
-		log.Printf("serving %s", srcFlags.Describe(src))
-		journal, replay, err := srcFlags.OpenJournal(observer)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		if journal != nil {
-			defer journal.Close()
-		}
-		coordOpts.Source = src
-		coordOpts.Journal = journal
-		coordOpts.Replay = replay
-		c := dist.NewCoordinator(coordOpts)
-		handler = c.Handler()
-		wait = c.Wait
-		snapshot = c.StatsSnapshot
+		handler, wait = c.Handler(), c.Wait
+		coordinator = func() *dist.Coordinator { return c }
 	}
+	// A coordinator exists once startCoordinator has run to its end, for
+	// the primary and a promoted standby alike; the journal it opened
+	// closes with the process. Reading journal only after the
+	// coordinator is seen orders it after a promotion's write.
+	defer func() {
+		if coordinator() != nil && journal != nil {
+			journal.Close()
+		}
+	}()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -205,7 +209,7 @@ func run() int {
 		return 1
 	}
 
-	snap := snapshot()
+	snap := coordinator().StatsSnapshot()
 	fmt.Println(stats.Render())
 	fmt.Printf("Coordinator: %d analyzed this run in %s, %d replayed from journal, %d re-analyzed\n",
 		stats.Apps-stats.Replayed, elapsed.Round(time.Millisecond), stats.Replayed, stats.Reanalyzed)

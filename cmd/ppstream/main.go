@@ -35,6 +35,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -213,7 +214,7 @@ func run() int {
 	}
 
 	if *soak {
-		return soakVerdict(stats, sampler, rate, *minRate, *heapFactor, srcFlags.Journal, srcFlags.Name())
+		return soakVerdict(stats, sampler, rate, *minRate, *heapFactor, srcFlags.Journal)
 	}
 	return 0
 }
@@ -274,7 +275,7 @@ func runWorker(observer *obs.Observer, cfg workerConfig) int {
 
 // soakVerdict applies the soak acceptance checks and reports each one.
 func soakVerdict(stats stream.Stats, sampler *stream.HeapSampler,
-	rate, minRate, heapFactor float64, journalPath, sourceName string) int {
+	rate, minRate, heapFactor float64, journalPath string) int {
 	failed := 0
 	check := func(name string, err error) {
 		if err != nil {
@@ -294,12 +295,16 @@ func soakVerdict(stats stream.Stats, sampler *stream.HeapSampler,
 	}
 	check("bounded heap", sampler.BoundedGrowth(heapFactor))
 	if journalPath != "" {
-		// Replay the closed journal and require it to account for every
-		// non-skipped app exactly once — zero lost, zero duplicated.
-		_, replay, err := stream.OpenJournal(journalPath, sourceName, stream.JournalOptions{})
+		// Read the run's journal (synced at the run's end, still open)
+		// without touching it, and require it to account for every
+		// non-skipped app exactly once — zero lost, zero duplicated,
+		// no torn tail.
+		replay, err := stream.ReadJournal(journalPath)
 		switch {
 		case err != nil:
 			check("journal accounting", err)
+		case replay.Truncated:
+			check("journal accounting", errors.New("torn final record"))
 		case replay.Duplicates != 0:
 			check("journal accounting", fmt.Errorf("%d duplicate records", replay.Duplicates))
 		case replay.Records != stats.Apps-stats.Skipped:

@@ -37,7 +37,6 @@ var deadcodeAllowlist = map[string]string{
 	"ppchecker/internal/sensitive.InfoForURIField":     "tests check the URI-field table through it",
 	"ppchecker/internal/sensitive.Sinks":               "tests check the sink table through it",
 	"ppchecker/internal/sensitive.URIStrings":          "tests check the URI-string table through it",
-	"ppchecker/internal/stream.Tail.Replay":            "the dist journal tests read a follower's folded state through it",
 	"ppchecker/internal/dist.Standby.Promoted":         "the failover tests wait on promotion through it",
 	"ppchecker/internal/synth.NewCorruptor":            "fault injector the robustness tests and fuzz seeds are built with",
 	"ppchecker/internal/synth.AllFaults":               "fault injector the robustness tests and fuzz seeds are built with",

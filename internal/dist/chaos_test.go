@@ -222,14 +222,14 @@ func runChaosScenario(t *testing.T, sc chaosScenario) {
 	}
 
 	// Invariant 2: the journal holds every app exactly once. Read back
-	// through a fresh tail — read-only, so it cannot heal anything.
-	tail := stream.NewTail(journalPath)
-	if _, err := tail.Poll(); err != nil {
+	// with ReadJournal — read-only, so it cannot heal anything.
+	r, err := stream.ReadJournal(journalPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if r := tail.Replay(); r.Records != int(sc.n) || r.Duplicates != 0 {
-		t.Fatalf("journal accounting: records=%d duplicates=%d, want %d/0",
-			r.Records, r.Duplicates, sc.n)
+	if r.Records != int(sc.n) || r.Duplicates != 0 || r.Truncated {
+		t.Fatalf("journal accounting: records=%d duplicates=%d torn=%v, want %d/0/false",
+			r.Records, r.Duplicates, r.Truncated, sc.n)
 	}
 }
 
@@ -357,12 +357,8 @@ func chaosFailoverScenario(ctx context.Context, t *testing.T, sc chaosScenario,
 	primaryURL, journalPath string, newShards func() []longi.Store) (stream.Stats, StatsResponse) {
 	t.Helper()
 	opts := StandbyOptions{
-		JournalPath:  journalPath,
-		SourceName:   "chaos",
-		JournalOpts:  stream.JournalOptions{FsyncEvery: 1},
-		NewSource:    func() (stream.Source, error) { return stream.NewFirehoseSource(sc.seed, sc.n), nil },
-		Coordinator:  CoordinatorOptions{LeaseTTL: sc.ttl, Shards: newShards()},
-		TailInterval: 10 * time.Millisecond,
+		Start: startFirehose(t, journalPath, sc.seed, sc.n,
+			CoordinatorOptions{LeaseTTL: sc.ttl, Shards: newShards()}),
 	}
 	if sc.probe {
 		opts.PrimaryURL = primaryURL

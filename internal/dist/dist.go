@@ -55,11 +55,11 @@
 //   - Coordinator death: the journal is the contract. Completed apps
 //     were appended before being folded; reopening the journal replays
 //     them and the new coordinator leases only the remainder. A
-//     Standby tails the same journal in follower mode and, on
-//     promotion (POST /promote, or automatically when its primary
-//     probe fails), reopens it authoritatively and resumes serving
-//     leases; workers carry an address list and rotate to the standby
-//     on transport errors or not-primary responses.
+//     Standby's promotion (POST /promote, or automatically when its
+//     primary probe fails) is exactly that restart: it runs the
+//     primary's own start function over the shared journal, then
+//     serves leases; workers carry an address list and rotate to the
+//     standby on transport errors or not-primary responses.
 //   - Shard death: reads and writes degrade to misses; workers fall
 //     back to local compute. Throughput suffers, correctness does not.
 //     Shards hosted on longi.DirStore additionally survive coordinator
@@ -195,15 +195,9 @@ type StatsResponse struct {
 
 // StatusResponse describes a coordinator's role (GET /status).
 type StatusResponse struct {
-	// Role is "primary" (serving leases) or "standby" (tailing the
-	// journal, work endpoints answer 503).
+	// Role is "primary" (serving leases) or "standby" (work endpoints
+	// answer 503 until promotion).
 	Role string `json:"role"`
-	// TailedRecords is how many journal app records a standby has
-	// folded into its follower replay so far (standby only).
-	TailedRecords int `json:"tailed_records,omitempty"`
-	// TailError surfaces a follower-side tail failure (standby only);
-	// promotion still works — it re-reads the journal authoritatively.
-	TailError string `json:"tail_error,omitempty"`
 	// Promoted marks a coordinator that started life as a standby.
 	Promoted bool `json:"promoted,omitempty"`
 }

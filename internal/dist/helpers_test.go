@@ -77,3 +77,18 @@ func getStatus(t *testing.T, url string) StatusResponse {
 	}
 	return sr
 }
+
+// startFirehose is a standby's start path over a firehose corpus, built
+// as a restarted primary builds it: the journal at path reopened, then
+// a coordinator over a fresh source. The journal closes with the test.
+func startFirehose(t *testing.T, path string, seed, n int64, copts CoordinatorOptions) func() (*Coordinator, error) {
+	return func() (*Coordinator, error) {
+		j, replay, err := stream.OpenJournal(path, "dist-test", stream.JournalOptions{FsyncEvery: 1})
+		if err != nil {
+			return nil, err
+		}
+		t.Cleanup(func() { j.Close() })
+		copts.Source, copts.Journal, copts.Replay = stream.NewFirehoseSource(seed, n), j, replay
+		return NewCoordinator(copts), nil
+	}
+}

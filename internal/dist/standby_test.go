@@ -24,12 +24,10 @@ func newStandbyServer(t *testing.T, s *Standby) *httptest.Server {
 
 // TestStandbyServes503UntilPromoted: before promotion the work
 // endpoints refuse, while /healthz, /status and /config answer so
-// workers and probes can talk to an unpromoted follower.
+// workers and probes can talk to an unpromoted standby.
 func TestStandbyServes503UntilPromoted(t *testing.T) {
 	s, err := NewStandby(StandbyOptions{
-		JournalPath: filepath.Join(t.TempDir(), "s.journal"),
-		SourceName:  "standby-test",
-		NewSource:   func() (stream.Source, error) { return stream.NewFirehoseSource(1, 1), nil },
+		Start: startFirehose(t, filepath.Join(t.TempDir(), "s.journal"), 1, 1, CoordinatorOptions{}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,11 +60,11 @@ func TestStandbyServes503UntilPromoted(t *testing.T) {
 }
 
 // TestStandbyPromotionResumesBitIdentical is the failover headline: a
-// primary journals part of the run and dies; the tailing standby is
-// promoted by POST /promote, reconstructs the folded state from the
-// journal, serves the remainder to a worker that rotates across the
-// address list, and finishes with RunStats bit-identical to an
-// uninterrupted single-process run.
+// primary journals part of the run and dies; the standby is promoted by
+// POST /promote, reconstructs the folded state from the journal, serves
+// the remainder to a worker that rotates across the address list, and
+// finishes with RunStats bit-identical to an uninterrupted
+// single-process run.
 func TestStandbyPromotionResumesBitIdentical(t *testing.T) {
 	const seed, n, firstLeg = 83, 14, 6
 	want := referenceRun(t, seed, n)
@@ -83,20 +81,14 @@ func TestStandbyPromotionResumesBitIdentical(t *testing.T) {
 	})
 	srv1 := httptest.NewServer(primary.Handler())
 
-	s, err := NewStandby(StandbyOptions{
-		JournalPath:  path,
-		SourceName:   "dist-test",
-		JournalOpts:  stream.JournalOptions{FsyncEvery: 1},
-		NewSource:    func() (stream.Source, error) { return stream.NewFirehoseSource(seed, n), nil },
-		TailInterval: 10 * time.Millisecond,
-	})
+	s, err := NewStandby(StandbyOptions{Start: startFirehose(t, path, seed, n, CoordinatorOptions{})})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv2 := newStandbyServer(t, s)
 	coords := []string{srv1.URL, srv2.URL}
 
-	// First leg against the primary; the standby follows along.
+	// First leg against the primary.
 	if _, err := RunWorker(context.Background(), WorkerOptions{
 		Coordinator: coords[0], Coordinators: coords,
 		Name: "first-leg", PollInterval: 5 * time.Millisecond,
@@ -104,14 +96,6 @@ func TestStandbyPromotionResumesBitIdentical(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.TailedRecords() < firstLeg {
-		if time.Now().After(deadline) {
-			t.Fatalf("standby tailed %d records, want %d", s.TailedRecords(), firstLeg)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
 	// The primary dies: server gone, journal closed, state discarded.
 	srv1.Close()
 	j.Close()
@@ -158,13 +142,90 @@ func TestStandbyPromotionResumesBitIdentical(t *testing.T) {
 	}
 
 	// The journal holds the whole corpus exactly once across both
-	// reigns: read it back through a fresh tail.
-	tail := stream.NewTail(path)
-	if _, err := tail.Poll(); err != nil {
+	// reigns: read it back without touching it.
+	r, err := stream.ReadJournal(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if r := tail.Replay(); r.Records != n || r.Duplicates != 0 {
-		t.Fatalf("final journal: records=%d duplicates=%d", r.Records, r.Duplicates)
+	if r.Records != n || r.Duplicates != 0 || r.Truncated {
+		t.Fatalf("final journal: records=%d duplicates=%d torn=%v", r.Records, r.Duplicates, r.Truncated)
+	}
+}
+
+// TestStandbyPromotionTruncatesTornTail: the primary died mid-append,
+// leaving a partial final record after its last intact one. Promotion
+// reopens the journal as any restart does: the torn bytes are cut, only
+// the intact records replay, and the run still ends with RunStats
+// bit-identical to an uninterrupted one.
+func TestStandbyPromotionTruncatesTornTail(t *testing.T) {
+	const seed, n, firstLeg = 61, 10, 4
+	want := referenceRun(t, seed, n)
+	path := filepath.Join(t.TempDir(), "torn.journal")
+
+	j, replay, err := stream.OpenJournal(path, "dist-test", stream.JournalOptions{FsyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := NewCoordinator(CoordinatorOptions{
+		Source:  stream.NewFirehoseSource(seed, n),
+		Journal: j,
+		Replay:  replay,
+	})
+	srv1 := httptest.NewServer(primary.Handler())
+	if _, err := RunWorker(context.Background(), WorkerOptions{
+		Coordinator: srv1.URL, Name: "first-leg",
+		PollInterval: 5 * time.Millisecond, MaxApps: firstLeg,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv1.Close()
+	j.Close()
+
+	// The append the primary died in: half a record, no newline.
+	intact, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"type":"app","seq":5,"app":"torn","outc`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s, err := NewStandby(StandbyOptions{Start: startFirehose(t, path, seed, n, CoordinatorOptions{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2 := newStandbyServer(t, s)
+	if err := s.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != intact.Size() {
+		t.Fatalf("journal after promotion: %d bytes, want the intact %d", fi.Size(), intact.Size())
+	}
+
+	_, got := runWorkerAndWait(t, s.Coordinator(), WorkerOptions{
+		Coordinator: srv2.URL, Name: "second-leg", PollInterval: 5 * time.Millisecond,
+	})
+	if bareStats(got.RunStats) != bareStats(want.RunStats) {
+		t.Fatalf("torn-tail failover run %+v != uninterrupted %+v", got.RunStats, want.RunStats)
+	}
+	if got.Replayed != firstLeg {
+		t.Fatalf("promoted coordinator replayed %d, want the %d intact records", got.Replayed, firstLeg)
+	}
+	r, err := stream.ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Records != n || r.Duplicates != 0 || r.Truncated {
+		t.Fatalf("final journal: records=%d duplicates=%d torn=%v", r.Records, r.Duplicates, r.Truncated)
 	}
 }
 
@@ -181,13 +242,10 @@ func TestStandbyProbeSelfPromotes(t *testing.T) {
 	srv1 := httptest.NewServer(primary.Handler())
 
 	s, err := NewStandby(StandbyOptions{
-		JournalPath:   path,
-		SourceName:    "probe-test",
-		NewSource:     func() (stream.Source, error) { return stream.NewFirehoseSource(seed, n), nil },
+		Start:         startFirehose(t, path, seed, n, CoordinatorOptions{}),
 		PrimaryURL:    srv1.URL,
 		ProbeInterval: 30 * time.Millisecond,
 		ProbeFailures: 2,
-		TailInterval:  10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,10 +299,20 @@ func TestStandbyProbeSelfPromotes(t *testing.T) {
 // Wait return the error.
 func TestStandbyPromotionFailsOnVanishedCorpus(t *testing.T) {
 	corpus := writeFirehoseCorpus(t, 3, 2)
+	path := filepath.Join(t.TempDir(), "vanished.journal")
 	s, err := NewStandby(StandbyOptions{
-		JournalPath: filepath.Join(t.TempDir(), "vanished.journal"),
-		SourceName:  "standby-test",
-		NewSource:   func() (stream.Source, error) { return stream.NewDirSource(corpus) },
+		Start: func() (*Coordinator, error) {
+			src, err := stream.NewDirSource(corpus)
+			if err != nil {
+				return nil, err
+			}
+			j, replay, err := stream.OpenJournal(path, "dist-test", stream.JournalOptions{})
+			if err != nil {
+				return nil, err
+			}
+			t.Cleanup(func() { j.Close() })
+			return NewCoordinator(CoordinatorOptions{Source: src, Journal: j, Replay: replay}), nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

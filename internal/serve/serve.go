@@ -64,16 +64,22 @@ func (o Options) withDefaults() Options {
 // /check-history.
 const longiCacheEntries = 4096
 
+// runFunc analyzes one admitted app on a worker's checker: CheckSafe,
+// or for /check-history the longitudinal engine, sharing the same
+// worker pool and admission bound.
+type runFunc func(ctx context.Context, c *core.Checker) (*core.Report, error)
+
 // job is one admitted app: the request context travels with it so a
 // canceled request is skipped cheaply instead of analyzed for nobody.
 type job struct {
 	ctx  context.Context
 	name string
-	// run analyzes the app: CheckSafe, or for /check-history the
-	// longitudinal engine, sharing the same worker pool and admission
-	// bound.
-	run  func(ctx context.Context, c *core.Checker) (*core.Report, error)
-	done chan eval.Result // buffered(1): the worker's send never blocks
+	run  runFunc
+	// res is the result. The worker stores it, then signals done, the
+	// request's channel, buffered to its app count so the send never
+	// blocks.
+	res  eval.Result
+	done chan struct{}
 }
 
 // Server is the long-lived analysis service. Construct with New,
@@ -145,10 +151,10 @@ func (s *Server) Start(ln net.Listener) {
 			defer s.workers.Done()
 			checker := s.pool.NewChecker()
 			for j := range s.jobs {
-				res := s.pool.Analyze(j.ctx, checker, j.name, j.run)
-				s.obs.AddCounter("serve-requests-"+res.Outcome.String(), 1)
+				j.res = s.pool.Analyze(j.ctx, checker, j.name, j.run)
+				s.obs.AddCounter("serve-requests-"+j.res.Outcome.String(), 1)
 				s.release(1)
-				j.done <- res
+				j.done <- struct{}{}
 			}
 		}()
 	}
@@ -216,100 +222,139 @@ func (s *Server) QueueLen() int {
 	return s.queued
 }
 
-// submit queues one admitted app. The queue channel's capacity equals
-// QueueDepth, so a successful tryAcquire guarantees the send does not
-// block. run may be nil (plain CheckSafe).
-func (s *Server) submit(ctx context.Context, name string, app *core.App,
-	run func(context.Context, *core.Checker) (*core.Report, error)) *job {
-	if run == nil {
-		run = func(ctx context.Context, c *core.Checker) (*core.Report, error) {
-			return c.CheckSafe(ctx, app)
-		}
+// endpoint words an analysis endpoint's admission errors.
+type endpoint struct {
+	// badBundle is the 422 text for bundle i, which did not convert.
+	badBundle func(bundles []CheckRequest, i int, err error) string
+	// full is the 429 text for n apps that do not fit the queue.
+	full func(n int) string
+}
+
+var (
+	checkEndpoint = &endpoint{
+		badBundle: func(_ []CheckRequest, _ int, err error) string { return err.Error() },
+		full:      func(int) string { return "analysis queue is full" },
 	}
-	j := &job{ctx: ctx, name: name, run: run, done: make(chan eval.Result, 1)}
-	s.jobs <- j
-	return j
+	batchEndpoint = &endpoint{
+		badBundle: func(bundles []CheckRequest, i int, err error) string {
+			return fmt.Sprintf("app %d (%s): %s", i, bundles[i].Name, err)
+		},
+		full: func(n int) string { return fmt.Sprintf("batch of %d does not fit the analysis queue", n) },
+	}
+	historyEndpoint = &endpoint{
+		badBundle: func(_ []CheckRequest, i int, err error) string {
+			return fmt.Sprintf("version %d: %s", i+1, err)
+		},
+		full: func(n int) string { return fmt.Sprintf("chain of %d does not fit the analysis queue", n) },
+	}
+)
+
+// readRequest is where every analysis endpoint starts: POST only
+// (405), no new work while draining (503), and the size-bounded JSON
+// body decoded into v (400). It reports whether the request got
+// through; when it did not, the error response is written.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	if r.Method != http.MethodPost {
+		WriteError(w, http.StatusMethodNotAllowed, "POST required")
+		return false
+	}
+	if s.draining.Load() {
+		WriteError(w, http.StatusServiceUnavailable, "server is draining")
+		return false
+	}
+	if err := DecodeJSON(w, r, maxBodyBytes, v); err != nil {
+		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return false
+	}
+	return true
+}
+
+// analyze runs a request's bundles as one admission unit. Every bundle
+// must convert, or the first that does not is answered 422; all of
+// them must fit the queue, or the request is answered 429. Then every
+// app is queued, and once all have finished collect receives each
+// one's result and wire response, in request order. prep, when
+// non-nil, sees each converted app before it is queued and returns its
+// job name and analysis; without it an app runs CheckSafe under its
+// bundle's name. analyze reports whether the apps ran; when they did
+// not, the error response is written.
+func (s *Server) analyze(w http.ResponseWriter, r *http.Request, ep *endpoint, bundles []CheckRequest,
+	prep func(i int, app *core.App) (string, runFunc),
+	collect func(i int, res eval.Result, resp CheckResponse)) bool {
+	var one [1]*core.App // keeps a single /check's app list off the heap
+	apps := one[:0]
+	if len(bundles) > 1 {
+		apps = make([]*core.App, 0, len(bundles))
+	}
+	for i := range bundles {
+		app, err := bundles[i].App()
+		if err != nil {
+			s.obs.AddCounter("serve-requests-badbundle", 1)
+			WriteError(w, http.StatusUnprocessableEntity, ep.badBundle(bundles, i, err))
+			return false
+		}
+		apps = append(apps, app)
+	}
+	if !s.tryAcquire(len(apps)) {
+		s.obs.AddCounter("serve-requests-rejected", 1)
+		WriteError(w, http.StatusTooManyRequests, ep.full(len(apps)))
+		return false
+	}
+	// The queue channel's capacity equals QueueDepth, so a successful
+	// tryAcquire guarantees the sends do not block.
+	jobs := make([]job, len(apps))
+	done := make(chan struct{}, len(apps))
+	for i, app := range apps {
+		j := &jobs[i]
+		j.ctx, j.name, j.done = r.Context(), bundles[i].Name, done
+		if prep != nil {
+			j.name, j.run = prep(i, app)
+		} else {
+			j.run = func(ctx context.Context, c *core.Checker) (*core.Report, error) {
+				return c.CheckSafe(ctx, app)
+			}
+		}
+		s.jobs <- j
+	}
+	for range jobs {
+		<-done
+	}
+	for i := range jobs {
+		collect(i, jobs[i].res, checkResponse(jobs[i].name, jobs[i].res))
+	}
+	return true
 }
 
 // handleCheck analyzes one app bundle.
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST required")
+	var req [1]CheckRequest
+	if !s.readRequest(w, r, &req[0]) {
 		return
 	}
-	if s.draining.Load() {
-		WriteError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	var req CheckRequest
-	if err := DecodeJSON(w, r, maxBodyBytes, &req); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	app, err := req.App()
-	if err != nil {
-		s.obs.AddCounter("serve-requests-badbundle", 1)
-		WriteError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	if !s.tryAcquire(1) {
-		s.obs.AddCounter("serve-requests-rejected", 1)
-		WriteError(w, http.StatusTooManyRequests, "analysis queue is full")
-		return
-	}
-	res := <-s.submit(r.Context(), req.Name, app, nil).done
-	WriteJSON(w, statusFor(res.Outcome), checkResponse(&req, res))
+	s.analyze(w, r, checkEndpoint, req[:], nil, func(_ int, res eval.Result, resp CheckResponse) {
+		WriteJSON(w, statusFor(res.Outcome), resp)
+	})
 }
 
 // handleCheckBatch analyzes a list of bundles as one admission unit:
 // either the whole batch fits in the queue or the request is rejected
 // with 429.
 func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.draining.Load() {
-		WriteError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
 	var batch BatchRequest
-	if err := DecodeJSON(w, r, maxBodyBytes, &batch); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !s.readRequest(w, r, &batch) {
 		return
 	}
 	if len(batch.Apps) == 0 {
 		WriteError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	apps := make([]*core.App, len(batch.Apps))
-	for i := range batch.Apps {
-		app, err := batch.Apps[i].App()
-		if err != nil {
-			s.obs.AddCounter("serve-requests-badbundle", 1)
-			WriteError(w, http.StatusUnprocessableEntity,
-				fmt.Sprintf("app %d (%s): %s", i, batch.Apps[i].Name, err))
-			return
-		}
-		apps[i] = app
-	}
-	if !s.tryAcquire(len(apps)) {
-		s.obs.AddCounter("serve-requests-rejected", 1)
-		WriteError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("batch of %d does not fit the analysis queue", len(apps)))
-		return
-	}
-	jobs := make([]*job, len(apps))
-	for i, app := range apps {
-		jobs[i] = s.submit(r.Context(), batch.Apps[i].Name, app, nil)
-	}
-	resp := BatchResponse{Apps: make([]CheckResponse, len(jobs))}
-	for i, j := range jobs {
-		res := <-j.done
-		resp.Apps[i] = checkResponse(&batch.Apps[i], res)
+	resp := BatchResponse{Apps: make([]CheckResponse, len(batch.Apps))}
+	if s.analyze(w, r, batchEndpoint, batch.Apps, nil, func(i int, res eval.Result, out CheckResponse) {
+		resp.Apps[i] = out
 		resp.Stats.add(res)
+	}) {
+		WriteJSON(w, http.StatusOK, resp)
 	}
-	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleCheckHistory analyzes one app's release chain through the
@@ -319,17 +364,8 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 // traffic, and unchanged stages are served from the server-lifetime
 // artifact store.
 func (s *Server) handleCheckHistory(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.draining.Load() {
-		WriteError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
 	var req HistoryRequest
-	if err := DecodeJSON(w, r, maxBodyBytes, &req); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !s.readRequest(w, r, &req) {
 		return
 	}
 	if len(req.Versions) == 0 {
@@ -337,41 +373,23 @@ func (s *Server) handleCheckHistory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	apps := make([]*core.App, len(req.Versions))
-	for i := range req.Versions {
-		app, err := req.Versions[i].App()
-		if err != nil {
-			s.obs.AddCounter("serve-requests-badbundle", 1)
-			WriteError(w, http.StatusUnprocessableEntity,
-				fmt.Sprintf("version %d: %s", i+1, err))
-			return
-		}
+	reports := make([]*core.Report, len(req.Versions))
+	resp := HistoryResponse{Name: req.Name, Versions: make([]CheckResponse, len(req.Versions))}
+	prep := func(i int, app *core.App) (string, runFunc) {
 		app.Name = req.Name // one app across the chain
 		apps[i] = app
+		return fmt.Sprintf("%s@v%d", req.Name, i+1), func(ctx context.Context, c *core.Checker) (*core.Report, error) {
+			return s.longiEng.CheckVersion(ctx, c, app)
+		}
 	}
-	if !s.tryAcquire(len(apps)) {
-		s.obs.AddCounter("serve-requests-rejected", 1)
-		WriteError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("chain of %d does not fit the analysis queue", len(apps)))
-		return
-	}
-	jobs := make([]*job, len(apps))
-	for i, app := range apps {
-		app := app
-		jobs[i] = s.submit(r.Context(), fmt.Sprintf("%s@v%d", req.Name, i+1), app,
-			func(ctx context.Context, c *core.Checker) (*core.Report, error) {
-				return s.longiEng.CheckVersion(ctx, c, app)
-			})
-	}
-	resp := HistoryResponse{Name: req.Name, Versions: make([]CheckResponse, len(jobs))}
-	reports := make([]*core.Report, len(jobs))
-	for i, j := range jobs {
-		res := <-j.done
-		resp.Versions[i] = checkResponse(&req.Versions[i], res)
-		resp.Versions[i].Name = j.name
+	if !s.analyze(w, r, historyEndpoint, req.Versions, prep, func(i int, res eval.Result, out CheckResponse) {
+		resp.Versions[i] = out
 		resp.Stats.add(res)
 		if res.Outcome == eval.OutcomeChecked || res.Outcome == eval.OutcomeDegraded {
 			reports[i] = res.Report
 		}
+	}) {
+		return
 	}
 	hist := longi.History{
 		Pkg:      req.Name,
@@ -454,9 +472,9 @@ func (s *Server) Metrics() *obs.Snapshot {
 }
 
 // checkResponse shapes one finished analysis for the wire.
-func checkResponse(req *CheckRequest, res eval.Result) CheckResponse {
+func checkResponse(name string, res eval.Result) CheckResponse {
 	return CheckResponse{
-		Name:             req.Name,
+		Name:             name,
 		Outcome:          res.Outcome.String(),
 		Retries:          res.Retries,
 		RetriesExhausted: res.Exhausted,

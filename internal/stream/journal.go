@@ -84,7 +84,8 @@ type Replay struct {
 	// and the soak harness can assert exactly that.
 	Duplicates int
 	// Truncated reports that a torn final record (a crash mid-append)
-	// was dropped and the file truncated back to the last good record.
+	// was dropped. OpenJournal also truncates the file back to the last
+	// good record; ReadJournal leaves the file as it is.
 	Truncated bool
 }
 
@@ -176,6 +177,16 @@ func OpenJournal(path, source string, opts JournalOptions) (*Journal, *Replay, e
 		}
 	}
 	return j, replay, nil
+}
+
+// ReadJournal replays the journal at path without changing it: the
+// intact records are folded as OpenJournal folds them, but a torn tail
+// is only reported (Truncated), never truncated, and a missing file is
+// an empty replay, not a new journal. It is how a run's own journal is
+// audited while its writer may still hold it open.
+func ReadJournal(path string) (*Replay, error) {
+	replay, _, _, err := replayFile(path)
+	return replay, err
 }
 
 // replayFile reads a journal, tolerating a torn tail. It returns the

@@ -218,3 +218,119 @@ func TestHashBytesSectionBoundaries(t *testing.T) {
 		t.Fatal("hash not deterministic")
 	}
 }
+
+// TestReadJournalLiveJournal: reading a journal whose writer still
+// holds it open folds exactly the records synced so far, and the fold
+// matches what OpenJournal recovers from the same file.
+func TestReadJournalLiveJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "live.journal")
+	j, _, err := OpenJournal(path, "test", JournalOptions{FsyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	read := func() *Replay {
+		t.Helper()
+		replay, err := ReadJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return replay
+	}
+	if r := read(); r.Records != 0 || r.Truncated {
+		t.Fatalf("header-only journal: %+v", r)
+	}
+	j.Append(Record{App: "a", Hash: "h-a", Outcome: eval.OutcomeChecked.String()})
+	j.Append(Record{App: "b", Hash: "h-b", Outcome: eval.OutcomeDegraded.String(), Retries: 1})
+	if r := read(); r.Records != 2 {
+		t.Fatalf("after two appends: %+v", r)
+	}
+	j.Append(Record{App: "c", Hash: "h-c", Outcome: eval.OutcomeFailed.String()})
+	got := read()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := OpenJournal(path, "test", JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Records != 3 || got.Records != want.Records || got.Duplicates != want.Duplicates ||
+		got.Stats != want.Stats || len(got.Done) != len(want.Done) {
+		t.Fatalf("ReadJournal %+v != OpenJournal %+v", got, want)
+	}
+	for name, rec := range want.Done {
+		if got.Done[name] != rec {
+			t.Fatalf("Done[%q] = %+v, want %+v", name, got.Done[name], rec)
+		}
+	}
+}
+
+// writeJournalBytes writes a header, one intact app record and then
+// tail verbatim, and returns the file's contents.
+func writeJournalBytes(t *testing.T, path, tail string) []byte {
+	t.Helper()
+	content := `{"type":"header","version":1,"source":"test"}` + "\n" +
+		`{"type":"app","seq":1,"app":"whole","hash":"h1","outcome":"checked"}` + "\n" + tail
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return []byte(content)
+}
+
+// TestReadJournalLeavesTornTail: a record cut off before its newline is
+// dropped from the fold and reported, but the file stays byte for byte
+// as it was. A writer may still be finishing that append.
+func TestReadJournalLeavesTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "torn.journal")
+	before := writeJournalBytes(t, path, `{"type":"app","seq":2,"app":"half","outc`)
+	replay, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replay.Records != 1 || !replay.Truncated {
+		t.Fatalf("replay = %+v, want 1 record and a torn tail", replay)
+	}
+	if _, ok := replay.Done["half"]; ok {
+		t.Fatal("torn record was folded")
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(before) {
+		t.Fatalf("ReadJournal changed the file (err %v):\n%s", err, after)
+	}
+}
+
+// TestReadJournalCorruptCompleteLine: a whole line that does not parse
+// ends the fold there, as on reopen, and the file is not touched.
+func TestReadJournalCorruptCompleteLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corrupt.journal")
+	before := writeJournalBytes(t, path,
+		"not json at all\n"+`{"type":"app","seq":3,"app":"after","outcome":"checked"}`+"\n")
+	replay, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replay.Records != 1 || !replay.Truncated {
+		t.Fatalf("replay = %+v, want 1 record and a torn tail", replay)
+	}
+	if _, ok := replay.Done["after"]; ok {
+		t.Fatal("record after the corrupt line was trusted")
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(before) {
+		t.Fatalf("ReadJournal changed the file (err %v):\n%s", err, after)
+	}
+}
+
+// TestReadJournalMissingFile: a journal not yet created reads as an
+// empty replay, and reading it does not create it.
+func TestReadJournalMissingFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nonexistent.journal")
+	replay, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replay.Records != 0 || len(replay.Done) != 0 || replay.Truncated {
+		t.Fatalf("missing file: %+v", replay)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("ReadJournal created the file (stat err %v)", err)
+	}
+}

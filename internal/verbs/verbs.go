@@ -73,7 +73,6 @@ var (
 	lemmas []string
 
 	synonymByLemma = map[string]Category{}
-	extendedMask   = map[string]Mask{}
 	extendedLemmas []string
 )
 
@@ -81,28 +80,34 @@ var (
 // declared in synonyms.go — because init functions run in file order
 // and synonyms.go sorts before verbs.go.
 func init() {
-	addList := func(list []string, c Category, mask map[string]Mask, out *[]string, cats map[string]Category) {
+	// seen deduplicates lemmas and then extendedLemmas: a synonym that
+	// is already a category verb, or an earlier synonym, is listed once.
+	seen := map[string]bool{}
+	addList := func(list []string, c Category, out *[]string, cats map[string]Category) {
 		for _, v := range list {
-			if _, dup := mask[v]; !dup {
+			if !seen[v] {
+				seen[v] = true
 				*out = append(*out, v)
 			}
-			mask[v] |= c.Bit()
 			cats[v] = c
 		}
 	}
-	addList(CollectVerbs, Collect, lemmaMask, &lemmas, byLemma)
-	addList(UseVerbs, Use, lemmaMask, &lemmas, byLemma)
-	addList(RetainVerbs, Retain, lemmaMask, &lemmas, byLemma)
-	addList(DiscloseVerbs, Disclose, lemmaMask, &lemmas, byLemma)
+	addCore := func(list []string, c Category) {
+		for _, v := range list {
+			lemmaMask[v] |= c.Bit()
+		}
+		addList(list, c, &lemmas, byLemma)
+	}
+	addCore(CollectVerbs, Collect)
+	addCore(UseVerbs, Use)
+	addCore(RetainVerbs, Retain)
+	addCore(DiscloseVerbs, Disclose)
 
 	extendedLemmas = append(extendedLemmas, lemmas...)
-	for _, l := range lemmas {
-		extendedMask[l] = lemmaMask[l]
-	}
-	addList(SynonymCollect, Collect, extendedMask, &extendedLemmas, synonymByLemma)
-	addList(SynonymUse, Use, extendedMask, &extendedLemmas, synonymByLemma)
-	addList(SynonymRetain, Retain, extendedMask, &extendedLemmas, synonymByLemma)
-	addList(SynonymDisclose, Disclose, extendedMask, &extendedLemmas, synonymByLemma)
+	addList(SynonymCollect, Collect, &extendedLemmas, synonymByLemma)
+	addList(SynonymUse, Use, &extendedLemmas, synonymByLemma)
+	addList(SynonymRetain, Retain, &extendedLemmas, synonymByLemma)
+	addList(SynonymDisclose, Disclose, &extendedLemmas, synonymByLemma)
 }
 
 // CategoryOf returns the category of a verb (any inflection), or None.

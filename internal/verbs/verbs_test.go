@@ -91,7 +91,7 @@ func TestMaskOf(t *testing.T) {
 		cases = append(cases, l)
 	}
 	for _, verb := range cases {
-		m, em := LemmaMaskOf(nlp.Lemma(verb)), extendedMask[nlp.Lemma(verb)]
+		m := LemmaMaskOf(nlp.Lemma(verb))
 		for _, c := range Categories() {
 			if m.Has(c) != (CategoryOf(verb) == c && c != None) && CategoryOf(verb) != None {
 				// A lemma may sit in several lists under the mask even
@@ -104,47 +104,16 @@ func TestMaskOf(t *testing.T) {
 		if c := CategoryOf(verb); c != None && !m.Has(c) {
 			t.Errorf("mask of %q missing CategoryOf %v", verb, c)
 		}
-		if c := ExtendedCategoryOf(verb); c != None && !em.Has(c) {
-			t.Errorf("extended mask of %q missing %v", verb, c)
-		}
 		if m != 0 && ExtendedCategoryOf(verb) == None {
 			t.Errorf("mask %q set but no category", verb)
-		}
-		if em&^maskUnion(verb) != 0 {
-			t.Errorf("extended mask of %q = %b has bits beyond list membership", verb, em)
 		}
 	}
 	if LemmaMaskOf(nlp.Lemma("display")) != 0 {
 		t.Fatal("core mask includes synonym-only verb")
 	}
-	if !extendedMask[nlp.Lemma("display")].Has(Disclose) {
-		t.Fatal("extended mask misses display")
+	if ExtendedCategoryOf("display") != Disclose {
+		t.Fatal("display is not an extended Disclose verb")
 	}
-}
-
-// maskUnion recomputes a verb's mask from the raw lists — the loop
-// reference the bitmask is checked against.
-func maskUnion(verb string) Mask {
-	var m Mask
-	l := nlp.Lemma(verb)
-	for _, pair := range []struct {
-		lists [][]string
-		cat   Category
-	}{
-		{[][]string{CollectVerbs, SynonymCollect}, Collect},
-		{[][]string{UseVerbs, SynonymUse}, Use},
-		{[][]string{RetainVerbs, SynonymRetain}, Retain},
-		{[][]string{DiscloseVerbs, SynonymDisclose}, Disclose},
-	} {
-		for _, list := range pair.lists {
-			for _, v := range list {
-				if v == l {
-					m |= pair.cat.Bit()
-				}
-			}
-		}
-	}
-	return m
 }
 
 func TestExtendedCategoryOf(t *testing.T) {
@@ -190,3 +159,29 @@ func TestExtendedLemmasSuperset(t *testing.T) {
 
 // Has reports whether the mask contains the category.
 func (m Mask) Has(c Category) bool { return m&c.Bit() != 0 }
+
+// TestExtendedLemmasOrder pins ExtendedLemmas to its rule: the four
+// category lists, then the four synonym lists, in that order, each verb
+// kept at its first appearance.
+func TestExtendedLemmasOrder(t *testing.T) {
+	var want []string
+	seen := map[string]bool{}
+	for _, list := range [][]string{CollectVerbs, UseVerbs, RetainVerbs, DiscloseVerbs,
+		SynonymCollect, SynonymUse, SynonymRetain, SynonymDisclose} {
+		for _, v := range list {
+			if !seen[v] {
+				seen[v] = true
+				want = append(want, v)
+			}
+		}
+	}
+	got := ExtendedLemmas()
+	if len(got) != len(want) {
+		t.Fatalf("ExtendedLemmas() has %d lemmas, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ExtendedLemmas()[%d] = %q, want %q", i, got[i], want[i])
+		}
+	}
+}
