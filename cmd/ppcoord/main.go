@@ -85,6 +85,11 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
+	if *shards < 0 {
+		fmt.Fprintln(os.Stderr, "ppcoord: -shards must not be negative")
+		flag.Usage()
+		return 2
+	}
 
 	observer := obs.New()
 

@@ -312,11 +312,11 @@ func TestCoordinatorJournalResume(t *testing.T) {
 	}
 	// The healed journal holds the full corpus exactly once.
 	j2.Close()
-	_, replay3, err := stream.OpenJournal(path, "dist-test", stream.JournalOptions{})
+	replay3, err := stream.ReadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replay3.Records != n || replay3.Duplicates != 0 {
+	if replay3.Records != n || replay3.Duplicates != 0 || replay3.Truncated {
 		t.Fatalf("final journal: %+v", replay3)
 	}
 }

@@ -250,14 +250,24 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
+// readRequest is where /lease, /renew and /report start: POST only
+// (405), then a bounded body decode into v (400). It reports whether
+// the handler should go on; when not, the error response is written.
+func readRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+		return false
 	}
-	var req LeaseRequest
-	if err := serve.DecodeJSON(w, r, 1<<20, &req); err != nil {
+	if err := serve.DecodeJSON(w, r, 1<<20, v); err != nil {
 		serve.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return false
+	}
+	return true
+}
+
+func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
+	var req LeaseRequest
+	if !readRequest(w, r, &req) {
 		return
 	}
 	now := time.Now()
@@ -309,13 +319,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 // already-expired lease — by then the item may be reassigned, and two
 // live copies of one lease ID would break the reclaim accounting.
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req RenewRequest
-	if err := serve.DecodeJSON(w, r, 1<<20, &req); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !readRequest(w, r, &req) {
 		return
 	}
 	now := time.Now()
@@ -344,13 +349,8 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req ReportRequest
-	if err := serve.DecodeJSON(w, r, 1<<20, &req); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !readRequest(w, r, &req) {
 		return
 	}
 	// An outcome the fold cannot count must not retire the app: reject
@@ -452,12 +452,7 @@ func (c *Coordinator) StatsSnapshot() StatsResponse {
 	stats := c.tally.Stats()
 	return StatsResponse{
 		Done:                done,
-		Apps:                stats.Apps,
-		Checked:             stats.Checked,
-		Degraded:            stats.Degraded,
-		Failed:              stats.Failed,
-		Retried:             stats.Retried,
-		Skipped:             stats.Skipped,
+		RunStats:            stats.RunStats,
 		Replayed:            stats.Replayed,
 		Reanalyzed:          stats.Reanalyzed,
 		Granted:             c.granted,

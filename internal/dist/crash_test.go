@@ -161,11 +161,11 @@ func TestDistCrashSoakBitIdentical(t *testing.T) {
 	// The journal holds the full corpus exactly once: expiry and
 	// reassignment never double-journaled an app.
 	j.Close()
-	_, replay2, err := stream.OpenJournal(path, "dist-soak", stream.JournalOptions{})
+	replay2, err := stream.ReadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replay2.Records != n || replay2.Duplicates != 0 {
+	if replay2.Records != n || replay2.Duplicates != 0 || replay2.Truncated {
 		t.Fatalf("final journal: %+v", replay2)
 	}
 }

@@ -14,17 +14,16 @@
 //	             stream.Stats, and journals every completed app so a
 //	             killed coordinator resumes bit-identically, exactly
 //	             like a single-process run.
-//	Worker       a thin wrapper over the existing eval.CheckApp
-//	             pipeline: pull a lease, rebuild the item with
-//	             stream.SpecResolver, analyze on a local checker,
-//	             report the outcome. Rebuilding a bundle-directory
-//	             item reads its files once; the worker hashes and
-//	             analyzes those same bytes, so the hash it reports
-//	             describes what it analyzed even if the bundle changes
-//	             on the shared filesystem meanwhile. Workers hold no
-//	             corpus state; a SIGKILLed worker costs only its
-//	             outstanding leases, which expire and are re-leased to
-//	             the survivors.
+//	Worker       a feed for an eval.Pool: pull a lease, rebuild the
+//	             item with stream.SpecResolver, analyze it on one of
+//	             the pool's checkers, report the outcome. Rebuilding a
+//	             bundle-directory item reads its files once; the
+//	             worker hashes and analyzes those same bytes, so the
+//	             hash it reports describes what it analyzed even if
+//	             the bundle changes on the shared filesystem
+//	             meanwhile. Workers hold no corpus state; a SIGKILLed
+//	             worker costs only its outstanding leases, which
+//	             expire and are re-leased to the survivors.
 //	Shards       the coordinator hosts the longi artifact store and the
 //	             shared library-policy analysis cache as consistent-
 //	             hash-sharded HTTP endpoints (/shard/<i>/artifact/...).
@@ -67,7 +66,10 @@
 //     decodes as a miss, never a poisoned result).
 package dist
 
-import "ppchecker/internal/stream"
+import (
+	"ppchecker/internal/eval"
+	"ppchecker/internal/stream"
+)
 
 // Wire types for the coordinator's lease protocol. Endpoints:
 //
@@ -165,13 +167,8 @@ type ConfigResponse struct {
 type StatsResponse struct {
 	// Done: the source is exhausted and every item is folded.
 	Done bool `json:"done"`
-	// The eval.RunStats counts folded so far.
-	Apps     int `json:"apps"`
-	Checked  int `json:"checked"`
-	Degraded int `json:"degraded"`
-	Failed   int `json:"failed"`
-	Retried  int `json:"retried"`
-	Skipped  int `json:"skipped"`
+	// The outcome counts folded so far.
+	eval.RunStats
 	// Replayed/Reanalyzed mirror stream.Stats resume accounting.
 	Replayed   int `json:"replayed"`
 	Reanalyzed int `json:"reanalyzed"`

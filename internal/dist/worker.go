@@ -112,33 +112,76 @@ type WorkerStats struct {
 	RenewalsLost int64
 }
 
-// coordSet is the worker's view of the coordinator address list: an
-// immutable URL ring plus the index currently believed primary.
-// rotate compare-and-swaps from the failing index so concurrent
-// goroutines observing the same failure advance the ring once, not
-// once each.
-type coordSet struct {
+// client speaks the lease protocol to the coordinator address ring:
+// an immutable URL list plus the index currently believed primary.
+type client struct {
+	http *http.Client
 	urls []string
 	cur  atomic.Int32
+	poll time.Duration
 }
 
-func newCoordSet(urls []string) *coordSet { return &coordSet{urls: urls} }
+// base returns the current coordinator's base URL.
+func (c *client) base() string { return c.urls[c.cur.Load()] }
 
-// snapshot returns the current index and its base URL; callers pass
-// the index back to rotate on failure.
-func (s *coordSet) snapshot() (int32, string) {
-	i := s.cur.Load()
-	return i, s.urls[i]
-}
-
-func (s *coordSet) base() string {
-	return s.urls[s.cur.Load()]
-}
-
-func (s *coordSet) rotate(from int32) {
-	if len(s.urls) > 1 {
-		s.cur.CompareAndSwap(from, (from+1)%int32(len(s.urls)))
+// call sends req to path on the current coordinator — a JSON POST, or
+// a GET when req is nil — and decodes a 200 answer into resp. 204 (no
+// work yet) and 410 (run complete) are lease answers: on /lease they
+// come back as the status with no error; on any other path they fail
+// like every other answer. On a failure the ring advances one step by
+// compare-and-swap from the index this call used, so goroutines failing
+// on the same address move it once, not once each.
+func (c *client) call(ctx context.Context, path string, req, resp any) (int, error) {
+	i := c.cur.Load()
+	status, err := c.send(ctx, c.urls[i]+path, path == "/lease", req, resp)
+	if err != nil && len(c.urls) > 1 {
+		c.cur.CompareAndSwap(i, (i+1)%int32(len(c.urls)))
 	}
+	return status, err
+}
+
+func (c *client) send(ctx context.Context, url string, lease bool, req, resp any) (int, error) {
+	method, body := http.MethodGet, io.Reader(nil)
+	if req != nil {
+		data, err := json.Marshal(req)
+		if err != nil {
+			return 0, err
+		}
+		method, body = http.MethodPost, bytes.NewReader(data)
+	}
+	httpReq, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return 0, err
+	}
+	if req != nil {
+		httpReq.Header.Set("Content-Type", "application/json")
+	}
+	httpResp, err := c.http.Do(httpReq)
+	if err != nil {
+		return 0, err
+	}
+	defer httpResp.Body.Close()
+	switch status := httpResp.StatusCode; {
+	case status == http.StatusOK:
+		return status, json.NewDecoder(io.LimitReader(httpResp.Body, 1<<20)).Decode(resp)
+	case lease && (status == http.StatusNoContent || status == http.StatusGone):
+		io.Copy(io.Discard, httpResp.Body)
+		return status, nil
+	}
+	data, _ := io.ReadAll(io.LimitReader(httpResp.Body, 4096))
+	return 0, fmt.Errorf("%s: %s: %s", url, httpResp.Status, bytes.TrimSpace(data))
+}
+
+// retry is call with up to attempts tries, a poll interval apart; it
+// gives up early once ctx dies.
+func (c *client) retry(ctx context.Context, attempts int, path string, req, resp any) error {
+	var err error
+	for a := 0; a < attempts; a++ {
+		if _, err = c.call(ctx, path, req, resp); err == nil || !sleepCtx(ctx, c.poll) {
+			break
+		}
+	}
+	return err
 }
 
 // followerStore is a longi.Store over one hosted shard that always
@@ -147,19 +190,20 @@ func (s *coordSet) rotate(from int32) {
 // *identity* (the ring position) is the index i, which both
 // coordinators host identically; only the base URL floats.
 type followerStore struct {
-	set    *coordSet
-	shard  int
-	client *http.Client
+	c     *client
+	shard int
+}
+
+func (f followerStore) store() longi.Store {
+	return longi.NewHTTPStore(fmt.Sprintf("%s/shard/%d", f.c.base(), f.shard), f.c.http)
 }
 
 func (f followerStore) Get(stage, key string) ([]byte, bool, error) {
-	url := fmt.Sprintf("%s/shard/%d", f.set.base(), f.shard)
-	return longi.NewHTTPStore(url, f.client).Get(stage, key)
+	return f.store().Get(stage, key)
 }
 
 func (f followerStore) Put(stage, key string, data []byte) error {
-	url := fmt.Sprintf("%s/shard/%d", f.set.base(), f.shard)
-	return longi.NewHTTPStore(url, f.client).Put(stage, key, data)
+	return f.store().Put(stage, key, data)
 }
 
 // RunWorker pulls leases from a coordinator until the run completes
@@ -168,25 +212,13 @@ func (f followerStore) Put(stage, key string, data []byte) error {
 // state, so killing it costs only its outstanding leases.
 func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 	opts = opts.withDefaults()
-	set := newCoordSet(opts.Coordinators)
+	cl := &client{http: opts.Client, urls: opts.Coordinators, poll: opts.PollInterval}
 
-	// Discover the shard layout. A standby answers /config too, so any
-	// address in the list will do; rotate through them on failure (the
-	// primary may be mid-failover when the worker starts).
+	// Discover the shard layout, rotating through the address list on
+	// failure (the primary may be mid-failover when the worker starts).
 	var cfg ConfigResponse
-	var cfgErr error
-	for attempt := 0; attempt < 2*len(set.urls); attempt++ {
-		idx, base := set.snapshot()
-		if cfgErr = getJSON(ctx, opts.Client, base+"/config", &cfg); cfgErr == nil {
-			break
-		}
-		set.rotate(idx)
-		if !sleepCtx(ctx, opts.PollInterval) {
-			break
-		}
-	}
-	if cfgErr != nil {
-		return WorkerStats{}, fmt.Errorf("dist: coordinator config: %w", cfgErr)
+	if err := cl.retry(ctx, 2*len(cl.urls), "/config", nil, &cfg); err != nil {
+		return WorkerStats{}, fmt.Errorf("dist: coordinator config: %w", err)
 	}
 	libCache := core.NewAnalysisCache()
 	if opts.UseRemoteCache && cfg.Shards > 0 {
@@ -195,7 +227,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 		shards := make([]longi.Store, cfg.Shards)
 		names := make([]string, cfg.Shards)
 		for i := range shards {
-			shards[i] = followerStore{set: set, shard: i, client: opts.Client}
+			shards[i] = followerStore{c: cl, shard: i}
 			names[i] = fmt.Sprintf("shard-%d", i)
 		}
 		sharded, err := NewShardedStore(shards, names, opts.Observer)
@@ -209,7 +241,6 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 
 	var (
 		stats    WorkerStats
-		accepted atomic.Int64
 		resolver = stream.NewSpecResolver()
 		wg       sync.WaitGroup
 		errMu    sync.Mutex
@@ -219,7 +250,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := workerLoop(ctx, opts, set, pool, resolver, &stats, &accepted); err != nil {
+			if err := workerLoop(ctx, opts, cl, pool, resolver, &stats); err != nil {
 				errMu.Lock()
 				if loopErr == nil {
 					loopErr = err
@@ -240,9 +271,8 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 }
 
 // workerLoop is one lease-pull goroutine with its own checker.
-func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
-	pool *eval.Pool, resolver *stream.SpecResolver,
-	stats *WorkerStats, accepted *atomic.Int64) error {
+func workerLoop(ctx context.Context, opts WorkerOptions, cl *client,
+	pool *eval.Pool, resolver *stream.SpecResolver, stats *WorkerStats) error {
 	checker := pool.NewChecker()
 
 	// Renew goroutines for leases this loop holds; waited out on return
@@ -255,18 +285,17 @@ func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 		if ctx.Err() != nil {
 			return nil
 		}
-		if opts.MaxApps > 0 && accepted.Load() >= int64(opts.MaxApps) {
+		if opts.MaxApps > 0 && atomic.LoadInt64(&stats.Reported) >= int64(opts.MaxApps) {
 			return nil
 		}
 
-		idx, base := set.snapshot()
-		lease, status, err := requestLease(ctx, opts, base)
+		var lease LeaseResponse
+		status, err := cl.call(ctx, "/lease", LeaseRequest{Worker: opts.Name}, &lease)
 		if err != nil {
 			// A coordinator restart, an unpromoted standby (503), or a
-			// network blip: rotate the address list, back off and
-			// retry; the journal carries the run across the gap. The
-			// budget is sized to outlast a probe-driven failover.
-			set.rotate(idx)
+			// network blip: the ring has rotated; back off and retry.
+			// The journal carries the run across the gap. The budget
+			// is sized to outlast a probe-driven failover.
 			netFailures++
 			if netFailures >= 200 {
 				return fmt.Errorf("dist: coordinator unreachable: %w", err)
@@ -289,7 +318,7 @@ func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 			// Unresolvable spec (e.g. the corpus dir vanished under a
 			// dir run): report failed so the run still converges
 			// instead of leasing this item forever.
-			reportOutcome(ctx, opts, set, stats, accepted, ReportRequest{
+			reportOutcome(ctx, cl, stats, ReportRequest{
 				LeaseID: lease.LeaseID, Worker: opts.Name,
 				Name: lease.Name, Hash: lease.Hash,
 				Outcome: eval.OutcomeFailed.String(),
@@ -304,7 +333,7 @@ func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 			ttl := time.Duration(lease.TTLMillis) * time.Millisecond
 			go func(leaseID string) {
 				defer renewWG.Done()
-				renewLoop(ctx, opts, set, leaseID, ttl, stats, stopRenew)
+				renewLoop(ctx, cl, RenewRequest{LeaseID: leaseID, Worker: opts.Name}, ttl, stats, stopRenew)
 			}(lease.LeaseID)
 		}
 		if opts.PerAppDelay > 0 {
@@ -314,7 +343,7 @@ func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 		if stopRenew != nil {
 			close(stopRenew)
 		}
-		reportOutcome(ctx, opts, set, stats, accepted, ReportRequest{
+		reportOutcome(ctx, cl, stats, ReportRequest{
 			LeaseID: lease.LeaseID, Worker: opts.Name,
 			// Report the locally recomputed identity, not the wire
 			// copy — the resume contract hashes what was analyzed.
@@ -330,12 +359,12 @@ func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 }
 
 // renewLoop heartbeats one held lease every TTL/3 until stopped. A
-// transport failure rotates the coordinator list (the primary may be
+// transport failure rotates the coordinator ring (the primary may be
 // gone); an OK:false answer means the lease is no longer tracked —
 // renewal stops, the analysis continues, and first-report-wins
 // resolves the race.
-func renewLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
-	leaseID string, ttl time.Duration, stats *WorkerStats, stop <-chan struct{}) {
+func renewLoop(ctx context.Context, cl *client, req RenewRequest,
+	ttl time.Duration, stats *WorkerStats, stop <-chan struct{}) {
 	tick := time.NewTicker(renewInterval(ttl))
 	defer tick.Stop()
 	for {
@@ -346,15 +375,11 @@ func renewLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 			return
 		case <-tick.C:
 		}
-		idx, base := set.snapshot()
 		var resp RenewResponse
-		err := postJSON(ctx, opts.Client, base+"/renew", RenewRequest{
-			LeaseID: leaseID, Worker: opts.Name,
-		}, &resp)
-		switch {
-		case err != nil:
-			set.rotate(idx)
-		case !resp.OK:
+		if _, err := cl.call(ctx, "/renew", req, &resp); err != nil {
+			continue // the ring has rotated; retry on the next tick
+		}
+		if !resp.OK {
 			// A denial racing our own just-sent report is not a lost
 			// lease — the report won, the app is folded. Only count the
 			// denial when the app is still in flight.
@@ -364,117 +389,33 @@ func renewLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 				atomic.AddInt64(&stats.RenewalsLost, 1)
 			}
 			return
-		default:
-			atomic.AddInt64(&stats.Renewals, 1)
 		}
+		atomic.AddInt64(&stats.Renewals, 1)
 	}
 }
 
 // reportOutcome delivers one report with bounded transport retries,
-// rotating the coordinator list between attempts. A report that cannot
+// rotating the coordinator ring between attempts. A report that cannot
 // be delivered is dropped: the lease expires and the app is reanalyzed
 // elsewhere, which the dedup map keeps single-fold.
-func reportOutcome(ctx context.Context, opts WorkerOptions, set *coordSet,
-	stats *WorkerStats, accepted *atomic.Int64, req ReportRequest) {
+func reportOutcome(ctx context.Context, cl *client, stats *WorkerStats, req ReportRequest) {
 	// Even when ctx is dying (outcome "skipped"), try to hand the
 	// lease back promptly so the coordinator requeues without waiting
 	// out the TTL.
-	rctx := ctx
 	if ctx.Err() != nil {
 		var cancel context.CancelFunc
-		rctx, cancel = context.WithTimeout(context.Background(), 2*time.Second)
+		ctx, cancel = context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 	}
 	var resp ReportResponse
-	var err error
-	for attempt := 0; attempt < 5*len(set.urls); attempt++ {
-		idx, base := set.snapshot()
-		err = postJSON(rctx, opts.Client, base+"/report", req, &resp)
-		if err == nil {
-			break
-		}
-		set.rotate(idx)
-		if !sleepCtx(rctx, opts.PollInterval) {
-			break
-		}
-	}
-	switch {
+	switch err := cl.retry(ctx, 5*len(cl.urls), "/report", req, &resp); {
 	case err != nil:
 		atomic.AddInt64(&stats.ReportErrors, 1)
 	case resp.Duplicate:
 		atomic.AddInt64(&stats.Duplicates, 1)
 	case resp.Accepted:
 		atomic.AddInt64(&stats.Reported, 1)
-		accepted.Add(1)
 	}
-}
-
-// requestLease POSTs /lease. status is 200 (lease valid), 204 or 410.
-func requestLease(ctx context.Context, opts WorkerOptions, base string) (*LeaseResponse, int, error) {
-	body, _ := json.Marshal(LeaseRequest{Worker: opts.Name})
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		base+"/lease", bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := opts.Client.Do(httpReq)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var lease LeaseResponse
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&lease); err != nil {
-			return nil, 0, err
-		}
-		return &lease, http.StatusOK, nil
-	case http.StatusNoContent, http.StatusGone:
-		io.Copy(io.Discard, resp.Body)
-		return nil, resp.StatusCode, nil
-	default:
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, 0, fmt.Errorf("dist: lease: %s: %s", resp.Status, bytes.TrimSpace(data))
-	}
-}
-
-func getJSON(ctx context.Context, client *http.Client, url string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", url, resp.Status)
-	}
-	return json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(v)
-}
-
-func postJSON(ctx context.Context, client *http.Client, url string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	httpResp, err := client.Do(httpReq)
-	if err != nil {
-		return err
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(httpResp.Body, 4096))
-		return fmt.Errorf("%s: %s: %s", url, httpResp.Status, bytes.TrimSpace(data))
-	}
-	return json.NewDecoder(io.LimitReader(httpResp.Body, 1<<20)).Decode(resp)
 }
 
 // sleepCtx pauses for d or until ctx dies; reports whether it slept

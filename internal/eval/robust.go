@@ -21,26 +21,26 @@ import (
 // Skipped. Retried counts extra attempts, not apps.
 type RunStats struct {
 	// Apps is the total number of apps in the run.
-	Apps int
+	Apps int `json:"apps"`
 	// Checked counts apps whose full pipeline completed cleanly.
-	Checked int
+	Checked int `json:"checked"`
 	// Degraded counts apps whose report is Partial: one or more stages
 	// failed but the rest of the pipeline still produced findings.
-	Degraded int
+	Degraded int `json:"degraded"`
 	// Failed counts apps with no usable analysis — a worker panic
 	// outside the pipeline or a per-app timeout that survived every
 	// retry. Their report slot holds a stub so table code stays safe.
-	Failed int
+	Failed int `json:"failed"`
 	// Retried counts retry attempts performed across all apps.
-	Retried int
+	Retried int `json:"retried"`
 	// Skipped counts apps abandoned because the run context was
 	// canceled (either before they started or mid-analysis).
-	Skipped int
+	Skipped int `json:"skipped"`
 
 	// Metrics is the per-stage latency and failure breakdown of the
 	// run, captured from RunOptions.Observer at run end. Nil when the
 	// run was not instrumented.
-	Metrics *obs.Snapshot
+	Metrics *obs.Snapshot `json:"-"`
 }
 
 // Render prints the run statistics on one line, suitable for showing

@@ -142,14 +142,12 @@ type BatchRequest struct {
 // BatchStats summarizes a batch the way eval.RunStats partitions a
 // corpus: Apps = Checked + Degraded + Failed + Skipped.
 type BatchStats struct {
-	Apps     int `json:"apps"`
-	Checked  int `json:"checked"`
-	Degraded int `json:"degraded"`
-	Failed   int `json:"failed"`
-	Skipped  int `json:"skipped"`
-	Retried  int `json:"retried"`
-	// RetryExhaustions counts the batch's failed apps that consumed
-	// their whole retry budget (a subset of Failed).
+	eval.RunStats
+	// RetryExhaustions counts the batch's apps that consumed their
+	// whole non-zero retry budget with the final attempt still erroring
+	// (see eval.AttemptOptions.Exhausted): every such failed app, and a
+	// degraded one whose StageRun entry carries the last attempt's
+	// error — so not a subset of Failed.
 	RetryExhaustions int `json:"retry_exhaustions,omitempty"`
 	// Quarantined counts apps run with retry budget withheld because
 	// the circuit breaker was open.
@@ -158,14 +156,7 @@ type BatchStats struct {
 
 // add folds one finished app into the stats.
 func (s *BatchStats) add(res eval.Result) {
-	var rs eval.RunStats
-	rs.Add(res.Outcome, res.Retries)
-	s.Apps++
-	s.Checked += rs.Checked
-	s.Degraded += rs.Degraded
-	s.Failed += rs.Failed
-	s.Skipped += rs.Skipped
-	s.Retried += rs.Retried
+	s.RunStats.Add(res.Outcome, res.Retries)
 	if res.Exhausted {
 		s.RetryExhaustions++
 	}

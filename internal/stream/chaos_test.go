@@ -49,12 +49,13 @@ func TestChaosZeroLossNoDuplicates(t *testing.T) {
 		t.Fatal("no retries recorded — the chaos panics never fired")
 	}
 	j.Close()
-	_, replay2, err := OpenJournal(path, "chaos", JournalOptions{})
+	replay2, err := ReadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replay2.Records != n || replay2.Duplicates != 0 {
-		t.Fatalf("journal = %d records, %d duplicates; want %d/0", replay2.Records, replay2.Duplicates, n)
+	if replay2.Records != n || replay2.Duplicates != 0 || replay2.Truncated {
+		t.Fatalf("journal = %d records, %d duplicates, torn tail %v; want %d/0/false",
+			replay2.Records, replay2.Duplicates, replay2.Truncated, n)
 	}
 	if bareStats(replay2.Stats) != bareStats(stats.RunStats) {
 		t.Fatalf("journal folds to %+v, run said %+v", replay2.Stats, stats.RunStats)

@@ -143,7 +143,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 
 	// The healed journal now holds the full corpus exactly once.
 	j.Close()
-	_, replay2, err := OpenJournal(path, "crash-child", JournalOptions{})
+	replay2, err := ReadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,11 +132,11 @@ func TestRunResumeBitIdentical(t *testing.T) {
 	}
 	// And the final journal holds each app exactly once.
 	j2.Close()
-	_, replay3, err := OpenJournal(path, "firehose", JournalOptions{})
+	replay3, err := ReadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replay3.Records != n || replay3.Duplicates != 0 {
+	if replay3.Records != n || replay3.Duplicates != 0 || replay3.Truncated {
 		t.Fatalf("final journal = %+v", replay3)
 	}
 }
@@ -292,12 +292,13 @@ func TestRunDrain(t *testing.T) {
 	}
 	// Drain is the graceful path: every counted app made it to disk.
 	j.Close()
-	_, replay2, err := OpenJournal(path, "firehose", JournalOptions{})
+	replay2, err := ReadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replay2.Records != stats.Apps || replay2.Duplicates != 0 {
-		t.Fatalf("journal records = %d dups = %d, run counted %d", replay2.Records, replay2.Duplicates, stats.Apps)
+	if replay2.Records != stats.Apps || replay2.Duplicates != 0 || replay2.Truncated {
+		t.Fatalf("journal records = %d dups = %d torn tail = %v, run counted %d",
+			replay2.Records, replay2.Duplicates, replay2.Truncated, stats.Apps)
 	}
 	if bareStats(replay2.Stats) != bareStats(stats.RunStats) {
 		t.Fatalf("journal folds to %+v, run said %+v", replay2.Stats, stats.RunStats)
@@ -329,9 +330,12 @@ func TestRunCancel(t *testing.T) {
 	}
 	journaled := stats.Apps - stats.Skipped
 	j.Close()
-	_, replay2, err := OpenJournal(path, "firehose", JournalOptions{})
+	replay2, err := ReadJournal(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if replay2.Truncated {
+		t.Fatal("canceled run left a torn journal tail")
 	}
 	if replay2.Records != journaled {
 		t.Fatalf("journal has %d records, run completed %d", replay2.Records, journaled)
