@@ -2,6 +2,8 @@ package longi
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -66,6 +68,14 @@ func FuzzStageKey(f *testing.F) {
 		}
 		f1, f2 := Frame("detect", t1...), Frame("detect", t2...)
 		k1, k2 := StageKey("detect", t1...), StageKey("detect", t2...)
+		for _, fk := range []struct {
+			frame []byte
+			key   string
+		}{{f1, k1}, {f2, k2}} {
+			if sum := sha256.Sum256(fk.frame); hex.EncodeToString(sum[:]) != fk.key {
+				t.Fatalf("StageKey %s is not the sha256 of its frame %x", fk.key, fk.frame)
+			}
+		}
 		if equal {
 			if !bytes.Equal(f1, f2) || k1 != k2 {
 				t.Fatalf("equal tuples, different address: frames %x vs %x", f1, f2)
