@@ -26,6 +26,7 @@ import (
 	"ppchecker/internal/esa"
 	"ppchecker/internal/eval"
 	"ppchecker/internal/htmltext"
+	"ppchecker/internal/longi"
 	"ppchecker/internal/nlp"
 	"ppchecker/internal/obs"
 	"ppchecker/internal/policy"
@@ -322,6 +323,32 @@ func BenchmarkDirSourceItem(b *testing.B) {
 		}
 		if _, err := item.Run(ctx, checker); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLongiColdRun is one cold longitudinal corpus run: 100 app
+// release chains of 5 versions through longi.RunCorpus on a fresh
+// in-memory store, one worker so the work per op is fixed. Consecutive
+// versions share units, so even a cold run serves about 40% of its
+// store lookups as hits; its allocs/op pin the codec work per version
+// (one APK encode, one artifact round trip per put, no decode of bytes
+// the engine already holds decoded).
+func BenchmarkLongiColdRun(b *testing.B) {
+	vc, err := synth.GenerateVersioned(synth.VersionedConfig{Seed: 42, Apps: 100, Versions: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := longi.NewEngine(longi.NewMemStore(0), longi.Config{})
+		res, err := longi.RunCorpus(ctx, eng, vc, longi.RunOptions{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.Checked != res.Stats.Versions {
+			b.Fatalf("cold run checked %d of %d versions", res.Stats.Checked, res.Stats.Versions)
 		}
 	}
 }

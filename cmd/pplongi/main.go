@@ -111,6 +111,9 @@ func run() int {
 		fmt.Printf(", %d store errors", c.StoreErrors)
 	}
 	fmt.Println()
+	for i, u := range c.Units {
+		fmt.Printf("  %-6s %d hits, %d misses\n", longi.UnitNames[i], u.Hits, u.Misses)
+	}
 	fmt.Printf("Drift: %d finding(s)\n", s.Drift)
 	var classes []string
 	for cl := range s.DriftByClass {

@@ -293,6 +293,54 @@ func TestStandbyProbeSelfPromotes(t *testing.T) {
 	}
 }
 
+// TestWorkerOutlastsFailoverAtStart: a worker started while the
+// primary is already dead and the standby not yet promoted waits for
+// the promotion instead of giving up on /config, then runs the whole
+// corpus on the promoted standby. The promotion comes a second later,
+// longer than several rounds of the address list at the default poll.
+func TestWorkerOutlastsFailoverAtStart(t *testing.T) {
+	const seed, n = 5, 4
+	want := referenceRun(t, seed, n)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	s, err := NewStandby(StandbyOptions{
+		Start: startFirehose(t, filepath.Join(t.TempDir(), "late.journal"), seed, n, CoordinatorOptions{}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newStandbyServer(t, s)
+
+	workerErr := make(chan error, 1)
+	go func() {
+		_, err := RunWorker(context.Background(), WorkerOptions{
+			Coordinators: []string{dead.URL, srv.URL}, Name: "early-start",
+		})
+		workerErr <- err
+	}()
+	time.Sleep(time.Second)
+	if err := s.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-workerErr:
+		if err != nil {
+			t.Fatalf("worker started before the promotion: %v", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("worker never finished")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	got, err := s.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bareStats(got.RunStats) != bareStats(want.RunStats) {
+		t.Fatalf("promoted run %+v != reference %+v", got.RunStats, want.RunStats)
+	}
+}
+
 // TestStandbyPromotionFailsOnVanishedCorpus: a promotion whose source
 // cannot be built (the corpus dir vanished) fails cleanly instead of
 // panicking: /promote answers 500, Promoted closes, and Promote and

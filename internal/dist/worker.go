@@ -206,6 +206,13 @@ func (f followerStore) Put(stage, key string, data []byte) error {
 	return f.store().Put(stage, key, data)
 }
 
+// coordinatorFailures is how many consecutive failed calls, a poll
+// interval apart, a worker sits out before it gives its coordinators
+// up, for /config at start and for /lease after. At the 100 ms default
+// poll that is 20 s, long enough to outlast a probe-driven failover
+// (a few probe intervals, then promotion).
+const coordinatorFailures = 200
+
 // RunWorker pulls leases from a coordinator until the run completes
 // (410), the lease budget MaxApps is spent, or ctx dies. It is a thin
 // distributed feed for an eval.Pool: the worker holds no corpus
@@ -217,7 +224,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 	// Discover the shard layout, rotating through the address list on
 	// failure (the primary may be mid-failover when the worker starts).
 	var cfg ConfigResponse
-	if err := cl.retry(ctx, 2*len(cl.urls), "/config", nil, &cfg); err != nil {
+	if err := cl.retry(ctx, coordinatorFailures, "/config", nil, &cfg); err != nil {
 		return WorkerStats{}, fmt.Errorf("dist: coordinator config: %w", err)
 	}
 	libCache := core.NewAnalysisCache()
@@ -294,10 +301,9 @@ func workerLoop(ctx context.Context, opts WorkerOptions, cl *client,
 		if err != nil {
 			// A coordinator restart, an unpromoted standby (503), or a
 			// network blip: the ring has rotated; back off and retry.
-			// The journal carries the run across the gap. The budget
-			// is sized to outlast a probe-driven failover.
+			// The journal carries the run across the gap.
 			netFailures++
-			if netFailures >= 200 {
+			if netFailures >= coordinatorFailures {
 				return fmt.Errorf("dist: coordinator unreachable: %w", err)
 			}
 			sleepCtx(ctx, opts.PollInterval)

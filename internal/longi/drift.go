@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"ppchecker/internal/apk"
 	"ppchecker/internal/core"
 )
 
@@ -94,56 +93,27 @@ type InputDelta struct {
 	Code   bool
 }
 
-// encodedAPK is one version's code as the input comparison sees it:
-// absent when the version carries no APK, else its encoding or the
-// error that stopped it.
-type encodedAPK struct {
-	present bool
-	data    []byte
-	err     error
-}
-
-func encodeAPK(a *apk.APK) encodedAPK {
-	if a == nil {
-		return encodedAPK{}
-	}
-	data, err := apk.Encode(a)
-	return encodedAPK{present: true, data: data, err: err}
-}
-
 // deltaOf compares the raw inputs of two versions, given each one's
-// encoded APK.
-func deltaOf(prev, next *core.App, prevCode, nextCode encodedAPK) InputDelta {
-	d := InputDelta{
+// code key (see Engine.CheckVersionCode). Equal keys mean equal APK
+// bytes, or no APK on either side; an APK that does not encode ("")
+// never counts as unchanged.
+func deltaOf(prev, next *core.App, prevCode, nextCode string) InputDelta {
+	return InputDelta{
 		Policy: prev.PolicyHTML != next.PolicyHTML,
 		Desc:   prev.Description != next.Description,
+		Code:   prevCode != nextCode || prevCode == "",
 	}
-	switch {
-	case !prevCode.present && !nextCode.present:
-	case !prevCode.present || !nextCode.present:
-		d.Code = true
-	default:
-		d.Code = prevCode.err != nil || nextCode.err != nil || string(prevCode.data) != string(nextCode.data)
-	}
-	return d
 }
 
 // DiffHistory diffs consecutive versions of one app's history into
-// drift findings. versions and reports run in parallel (index v-1 is
-// version v). Transitions where either report is Partial are skipped:
-// a degraded pipeline can lose findings, and absence must mean
-// "resolved", not "stage timed out". Each version's APK is encoded
-// once, and adjacent encodings are compared.
-func DiffHistory(appName string, versions []*core.App, reports []*core.Report) []DriftFinding {
+// drift findings. versions, codes and reports run in parallel (index
+// v-1 is version v), codes holding each version's code key as
+// Engine.CheckVersionCode returned it. Transitions where either report
+// is Partial are skipped: a degraded pipeline can lose findings, and
+// absence must mean "resolved", not "stage timed out".
+func DiffHistory(appName string, versions []*core.App, codes []string, reports []*core.Report) []DriftFinding {
 	var out []DriftFinding
-	n := len(versions)
-	if len(reports) < n {
-		n = len(reports)
-	}
-	codes := make([]encodedAPK, n)
-	for v := range codes {
-		codes[v] = encodeAPK(versions[v].APK)
-	}
+	n := min(len(versions), len(codes), len(reports))
 	for t := 1; t < n; t++ {
 		prev, next := reports[t-1], reports[t]
 		if prev == nil || next == nil || prev.Partial || next.Partial {

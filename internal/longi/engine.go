@@ -3,6 +3,7 @@ package longi
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"ppchecker/internal/core"
 	"ppchecker/internal/desc"
 	"ppchecker/internal/libdetect"
+	"ppchecker/internal/memo"
 	"ppchecker/internal/policy"
 	"ppchecker/internal/static"
 )
@@ -29,10 +31,21 @@ const (
 	stageDetect = "detect"
 )
 
+// UnitNames lists the four units' store names in pipeline order, the
+// order CacheStats.Units counts them in.
+var UnitNames = [...]string{stagePolicy, stageDesc, stageStatic, stageDetect}
+
+// decodedEntries bounds an engine's memo of decoded artifacts. Versions
+// of one app share units and run close together, so a small memo
+// catches the repeats of a corpus run.
+const decodedEntries = 1024
+
 // Serialized stage outputs. Everything in them is plain exported data,
 // so a JSON round trip is lossless — the engine relies on that to make
 // a freshly computed artifact and a reloaded one structurally
-// identical (see versionMemo.Store).
+// identical (see versionMemo.Store). An artifact is read-only once
+// decoded: the engine's memo hands the same one to every report that
+// loads its bytes.
 type policyArtifact struct {
 	Analysis *policy.Analysis `json:"analysis"`
 }
@@ -83,6 +96,24 @@ type CacheStats struct {
 	Misses      int64 `json:"misses"`
 	Puts        int64 `json:"puts"`
 	StoreErrors int64 `json:"store_errors"`
+	// Units splits Hits and Misses by unit, in UnitNames order.
+	Units [len(UnitNames)]UnitStats `json:"units"`
+}
+
+// UnitStats is one cacheable unit's share of the store lookups.
+type UnitStats struct {
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+}
+
+// sub returns the traffic counted between start and s.
+func (s CacheStats) sub(start CacheStats) CacheStats {
+	s.Hits, s.Misses = s.Hits-start.Hits, s.Misses-start.Misses
+	s.Puts, s.StoreErrors = s.Puts-start.Puts, s.StoreErrors-start.StoreErrors
+	for i, u := range start.Units {
+		s.Units[i].Hits, s.Units[i].Misses = s.Units[i].Hits-u.Hits, s.Units[i].Misses-u.Misses
+	}
+	return s
 }
 
 // Lookups is the total number of stage-cache probes.
@@ -97,17 +128,24 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // Engine runs the content-addressed incremental pipeline. It is
-// stateless apart from the store handle, the config fingerprint, and
-// atomic counters, so one engine serves any number of concurrent
-// workers; per-worker state (analyzers) lives in the core.Checker each
-// caller passes in, whose Config must be the engine's (CheckVersion
-// refuses any other).
+// stateless apart from the store handle, the config fingerprint, a
+// bounded memo of decoded artifacts and atomic counters, so one engine
+// serves any number of concurrent workers; per-worker state
+// (analyzers) lives in the core.Checker each caller passes in, whose
+// Config must be the engine's (CheckVersion refuses any other).
 type Engine struct {
 	store Store
 	cfg   Config
 	fp    []byte
 
-	hits, misses, puts, storeErrs atomic.Int64
+	// decoded memoizes, by store address, artifacts this engine put or
+	// decoded, each with the bytes it stands for. The store stays the
+	// authority: a load still reads the store, and the memo only saves
+	// decoding bytes equal to an entry's.
+	decoded *memo.Map[decodedArtifact]
+
+	hits, misses    [len(UnitNames)]atomic.Int64
+	puts, storeErrs atomic.Int64
 
 	// stageHook, when set by a test, runs on every unit the store
 	// cannot supply, just before the pipeline computes it (cache hits
@@ -120,7 +158,14 @@ type Engine struct {
 // NewEngine builds an engine over the given artifact store and checker
 // configuration.
 func NewEngine(store Store, cfg Config) *Engine {
-	return &Engine{store: store, cfg: cfg, fp: cfg.Fingerprint()}
+	decoded := memo.New[decodedArtifact](decodedEntries, len(stagePolicy)+1+2*sha256.Size, 0)
+	return &Engine{store: store, cfg: cfg, fp: cfg.Fingerprint(), decoded: decoded}
+}
+
+// decodedArtifact is one memo entry: an artifact and its store bytes.
+type decodedArtifact struct {
+	data []byte
+	art  artifact
 }
 
 // Config returns the engine's checker configuration.
@@ -128,12 +173,12 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // Stats snapshots the cache counters accumulated so far.
 func (e *Engine) Stats() CacheStats {
-	return CacheStats{
-		Hits:        e.hits.Load(),
-		Misses:      e.misses.Load(),
-		Puts:        e.puts.Load(),
-		StoreErrors: e.storeErrs.Load(),
+	s := CacheStats{Puts: e.puts.Load(), StoreErrors: e.storeErrs.Load()}
+	for i := range s.Units {
+		s.Units[i] = UnitStats{Hits: e.hits[i].Load(), Misses: e.misses[i].Load()}
+		s.Hits, s.Misses = s.Hits+s.Units[i].Hits, s.Misses+s.Units[i].Misses
 	}
+	return s
 }
 
 // CheckVersion analyzes one app version through the artifact store:
@@ -155,22 +200,32 @@ func (e *Engine) Stats() CacheStats {
 // artifact is read or written: its results would be stored under, and
 // served for, a configuration that never computed them.
 func (e *Engine) CheckVersion(ctx context.Context, checker *core.Checker, app *core.App) (*core.Report, error) {
+	r, _, err := e.CheckVersionCode(ctx, checker, app)
+	return r, err
+}
+
+// CheckVersionCode is CheckVersion that also returns the version's code
+// key, the input DiffHistory compares for code changes: "no-apk" when
+// the version has no APK, "" when its APK does not encode, else the
+// static unit's StageKey. It is "" too when the version is refused.
+func (e *Engine) CheckVersionCode(ctx context.Context, checker *core.Checker, app *core.App) (*core.Report, string, error) {
 	if app == nil {
-		return nil, errors.New("longi: nil app")
+		return nil, "", errors.New("longi: nil app")
 	}
 	if checker == nil {
-		return nil, errors.New("longi: nil checker")
+		return nil, "", errors.New("longi: nil checker")
 	}
 	if !checker.DescribedByConfig() {
-		return nil, errors.New("longi: checker's policy analyzer is not the one its config builds")
+		return nil, "", errors.New("longi: checker's policy analyzer is not the one its config builds")
 	}
 	if cfg := checker.Config(); cfg != e.cfg && !bytes.Equal(cfg.Fingerprint(), e.fp) {
-		return nil, fmt.Errorf("longi: checker config %s does not match engine config %s",
+		return nil, "", fmt.Errorf("longi: checker config %s does not match engine config %s",
 			cfg.Fingerprint(), e.fp)
 	}
-	r, err := checker.CheckMemo(ctx, app, e.memo(ctx, app))
+	m := e.memo(ctx, app)
+	r, err := checker.CheckMemo(ctx, app, m)
 	r.Timings = nil
-	return r, err
+	return r, m.skey, err
 }
 
 // versionMemo is the store-backed core.StageMemo for one app version.
@@ -207,18 +262,18 @@ func (e *Engine) memo(ctx context.Context, app *core.App) *versionMemo {
 	return m
 }
 
-// unit resolves a pipeline unit to its store name, its key and a fresh
-// artifact to decode into.
-func (m *versionMemo) unit(u core.Stage) (name, key string, art artifact) {
+// unit resolves a pipeline unit to its index in UnitNames, its store
+// name, its key and a fresh artifact to decode into.
+func (m *versionMemo) unit(u core.Stage) (i int, name, key string, art artifact) {
 	switch u {
 	case core.StagePolicy:
-		return stagePolicy, m.pkey, &policyArtifact{}
+		return 0, stagePolicy, m.pkey, &policyArtifact{}
 	case core.StageDesc:
-		return stageDesc, m.dkey, &descArtifact{}
+		return 1, stageDesc, m.dkey, &descArtifact{}
 	case core.StageStatic:
-		return stageStatic, m.skey, &staticArtifact{}
+		return 2, stageStatic, m.skey, &staticArtifact{}
 	}
-	return stageDetect, m.tkey, &detectArtifact{}
+	return 3, stageDetect, m.tkey, &detectArtifact{}
 }
 
 // Load fetches and decodes one artifact. Store errors and corrupt
@@ -226,12 +281,12 @@ func (m *versionMemo) unit(u core.Stage) (name, key string, art artifact) {
 // error counted. Decoding goes through a fresh artifact so a corrupt
 // payload can never leave the report half-populated.
 func (m *versionMemo) Load(u core.Stage, r *core.Report) bool {
-	name, key, art := m.unit(u)
+	i, name, key, art := m.unit(u)
 	if key != "" {
 		data, ok, err := m.e.store.Get(name, key)
 		if err == nil && ok {
-			if err = json.Unmarshal(data, art); err == nil {
-				m.e.hits.Add(1)
+			if art, err = m.e.decode(memKey(name, key), data, art); err == nil {
+				m.e.hits[i].Add(1)
 				art.fill(r)
 				return true
 			}
@@ -239,7 +294,7 @@ func (m *versionMemo) Load(u core.Stage, r *core.Report) bool {
 		if err != nil {
 			m.e.storeErrs.Add(1)
 		}
-		m.e.misses.Add(1)
+		m.e.misses[i].Add(1)
 	}
 	if m.e.stageHook != nil {
 		m.e.stageHook(m.ctx, name)
@@ -255,7 +310,7 @@ func (m *versionMemo) Load(u core.Stage, r *core.Report) bool {
 // included). A store write failure only loses the cache entry; the
 // computed value remains usable.
 func (m *versionMemo) Store(u core.Stage, r *core.Report) {
-	name, key, art := m.unit(u)
+	_, name, key, art := m.unit(u)
 	if key == "" {
 		return
 	}
@@ -265,7 +320,7 @@ func (m *versionMemo) Store(u core.Stage, r *core.Report) {
 		m.e.storeErrs.Add(1)
 		return
 	}
-	_, _, fresh := m.unit(u)
+	_, _, _, fresh := m.unit(u)
 	if err := json.Unmarshal(data, fresh); err != nil {
 		m.e.storeErrs.Add(1)
 		return
@@ -276,6 +331,21 @@ func (m *versionMemo) Store(u core.Stage, r *core.Report) {
 		return
 	}
 	m.e.puts.Add(1)
+	m.e.decoded.Do(memKey(name, key), func(string) decodedArtifact { return decodedArtifact{data, fresh} })
+}
+
+// decode returns the artifact data decodes to: the memoized one when
+// data are the very bytes it stands for, else fresh, decoded into and
+// memoized (an entry already at addr stays).
+func (e *Engine) decode(addr string, data []byte, fresh artifact) (artifact, error) {
+	if d, ok := e.decoded.Get(addr); ok && bytes.Equal(d.data, data) {
+		return d.art, nil
+	}
+	if err := json.Unmarshal(data, fresh); err != nil {
+		return nil, err
+	}
+	e.decoded.Do(addr, func(string) decodedArtifact { return decodedArtifact{data, fresh} })
+	return fresh, nil
 }
 
 // libPolicyBytes canonically frames the app's library-policy set (an

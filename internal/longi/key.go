@@ -39,18 +39,23 @@ func Frame(stage string, sections ...[]byte) []byte {
 		n += len(s) + binary.MaxVarintLen64
 	}
 	buf := make([]byte, 0, n)
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], v)]...)
-	}
-	put(uint64(len(stage)))
-	buf = append(buf, stage...)
-	put(uint64(len(sections)))
-	for _, s := range sections {
-		put(uint64(len(s)))
-		buf = append(buf, s...)
-	}
+	writeFrame(stage, sections, func(p []byte) { buf = append(buf, p...) })
 	return buf
+}
+
+// writeFrame hands the frame of (stage, sections) to write in pieces
+// whose concatenation is the frame: Frame appends them, StageKey
+// hashes them without building the frame. write must not keep a
+// piece: the header buffer is reused.
+func writeFrame(stage string, sections [][]byte, write func([]byte)) {
+	hdr := make([]byte, 0, 2*binary.MaxVarintLen64+len(stage))
+	hdr = binary.AppendUvarint(hdr, uint64(len(stage)))
+	hdr = append(hdr, stage...)
+	write(binary.AppendUvarint(hdr, uint64(len(sections))))
+	for _, s := range sections {
+		write(binary.AppendUvarint(hdr[:0], uint64(len(s))))
+		write(s)
+	}
 }
 
 // StageKey is the content address of one stage computation: the sha256
@@ -58,6 +63,8 @@ func Frame(stage string, sections ...[]byte) []byte {
 // separator, so identical inputs fed to different stages can never
 // alias each other's artifacts.
 func StageKey(stage string, sections ...[]byte) string {
-	sum := sha256.Sum256(Frame(stage, sections...))
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	writeFrame(stage, sections, func(p []byte) { h.Write(p) })
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }

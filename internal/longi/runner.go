@@ -70,14 +70,17 @@ func RunCorpus(ctx context.Context, e *Engine, corpus *synth.VersionedCorpus, op
 	type slot struct{ app, ver int }
 	var jobs []eval.Job
 	var slots []slot
+	codes := make([][]string, len(corpus.Apps))
 	for ai, va := range corpus.Apps {
+		codes[ai] = make([]string, len(va.Versions))
 		for vi, v := range va.Versions {
-			app := v.App
+			app, code := v.App, &codes[ai][vi]
 			jobs = append(jobs, eval.Job{
 				Name:  fmt.Sprintf("%s@v%d", va.Pkg, v.Version),
 				Truth: v.Truth,
-				Run: func(ctx context.Context, checker *core.Checker) (*core.Report, error) {
-					return e.CheckVersion(ctx, checker, app)
+				Run: func(ctx context.Context, checker *core.Checker) (r *core.Report, err error) {
+					r, *code, err = e.CheckVersionCode(ctx, checker, app)
+					return r, err
 				},
 			})
 			slots = append(slots, slot{app: ai, ver: vi})
@@ -117,7 +120,7 @@ func RunCorpus(ctx context.Context, e *Engine, corpus *synth.VersionedCorpus, op
 		for vi, v := range va.Versions {
 			apps[vi] = v.App
 		}
-		drift := DiffHistory(va.Pkg, apps, hist[ai].Versions)
+		drift := DiffHistory(va.Pkg, apps, codes[ai], hist[ai].Versions)
 		hist[ai].Drift = drift
 		stats.Drift += len(drift)
 		for _, d := range drift {
@@ -125,17 +128,7 @@ func RunCorpus(ctx context.Context, e *Engine, corpus *synth.VersionedCorpus, op
 		}
 	}
 
-	endCache := e.Stats()
-	return &Result{
-		Histories: hist,
-		Stats:     stats,
-		Cache: CacheStats{
-			Hits:        endCache.Hits - startCache.Hits,
-			Misses:      endCache.Misses - startCache.Misses,
-			Puts:        endCache.Puts - startCache.Puts,
-			StoreErrors: endCache.StoreErrors - startCache.StoreErrors,
-		},
-	}, nil
+	return &Result{Histories: hist, Stats: stats, Cache: e.Stats().sub(startCache)}, nil
 }
 
 // CompareRuns is the differential oracle: it byte-compares two corpus

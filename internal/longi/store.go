@@ -19,8 +19,10 @@ import (
 // unreadable artifact is just a miss and the stage recomputes.
 type Store interface {
 	// Get returns the artifact bytes and whether they were present.
+	// The bytes are the caller's: the engine keeps them.
 	Get(stage, key string) ([]byte, bool, error)
-	// Put durably records the artifact bytes under (stage, key).
+	// Put durably records the artifact bytes under (stage, key),
+	// without modifying them.
 	Put(stage, key string, data []byte) error
 }
 

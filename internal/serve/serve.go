@@ -373,13 +373,15 @@ func (s *Server) handleCheckHistory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	apps := make([]*core.App, len(req.Versions))
+	codes := make([]string, len(req.Versions))
 	reports := make([]*core.Report, len(req.Versions))
 	resp := HistoryResponse{Name: req.Name, Versions: make([]CheckResponse, len(req.Versions))}
 	prep := func(i int, app *core.App) (string, runFunc) {
 		app.Name = req.Name // one app across the chain
 		apps[i] = app
-		return fmt.Sprintf("%s@v%d", req.Name, i+1), func(ctx context.Context, c *core.Checker) (*core.Report, error) {
-			return s.longiEng.CheckVersion(ctx, c, app)
+		return fmt.Sprintf("%s@v%d", req.Name, i+1), func(ctx context.Context, c *core.Checker) (r *core.Report, err error) {
+			r, codes[i], err = s.longiEng.CheckVersionCode(ctx, c, app)
+			return r, err
 		}
 	}
 	if !s.analyze(w, r, historyEndpoint, req.Versions, prep, func(i int, res eval.Result, out CheckResponse) {
@@ -394,7 +396,7 @@ func (s *Server) handleCheckHistory(w http.ResponseWriter, r *http.Request) {
 	hist := longi.History{
 		Pkg:      req.Name,
 		Versions: reports,
-		Drift:    longi.DiffHistory(req.Name, apps, reports),
+		Drift:    longi.DiffHistory(req.Name, apps, codes, reports),
 	}
 	resp.Drift = hist.Document().Drift
 	WriteJSON(w, http.StatusOK, resp)

@@ -33,7 +33,10 @@
 # allocs/op pin the warm per-app cost), the on-disk ingest of one app
 # (DirSource.Next plus Item.Run: one bundle read serves the hash and
 # the analysis), the app-package decode over the paper corpus
-# (container, manifest codec and dex verifier), the policy pipeline with every
+# (container, manifest codec and dex verifier), one cold longitudinal
+# corpus run (its allocs/op pin the codec work per app version: one APK
+# encode, one artifact round trip per put, no decode of bytes the engine
+# holds decoded), the policy pipeline with every
 # sentence missing the analyzer's memo, the Aho-Corasick lexicon screen
 # (a hot substrate under the pipeline), the ESA Similarity benches
 # (warm = memoized vector path,
@@ -48,7 +51,7 @@ rev=$(git rev-parse --short HEAD 2>/dev/null || echo dev)
 out="BENCH_${rev}.json"
 baseline=testdata/bench_baseline.json
 tol="${BENCH_TOLERANCE:-0.20}"
-timed='APKDecode|APGBuild|StaticLargeImage|CheckSafe|DirSourceItem|PolicyAnalysisCold|LexiconMatch|Similarity(Warm|Cold|ReferenceMap)|Span(Nil|Metrics|JSONL)'
+timed='APKDecode|APGBuild|StaticLargeImage|CheckSafe|DirSourceItem|LongiColdRun|PolicyAnalysisCold|LexiconMatch|Similarity(Warm|Cold|ReferenceMap)|Span(Nil|Metrics|JSONL)'
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
