@@ -42,8 +42,12 @@ func New(m *Manifest, d *dex.Dex) *APK {
 }
 
 // Encode serializes the APK. When a.Packed is true the dex payload is
-// enciphered behind a stub, simulating a packed app.
+// enciphered behind a stub, simulating a packed app. An APK without a
+// manifest or a dex image has no encoding and fails.
 func Encode(a *APK) ([]byte, error) {
+	if a.Manifest == nil || a.Dex == nil {
+		return nil, fmt.Errorf("apk: encode: missing manifest or dex")
+	}
 	manifestData, err := EncodeManifest(a.Manifest)
 	if err != nil {
 		return nil, err

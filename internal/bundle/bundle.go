@@ -9,19 +9,27 @@
 //	  apps/<pkg>/app.apk
 //	  apps/<pkg>/libs.txt
 //	  truth.json
+//
+// Every bundle and library-policy file is read with readFile, which
+// keeps regular files off the runtime's network poller. The library
+// policies under libs/ are shared by the whole corpus, so a LibReader
+// reads each of them at most once for all the apps that name it.
 package bundle
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"syscall"
 	"unicode/utf8"
 
 	"ppchecker/internal/apk"
 	"ppchecker/internal/core"
+	"ppchecker/internal/memo"
 	"ppchecker/internal/synth"
 )
 
@@ -129,11 +137,11 @@ func ReadApp(dir, libsDir string) (*core.App, error) {
 // failing outright: each unreadable or corrupt file is reported as a
 // *FileError while the corresponding App field stays zero. Optional
 // files (description.txt, libs.txt) produce no error when merely
-// absent. The robust corpus runner uses this to degrade per-file
-// instead of dropping the whole app. It is ReadRaw followed by
-// Raw.Decode.
+// absent. It is ReadRaw followed by Raw.Decode with a LibReader of its
+// own, so a caller reading many apps of one corpus should keep one
+// LibReader and decode through it instead.
 func ReadAppLenient(dir, libsDir string) (*core.App, []*FileError) {
-	return ReadRaw(dir).Decode(libsDir)
+	return ReadRaw(dir).Decode(NewLibReader(libsDir))
 }
 
 // RawFile is one bundle file as read from disk: its bytes, or the
@@ -155,7 +163,7 @@ type Raw struct {
 // recording each read's error instead of stopping at the first.
 func ReadRaw(dir string) *Raw {
 	read := func(name string) RawFile {
-		data, err := os.ReadFile(filepath.Join(dir, name))
+		data, err := readFile(filepath.Join(dir, name))
 		if err != nil {
 			return RawFile{Err: err}
 		}
@@ -171,11 +179,12 @@ func ReadRaw(dir string) *Raw {
 }
 
 // Decode builds the app from the raw bytes with ReadAppLenient's
-// rules. Each call returns a fresh App. The only files it reads are
-// the library policies libs.txt names, from libsDir: they are shared
-// corpus files, not bundle files, and none are attached when libsDir
-// is empty.
-func (r *Raw) Decode(libsDir string) (*core.App, []*FileError) {
+// rules. Each call returns a fresh App. It opens no bundle file; the
+// library policies libs.txt names come from libs, which reads each
+// shared corpus file once for every app that names it. A name libs
+// cannot read is skipped, as the paper skips libraries without an
+// English policy, and a nil libs attaches none.
+func (r *Raw) Decode(libs *LibReader) (*core.App, []*FileError) {
 	var ferrs []*FileError
 	app := &core.App{
 		Name:        filepath.Base(r.Dir),
@@ -215,7 +224,7 @@ func (r *Raw) Decode(libsDir string) (*core.App, []*FileError) {
 	if r.Libs.Err != nil && !os.IsNotExist(r.Libs.Err) {
 		ferrs = append(ferrs, fileError(r.Dir, FileLibs, r.Libs.Err))
 	}
-	if r.Libs.Err != nil || libsDir == "" {
+	if r.Libs.Err != nil || libs == nil {
 		return app, ferrs
 	}
 	for _, name := range strings.Split(strings.TrimSpace(string(r.Libs.Data)), "\n") {
@@ -223,13 +232,109 @@ func (r *Raw) Decode(libsDir string) (*core.App, []*FileError) {
 		if name == "" {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(libsDir, name+".html"))
-		if err != nil {
-			continue
+		if text, ok := libs.Read(name); ok {
+			app.LibPolicies[name] = text
 		}
-		app.LibPolicies[name] = string(data)
 	}
 	return app, ferrs
+}
+
+// Library-policy memo bounds: a corpus names a few dozen distinct
+// libraries (81 in ppgen's default corpus), and a name longer than
+// a file name may be could not be opened anyway.
+const (
+	libMemoCapacity = 1024
+	libMemoKeyLen   = 255
+)
+
+// LibReader reads the library policies of one corpus's shared libs/
+// directory, each file at most once however many apps name it. Only a
+// successful read is kept: a missing or unreadable file is tried again
+// by the next app that names it, and skipped meanwhile. The texts are
+// shared corpus files, not bundle files, so they stay outside an
+// item's content hash; a file edited after its first read is not seen
+// again by the same reader. Safe for concurrent use.
+type LibReader struct {
+	dir   string
+	texts *memo.Map[string]
+}
+
+// NewLibReader builds a reader over a libs/ directory; an empty dir
+// gives the nil reader, which attaches no library.
+func NewLibReader(dir string) *LibReader {
+	if dir == "" {
+		return nil
+	}
+	return &LibReader{dir: dir, texts: memo.New[string](libMemoCapacity, libMemoKeyLen, 0)}
+}
+
+// Read returns the policy text of the named library, reading
+// <dir>/<name>.html on its first successful use. A name that is not a
+// single path element (one holding a separator, "." or "..") would
+// reach outside the directory, and reads as missing.
+func (l *LibReader) Read(name string) (string, bool) {
+	if name == "." || name == ".." || filepath.Base(name) != name {
+		return "", false
+	}
+	if text, ok := l.texts.Get(name); ok {
+		return text, true
+	}
+	data, err := readFile(filepath.Join(l.dir, name+".html"))
+	if err != nil {
+		return "", false
+	}
+	text, _, _ := l.texts.Do(name, func(string) string { return string(data) })
+	return text, true
+}
+
+// readFile is os.ReadFile for the regular files of a corpus. os.Open
+// makes every descriptor non-blocking and offers it to the runtime's
+// network poller, which refuses a regular file, so os.Open makes it
+// blocking again: four fcntl calls and a failed epoll_ctl per file.
+// os.NewFile over a blocking descriptor makes one fcntl call and
+// leaves the descriptor off the poller. Errors are the
+// *os.PathError values os.ReadFile returns, so a missing file still
+// satisfies os.IsNotExist and reading a directory still fails on the
+// read.
+func readFile(path string) ([]byte, error) {
+	var fd int
+	var err error
+	for {
+		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+		if err != syscall.EINTR {
+			break
+		}
+	}
+	if err != nil {
+		return nil, &os.PathError{Op: "open", Path: path, Err: err}
+	}
+	// One byte past the size, so the read that sees EOF needs no
+	// growth; at least 512 for files whose size stat misreports.
+	size := 0
+	var st syscall.Stat_t
+	if syscall.Fstat(fd, &st) == nil && int64(int(st.Size)) == st.Size {
+		size = int(st.Size)
+	}
+	f := os.NewFile(uintptr(fd), path)
+	defer f.Close()
+	size++
+	if size < 512 {
+		size = 512
+	}
+	data := make([]byte, 0, size)
+	for {
+		n, err := f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return data, err
+		}
+		if len(data) >= cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
 }
 
 // WriteDataset writes a whole corpus tree.

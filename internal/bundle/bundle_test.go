@@ -1,9 +1,14 @@
 package bundle
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"ppchecker/internal/core"
@@ -231,4 +236,131 @@ func TestAddDegradedStages(t *testing.T) {
 			t.Errorf("case %d (%s): stages %v partial=%v, want %v", i, tc.file, got, rep.Partial, tc.want)
 		}
 	}
+}
+
+// TestLibNamesStayInLibsDir: a libs.txt line names a file inside the
+// corpus's libs/ directory, never a path. A line that is not a single
+// path element reads as a missing library (skipped, no FileError),
+// even when the file it points at exists; names with spaces, as the
+// library registry has, still attach.
+func TestLibNamesStayInLibsDir(t *testing.T) {
+	ds := smallDataset(t)
+	corpus := t.TempDir()
+	appDir := filepath.Join(corpus, DirApps, "app")
+	if err := WriteApp(appDir, ds.Apps[0].App); err != nil {
+		t.Fatal(err)
+	}
+	libsDir := filepath.Join(corpus, DirLibs)
+	files := map[string]string{
+		filepath.Join(libsDir, "Amazon AWS.html"):    "<p>aws</p>",
+		filepath.Join(libsDir, "sub", "Nested.html"): "<p>nested</p>",
+		filepath.Join(libsDir, "..html"):             "<p>dot</p>",
+		filepath.Join(corpus, "Outside.html"):        "<p>outside</p>",
+	}
+	for path, text := range files {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lines := []string{"Amazon AWS", "../apps/app/policy", "../Outside", "sub/Nested",
+		".", "..", "Amazon AWS/", filepath.Join(corpus, "Outside")}
+	if err := os.WriteFile(filepath.Join(appDir, FileLibs), []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	app, ferrs := ReadAppLenient(appDir, libsDir)
+	if len(ferrs) != 0 {
+		t.Fatalf("file errors %v, want none", ferrs)
+	}
+	if want := map[string]string{"Amazon AWS": "<p>aws</p>"}; !reflect.DeepEqual(app.LibPolicies, want) {
+		t.Fatalf("library policies %q, want %q", app.LibPolicies, want)
+	}
+}
+
+// TestLibReaderReadsOnce: a library file is read on the first
+// successful use and served from memory after, even once deleted;
+// a failed read is not remembered, so a file created later attaches.
+func TestLibReaderReadsOnce(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "Lib.html")
+	libs := NewLibReader(dir)
+	if _, ok := libs.Read("Lib"); ok {
+		t.Fatal("missing library read as present")
+	}
+	if err := os.WriteFile(path, []byte("v1"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if text, ok := libs.Read("Lib"); !ok || text != "v1" {
+		t.Fatalf("created library read %q, %v; want v1", text, ok)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if text, ok := libs.Read("Lib"); !ok || text != "v1" {
+		t.Fatalf("deleted library read %q, %v; want the first read's v1", text, ok)
+	}
+	if NewLibReader("") != nil {
+		t.Fatal("empty libs directory gave a reader")
+	}
+}
+
+// TestReadFileMatchesOSReadFile: readFile returns os.ReadFile's bytes
+// and its errors, so a missing file is still os.IsNotExist and a
+// directory still fails on the read with the same message.
+func TestReadFileMatchesOSReadFile(t *testing.T) {
+	dir := t.TempDir()
+	big := strings.Repeat("policy text ", 10000)
+	for name, data := range map[string]string{"empty": "", "small": "<p>x</p>", "big": big} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"empty", "small", "big", "sub", "missing"} {
+		path := filepath.Join(dir, name)
+		got, gerr := readFile(path)
+		want, werr := os.ReadFile(path)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes, os.ReadFile %d", name, len(got), len(want))
+		}
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || os.IsNotExist(gerr) != os.IsNotExist(werr) {
+			t.Errorf("%s: error %v, os.ReadFile %v", name, gerr, werr)
+		}
+		var pe *os.PathError
+		if gerr != nil && !errors.As(gerr, &pe) {
+			t.Errorf("%s: error %T, want *os.PathError", name, gerr)
+		}
+	}
+}
+
+// TestLibReaderConcurrent: the workers of one source share a reader,
+// so concurrent reads of the same names must each get the file's text.
+func TestLibReaderConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	names := []string{"A", "Baidu Ad", "C"}
+	for _, name := range names {
+		if err := os.WriteFile(filepath.Join(dir, name+".html"), []byte("policy of "+name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	libs := NewLibReader(dir)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				name := names[i%len(names)]
+				if text, ok := libs.Read(name); !ok || text != "policy of "+name {
+					t.Errorf("%s: read %q, %v", name, text, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -176,7 +176,9 @@ func DatasetJobs(ds *synth.Dataset) []Job {
 // order. Reads are lenient: an unreadable or corrupt bundle file
 // degrades that one app (recorded under StageRead or StageDecode)
 // instead of failing the run, and a missing truth.json yields empty
-// ground truth. Only an unlistable corpus directory is an error.
+// ground truth. Only an unlistable corpus directory is an error. The
+// jobs share one library-policy reader, so each library file is read
+// once per call.
 func DirJobs(dir string) ([]Job, error) {
 	appDirs, err := bundle.ListApps(dir)
 	if err != nil {
@@ -188,7 +190,7 @@ func DirJobs(dir string) ([]Job, error) {
 			truthByPkg[t.Pkg] = t.Truth
 		}
 	}
-	libsDir := filepath.Join(dir, bundle.DirLibs)
+	libs := bundle.NewLibReader(filepath.Join(dir, bundle.DirLibs))
 	jobs := make([]Job, len(appDirs))
 	for i, appDir := range appDirs {
 		appDir := appDir
@@ -197,7 +199,7 @@ func DirJobs(dir string) ([]Job, error) {
 			Name:  name,
 			Truth: truthByPkg[name],
 			Run: func(ctx context.Context, checker *core.Checker) (*core.Report, error) {
-				app, ferrs := bundle.ReadAppLenient(appDir, libsDir)
+				app, ferrs := bundle.ReadRaw(appDir).Decode(libs)
 				rep, err := checker.CheckSafe(ctx, app)
 				if rep != nil {
 					bundle.AddDegraded(rep, ferrs)

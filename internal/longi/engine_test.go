@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ppchecker/internal/apk"
 	"ppchecker/internal/core"
 	"ppchecker/internal/dex"
 	"ppchecker/internal/libdetect"
@@ -296,5 +297,39 @@ func TestCorruptArtifactIsMissNotError(t *testing.T) {
 	a, b := reportJSON(t, r1), reportJSON(t, r2)
 	if !bytes.Equal(a, b) {
 		t.Errorf("recompute after corruption changed the report:\n1: %s\n2: %s", a, b)
+	}
+}
+
+// TestCheckVersionMatchesCheckSafeWithoutDex: an APK value that has a
+// manifest but no dex image does not encode, so its static and detect
+// units are computed uncached, and CheckVersion must report what
+// CheckSafe does (libdetect degraded for want of bytecode) instead of
+// panicking while it builds the store keys.
+func TestCheckVersionMatchesCheckSafeWithoutDex(t *testing.T) {
+	ga, err := synth.NewFirehose(99).App(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := *ga.App
+	app.APK = &apk.APK{Manifest: ga.App.APK.Manifest}
+	ctx := context.Background()
+	want, err := core.NewChecker(Config{}.CheckerOptions()...).CheckSafe(ctx, &app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.DegradedStage(core.StageLibs) {
+		t.Fatalf("CheckSafe did not degrade libdetect: %v", want.Degraded)
+	}
+	w := canonicalJSON(t, want)
+	eng := NewEngine(NewMemStore(0), Config{})
+	checker := core.NewChecker(eng.Config().CheckerOptions()...)
+	for _, pass := range []string{"cold", "warm"} {
+		got, err := eng.CheckVersion(ctx, checker, &app)
+		if err != nil {
+			t.Fatalf("%s CheckVersion: %v", pass, err)
+		}
+		if g := reportJSON(t, got); !bytes.Equal(g, w) {
+			t.Errorf("%s CheckVersion != CheckSafe\n got: %s\nwant: %s", pass, g, w)
+		}
 	}
 }

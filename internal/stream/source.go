@@ -55,15 +55,18 @@ type Spec struct {
 
 // SpecResolver rebuilds Items from Specs. It caches one firehose
 // generator per seed (building a generator walks the library registry,
-// too heavy to repeat per lease). Safe for concurrent use.
+// too heavy to repeat per lease) and one library-policy reader per
+// libs directory, so a worker reads each shared library file once
+// across all the leases that name it. Safe for concurrent use.
 type SpecResolver struct {
 	mu        sync.Mutex
 	firehoses map[int64]*synth.Firehose
+	libs      map[string]*bundle.LibReader
 }
 
 // NewSpecResolver builds an empty resolver.
 func NewSpecResolver() *SpecResolver {
-	return &SpecResolver{firehoses: map[int64]*synth.Firehose{}}
+	return &SpecResolver{firehoses: map[int64]*synth.Firehose{}, libs: map[string]*bundle.LibReader{}}
 }
 
 // Resolve turns a portable Spec back into a runnable Item. The
@@ -75,7 +78,14 @@ func (r *SpecResolver) Resolve(spec *Spec) (*Item, error) {
 	}
 	switch spec.Kind {
 	case SpecDir:
-		return dirItem(spec.Dir, spec.LibsDir), nil
+		r.mu.Lock()
+		libs, ok := r.libs[spec.LibsDir]
+		if !ok {
+			libs = bundle.NewLibReader(spec.LibsDir)
+			r.libs[spec.LibsDir] = libs
+		}
+		r.mu.Unlock()
+		return dirItem(spec.Dir, spec.LibsDir, libs), nil
 	case SpecFirehose:
 		r.mu.Lock()
 		fh, ok := r.firehoses[spec.Seed]
@@ -101,10 +111,11 @@ type Source interface {
 // DirSource streams an on-disk corpus (the bundle layout ppgen
 // writes). Each item's hash covers the raw bytes of every bundle file,
 // so editing any input after a checkpoint forces re-analysis on
-// resume.
+// resume. Its items share one library-policy reader.
 type DirSource struct {
 	dirs    []string
 	libsDir string
+	libs    *bundle.LibReader
 	next    int
 }
 
@@ -115,7 +126,8 @@ func NewDirSource(corpusDir string) (*DirSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DirSource{dirs: dirs, libsDir: filepath.Join(corpusDir, bundle.DirLibs)}, nil
+	libsDir := filepath.Join(corpusDir, bundle.DirLibs)
+	return &DirSource{dirs: dirs, libsDir: libsDir, libs: bundle.NewLibReader(libsDir)}, nil
 }
 
 // Len returns the number of app bundles the walk will produce.
@@ -133,7 +145,7 @@ func (s *DirSource) Next(ctx context.Context) (*Item, error) {
 	}
 	dir := s.dirs[s.next]
 	s.next++
-	return dirItem(dir, s.libsDir), nil
+	return dirItem(dir, s.libsDir, s.libs), nil
 }
 
 // dirItem builds the item for one on-disk bundle directory — the
@@ -143,16 +155,17 @@ func (s *DirSource) Next(ctx context.Context) (*Item, error) {
 // read failed hashing as an empty section (the analysis degrades it,
 // and the hash still changes if it later becomes readable), and Run
 // decodes the same bytes on every attempt without reopening a file.
-// Only the library policies named in libs.txt are read inside Run;
-// they are not part of the hash.
-func dirItem(dir, libsDir string) *Item {
+// Only the library policies named in libs.txt are read inside Run,
+// through libs, the reader over libsDir that the item's source
+// shares; they are not part of the hash.
+func dirItem(dir, libsDir string, libs *bundle.LibReader) *Item {
 	raw := bundle.ReadRaw(dir)
 	return &Item{
 		Name: filepath.Base(dir),
 		Hash: HashBytes(raw.Policy.Data, raw.Description.Data, raw.APK.Data, raw.Libs.Data),
 		Spec: &Spec{Kind: SpecDir, Dir: dir, LibsDir: libsDir},
 		Run: func(ctx context.Context, checker *core.Checker) (*core.Report, error) {
-			app, ferrs := raw.Decode(libsDir)
+			app, ferrs := raw.Decode(libs)
 			rep, err := checker.CheckSafe(ctx, app)
 			if rep != nil {
 				bundle.AddDegraded(rep, ferrs)

@@ -32,7 +32,8 @@
 # ratio is the observer overhead — and the corpus rotation, whose
 # allocs/op pin the warm per-app cost), the on-disk ingest of one app
 # (DirSource.Next plus Item.Run: one bundle read serves the hash and
-# the analysis), the app-package decode over the paper corpus
+# the analysis, and library policies are read once per source), the
+# app-package decode over the paper corpus
 # (container, manifest codec and dex verifier), one cold longitudinal
 # corpus run (its allocs/op pin the codec work per app version: one APK
 # encode, one artifact round trip per put, no decode of bytes the engine

@@ -5,7 +5,10 @@
 #      processes on loopback; all three must exit 0, and the
 #      coordinator's "Corpus run:" line must equal the one a
 #      single-process ppstream run prints over the same firehose;
-#   2. ppcoord -shards -1 must be a usage error (exit 2).
+#   2. the same over a 400-app corpus that ppgen writes to disk, the
+#      workers reading its bundles and library policies themselves;
+#      the line must equal both ppstream -dir's and ppbench -dir's;
+#   3. ppcoord -shards -1 must be a usage error (exit 2).
 #
 # Usage: ./scripts/dist_smoke.sh [addr]
 set -euo pipefail
@@ -32,37 +35,63 @@ finish() {
 }
 
 echo "== build"
-go build -o "$WORK/ppcoord" ./cmd/ppcoord
-go build -o "$WORK/ppstream" ./cmd/ppstream
+for cmd in ppcoord ppstream ppgen ppbench; do
+    go build -o "$WORK/$cmd" ./cmd/$cmd
+done
+
+# coord_round <tag> <source flags...>: ppcoord over the source with
+# two ppstream -worker processes; all three must exit 0. Leaves
+# ppcoord's stdout in $WORK/<tag>.coord.out.
+coord_round() {
+    local tag=$1
+    shift
+    echo "== ppcoord $* on $ADDR with two workers"
+    "$WORK/ppcoord" -addr "$ADDR" "$@" -journal "$WORK/$tag.journal" \
+        >"$WORK/$tag.coord.out" 2>"$WORK/$tag.coord.log" &
+    local coord=$!
+    PIDS="$coord"
+    for i in $(seq 1 50); do
+        if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
+        kill -0 "$coord" 2>/dev/null || fail "ppcoord died on startup"
+        sleep 0.1
+    done
+    curl -sf "$BASE/healthz" >/dev/null || fail "ppcoord not serving on $ADDR"
+
+    "$WORK/ppstream" -worker "$BASE" -worker-name w1 >"$WORK/$tag.w1.log" 2>&1 &
+    local w1=$!
+    "$WORK/ppstream" -worker "$BASE" -worker-name w2 >"$WORK/$tag.w2.log" 2>&1 &
+    local w2=$!
+    PIDS="$coord $w1 $w2"
+    finish "worker w1" "$w1"
+    finish "worker w2" "$w2"
+    finish "ppcoord" "$coord"
+    PIDS=""
+}
+
+# corpus_line <file>: the "Corpus run:" line of a command's output.
+corpus_line() {
+    grep '^Corpus run:' "$1" || true
+}
 
 echo "== reference: ppstream ${SRC[*]}"
 "$WORK/ppstream" "${SRC[@]}" >"$WORK/ref.out"
-
-echo "== ppcoord on $ADDR with two workers"
-"$WORK/ppcoord" -addr "$ADDR" "${SRC[@]}" -journal "$WORK/run.journal" \
-    >"$WORK/coord.out" 2>"$WORK/coord.log" &
-COORD=$!
-PIDS="$COORD"
-for i in $(seq 1 50); do
-    if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
-    kill -0 "$COORD" 2>/dev/null || fail "ppcoord died on startup"
-    sleep 0.1
-done
-curl -sf "$BASE/healthz" >/dev/null || fail "ppcoord not serving on $ADDR"
-
-"$WORK/ppstream" -worker "$BASE" -worker-name w1 >"$WORK/w1.log" 2>&1 &
-W1=$!
-"$WORK/ppstream" -worker "$BASE" -worker-name w2 >"$WORK/w2.log" 2>&1 &
-W2=$!
-PIDS="$COORD $W1 $W2"
-finish "worker w1" "$W1"
-finish "worker w2" "$W2"
-finish "ppcoord" "$COORD"
-PIDS=""
-
-WANT="$(grep '^Corpus run:' "$WORK/ref.out")"
-GOT="$(grep '^Corpus run:' "$WORK/coord.out" || true)"
+coord_round firehose "${SRC[@]}"
+WANT="$(corpus_line "$WORK/ref.out")"
+GOT="$(corpus_line "$WORK/firehose.coord.out")"
 [ "$GOT" = "$WANT" ] || fail "ppcoord: '$GOT'; single-process ppstream: '$WANT'"
+echo "$GOT"
+
+echo "== on-disk corpus: ppgen -apps 400"
+"$WORK/ppgen" -apps 400 -out "$WORK/corpus" >/dev/null
+"$WORK/ppstream" -dir "$WORK/corpus" >"$WORK/dir.ref.out" 2>"$WORK/dir.ref.log"
+"$WORK/ppbench" -dir "$WORK/corpus" >"$WORK/dir.bench.out" 2>"$WORK/dir.bench.log"
+coord_round dir -dir "$WORK/corpus"
+WANT="$(corpus_line "$WORK/dir.ref.out")"
+BENCH="$(corpus_line "$WORK/dir.bench.out")"
+GOT="$(corpus_line "$WORK/dir.coord.out")"
+[ -n "$WANT" ] || fail "ppstream -dir printed no Corpus run: line"
+[ "$BENCH" = "$WANT" ] || fail "ppbench -dir: '$BENCH'; ppstream -dir: '$WANT'"
+[ "$GOT" = "$WANT" ] || fail "ppcoord -dir: '$GOT'; ppstream -dir: '$WANT'"
 echo "$GOT"
 
 echo "== ppcoord -shards -1 must exit 2"
