@@ -18,10 +18,12 @@
 //
 // -shards N hosts N artifact shards at /shard/<i>; workers read the
 // shared library-policy analysis cache through them, so a policy
-// analyzed by one worker is free for every other. By default the
-// shards live in memory; -shard-dir roots them on disk
+// analyzed by one worker is free for every other. A worker stores each
+// analysis on shard (key mod N), the key being a sha256 digest. By
+// default the shards live in memory; -shard-dir roots them on disk
 // (longi.DirStore, temp+rename crash-safe), so a restarted or promoted
-// coordinator keeps the warm cache.
+// coordinator with the same -shards keeps the warm cache (another N
+// moves most keys, which costs recomputes, never wrong results).
 //
 // -standby runs the process as a failover coordinator over the shared
 // -journal: it answers work endpoints with 503 until it promotes itself

@@ -49,11 +49,11 @@ type AnalysisCache struct {
 }
 
 // CacheBacking is an optional remote tier behind an AnalysisCache —
-// in the distributed topology, a consistent-hash-sharded artifact
-// service hosted by the coordinator. Load returns the serialized
-// analysis for a policy text, or false on miss OR error: the cache
-// cannot tell the difference and does not need to, it just computes
-// locally, so a dead shard degrades throughput, never correctness.
+// in the distributed topology, the artifact shards a coordinator
+// hosts. Load returns the serialized analysis for a policy text, or
+// false on miss OR error: the cache cannot tell the difference and
+// does not need to, it just computes locally, so a dead shard degrades
+// throughput, never correctness.
 // Store is best-effort write-through; implementations swallow their
 // own errors. Both must be safe for concurrent use.
 //

@@ -41,7 +41,7 @@ type CoordinatorOptions struct {
 	Observer *obs.Observer
 	// Shards are the artifact stores hosted on the coordinator's
 	// handler at /shard/<i>/artifact/... — the remote tier behind the
-	// workers' library-policy analysis caches and longi stores.
+	// workers' library-policy analysis caches.
 	Shards []longi.Store
 }
 

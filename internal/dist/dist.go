@@ -24,12 +24,12 @@
 //	             meanwhile. Workers hold no corpus state; a SIGKILLed
 //	             worker costs only its outstanding leases, which
 //	             expire and are re-leased to the survivors.
-//	Shards       the coordinator hosts the longi artifact store and the
-//	             shared library-policy analysis cache as consistent-
-//	             hash-sharded HTTP endpoints (/shard/<i>/artifact/...).
-//	             Workers read through them (ShardedStore + Backing); a
-//	             dead or slow shard degrades to local compute, never a
-//	             failed app.
+//	Shards       the coordinator hosts the shared library-policy
+//	             analysis cache as HTTP artifact shards
+//	             (/shard/<i>/artifact/...). Workers read through them
+//	             behind their core.AnalysisCache, each key on the shard
+//	             its leading bits pick; a dead or slow shard degrades to
+//	             local compute, never a failed app.
 //
 // The correctness bar, enforced by the crash soak and the chaos suite:
 // a coordinator plus N workers over a seeded firehose — workers

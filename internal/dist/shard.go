@@ -1,106 +1,83 @@
 package dist
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"net/http"
+	"strconv"
 
-	"ppchecker/internal/core"
 	"ppchecker/internal/longi"
 	"ppchecker/internal/obs"
 )
 
-// ShardedStore fans one longi.Store address space out over shard
-// endpoints by consistent hash. It is the worker-side read-through
-// layer in front of the coordinator-hosted shards: a shard error —
-// dead endpoint, timeout, bad response — degrades to a miss on Get and
-// a silent drop on Put, so losing a shard costs recomputes, never
-// failed apps. The obs counters (dist-shard-hits / -misses / -errors)
-// make the degradation visible.
-type ShardedStore struct {
-	shards   []longi.Store
-	ring     *Ring
-	observer *obs.Observer
-}
-
-// NewShardedStore builds the sharded layer. names identify the shards
-// on the ring — they must be identical (content and order) in every
-// process that shares the shard set, or keys will map differently;
-// use the shard URLs.
-func NewShardedStore(shards []longi.Store, names []string, observer *obs.Observer) (*ShardedStore, error) {
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("dist: no shards")
-	}
-	if len(shards) != len(names) {
-		return nil, fmt.Errorf("dist: %d shards but %d names", len(shards), len(names))
-	}
-	return &ShardedStore{shards: shards, ring: NewRing(names), observer: observer}, nil
-}
-
-// pick routes (stage, key) to its shard. The stage participates in the
-// routing key so different stages of the same content spread out.
-func (s *ShardedStore) pick(stage, key string) longi.Store {
-	return s.shards[s.ring.Pick(stage+"/"+key)]
-}
-
-// Get reads through the owning shard; errors degrade to misses.
-func (s *ShardedStore) Get(stage, key string) ([]byte, bool, error) {
-	data, hit, err := s.pick(stage, key).Get(stage, key)
-	switch {
-	case err != nil:
-		s.observer.AddCounter("dist-shard-errors", 1)
-		return nil, false, nil
-	case hit:
-		s.observer.AddCounter("dist-shard-hits", 1)
-		return data, true, nil
-	default:
-		s.observer.AddCounter("dist-shard-misses", 1)
-		return nil, false, nil
-	}
-}
-
-// Put writes through to the owning shard, best effort.
-func (s *ShardedStore) Put(stage, key string, data []byte) error {
-	if err := s.pick(stage, key).Put(stage, key, data); err != nil {
-		s.observer.AddCounter("dist-shard-errors", 1)
-	}
-	return nil
-}
-
 // libAnalysisStage is the artifact stage the coordinator-hosted
-// shards keep serialized library-policy analyses under (the remote
-// tier behind core.AnalysisCache).
+// shards keep serialized library-policy analyses under.
 const libAnalysisStage = "lib-analysis"
 
-// Backing adapts a longi.Store (typically a ShardedStore) into the
-// core.CacheBacking contract: policy texts are content-addressed with
-// longi.StageKey under libAnalysisStage, bound to the checker
-// configuration's fingerprint so caches filled by differently
-// configured checkers can never alias.
-type Backing struct {
-	store       longi.Store
+// shardBacking is a worker's remote tier behind core.AnalysisCache:
+// serialized library-policy analyses on the shards its coordinator
+// hosts, at /shard/<i>/artifact/lib-analysis/<key>. A policy text's
+// key is longi.StageKey over the checker configuration's fingerprint
+// and the text, so workers of different configurations sharing one
+// shard set never alias. Every transport error or unexpected status is
+// a miss on Load and a dropped write on Store, so a dead or slow shard
+// costs recomputes, never a failed app; the dist-shard-hits / -misses
+// / -errors counters make that visible. Each call addresses the lease
+// client's current coordinator, so the tier follows a failover: every
+// coordinator hosts shard i alike.
+type shardBacking struct {
+	c           *client
+	shards      int
 	fingerprint []byte
+	observer    *obs.Observer
 }
 
-// NewBacking builds the library-policy cache backing over a store for
-// checkers of configuration cfg.
-func NewBacking(store longi.Store, cfg core.Config) *Backing {
-	return &Backing{store: store, fingerprint: cfg.Fingerprint()}
+// shardFor picks the shard holding key among n. The key is a sha256
+// hex digest, already uniform, so its leading 64 bits mod n spread
+// keys evenly with no second hash.
+func shardFor(key string, n int) int {
+	v, _ := strconv.ParseUint(key[:16], 16, 64)
+	return int(v % uint64(n))
 }
 
-func (b *Backing) key(text string) string {
-	return longi.StageKey(libAnalysisStage, b.fingerprint, []byte(text))
-}
-
-// Load fetches the serialized analysis for a text; any error is a miss
-// (the caller then computes locally).
-func (b *Backing) Load(text string) ([]byte, bool) {
-	data, hit, err := b.store.Get(libAnalysisStage, b.key(text))
-	if err != nil || !hit {
-		return nil, false
+// do sends one request for text's artifact to its shard and returns
+// the status and at most longi.MaxArtifactBytes of the body.
+func (b *shardBacking) do(method, text string, body io.Reader) (int, []byte, error) {
+	key := longi.StageKey(libAnalysisStage, b.fingerprint, []byte(text))
+	url := fmt.Sprintf("%s/shard/%d/artifact/%s/%s", b.c.base(), shardFor(key, b.shards), libAnalysisStage, key)
+	req, err := http.NewRequest(method, url, body)
+	if err != nil {
+		return 0, nil, err
 	}
-	return data, true
+	resp, err := b.c.http.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, longi.MaxArtifactBytes))
+	return resp.StatusCode, data, err
 }
 
-// Store writes a computed analysis through, best effort.
-func (b *Backing) Store(text string, data []byte) {
-	_ = b.store.Put(libAnalysisStage, b.key(text), data)
+// Load reads the analysis of text from its shard: a 200 is a hit, a
+// 404 a miss, anything else an error that the cache treats as a miss.
+func (b *shardBacking) Load(text string) ([]byte, bool) {
+	status, data, err := b.do(http.MethodGet, text, nil)
+	switch {
+	case err == nil && status == http.StatusOK:
+		b.observer.AddCounter("dist-shard-hits", 1)
+		return data, true
+	case err == nil && status == http.StatusNotFound:
+		b.observer.AddCounter("dist-shard-misses", 1)
+	default:
+		b.observer.AddCounter("dist-shard-errors", 1)
+	}
+	return nil, false
+}
+
+// Store writes a computed analysis through to its shard, best effort.
+func (b *shardBacking) Store(text string, data []byte) {
+	if status, _, err := b.do(http.MethodPut, text, bytes.NewReader(data)); err != nil || status != http.StatusNoContent {
+		b.observer.AddCounter("dist-shard-errors", 1)
+	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"ppchecker/internal/core"
 	"ppchecker/internal/eval"
-	"ppchecker/internal/longi"
 	"ppchecker/internal/obs"
 	"ppchecker/internal/stream"
 )
@@ -184,28 +183,6 @@ func (c *client) retry(ctx context.Context, attempts int, path string, req, resp
 	return err
 }
 
-// followerStore is a longi.Store over one hosted shard that always
-// addresses the worker's current coordinator, so the remote cache tier
-// follows a failover instead of dying with the old primary. Shard
-// *identity* (the ring position) is the index i, which both
-// coordinators host identically; only the base URL floats.
-type followerStore struct {
-	c     *client
-	shard int
-}
-
-func (f followerStore) store() longi.Store {
-	return longi.NewHTTPStore(fmt.Sprintf("%s/shard/%d", f.c.base(), f.shard), f.c.http)
-}
-
-func (f followerStore) Get(stage, key string) ([]byte, bool, error) {
-	return f.store().Get(stage, key)
-}
-
-func (f followerStore) Put(stage, key string, data []byte) error {
-	return f.store().Put(stage, key, data)
-}
-
 // coordinatorFailures is how many consecutive failed calls, a poll
 // interval apart, a worker sits out before it gives its coordinators
 // up, for /config at start and for /lease after. At the 100 ms default
@@ -229,19 +206,9 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 	}
 	libCache := core.NewAnalysisCache()
 	if opts.UseRemoteCache && cfg.Shards > 0 {
-		// Shard identity on the ring is the index, not the URL, so the
-		// key→shard mapping is stable across a coordinator failover.
-		shards := make([]longi.Store, cfg.Shards)
-		names := make([]string, cfg.Shards)
-		for i := range shards {
-			shards[i] = followerStore{c: cl, shard: i}
-			names[i] = fmt.Sprintf("shard-%d", i)
-		}
-		sharded, err := NewShardedStore(shards, names, opts.Observer)
-		if err != nil {
-			return WorkerStats{}, err
-		}
-		libCache = core.NewBackedAnalysisCache(NewBacking(sharded, opts.Config))
+		libCache = core.NewBackedAnalysisCache(&shardBacking{
+			c: cl, shards: cfg.Shards, fingerprint: opts.Config.Fingerprint(), observer: opts.Observer,
+		})
 	}
 
 	pool := eval.NewPool("dist", opts.Attempt, nil, opts.Observer, libCache, opts.Config)

@@ -17,9 +17,10 @@
 #     means the same on any machine. The parent is HEAD when the tree
 #     has uncommitted changes, else HEAD~1; it is exported with
 #     git archive into a temp dir. Both sides' test binaries are built
-#     once. Each benchmark then runs three rounds back to back on the
+#     once. Each benchmark then runs five rounds back to back on the
 #     two sides, alternating which side goes first, so a pair sees the
-#     same host load; each metric is the median of its rounds.
+#     same host load; each metric is the median of its five rounds,
+#     which a shared host's drift moves less than a median of three.
 #   - allocs/op, B/op and the paper-outcome metrics against the
 #     committed testdata/bench_baseline.json. The baseline holds no
 #     timing rows: those depend on the host that recorded them.
@@ -98,7 +99,7 @@ build "$work/parent" parent
 
 for pkg in root obs; do
   for name in $("$work/change.$pkg.test" -test.list "$timed" | grep '^Benchmark'); do
-    for round in 1 2 3; do
+    for round in 1 2 3 4 5; do
       order="parent change"
       ((round % 2)) || order="change parent"
       for side in $order; do

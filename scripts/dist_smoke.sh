@@ -8,7 +8,10 @@
 #   2. the same over a 400-app corpus that ppgen writes to disk, the
 #      workers reading its bundles and library policies themselves;
 #      the line must equal both ppstream -dir's and ppbench -dir's;
-#   3. ppcoord -shards -1 must be a usage error (exit 2).
+#   3. in both rounds each worker must print its "Worker: remote
+#      analysis cache N hits, 0 failures" line: an analysis read from
+#      ppcoord's shards that fails to decode counts as a failure;
+#   4. ppcoord -shards -1 must be a usage error (exit 2).
 #
 # Usage: ./scripts/dist_smoke.sh [addr]
 set -euo pipefail
@@ -40,8 +43,9 @@ for cmd in ppcoord ppstream ppgen ppbench; do
 done
 
 # coord_round <tag> <source flags...>: ppcoord over the source with
-# two ppstream -worker processes; all three must exit 0. Leaves
-# ppcoord's stdout in $WORK/<tag>.coord.out.
+# two ppstream -worker processes; all three must exit 0, and each
+# worker's remote cache must report 0 failures. Leaves ppcoord's
+# stdout in $WORK/<tag>.coord.out.
 coord_round() {
     local tag=$1
     shift
@@ -66,6 +70,11 @@ coord_round() {
     finish "worker w2" "$w2"
     finish "ppcoord" "$coord"
     PIDS=""
+    for w in w1 w2; do
+        grep -Eq '^Worker: remote analysis cache [0-9]+ hits, 0 failures$' "$WORK/$tag.$w.log" ||
+            fail "worker $w: no 'remote analysis cache N hits, 0 failures' line"
+        grep '^Worker: remote analysis cache' "$WORK/$tag.$w.log"
+    done
 }
 
 # corpus_line <file>: the "Corpus run:" line of a command's output.
